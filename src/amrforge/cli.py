@@ -66,7 +66,8 @@ def _open_in(path: str):
     if path == "-":
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        with open(path, "r", encoding="utf-8-sig") as handle:
             yield handle
 
 

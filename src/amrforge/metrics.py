@@ -7,6 +7,16 @@ brute-force oracle over all injective mappings is provided for small
 graphs so the search quality is measurable.  Fine-grained variants score
 specific phenomena (edge labels removed, senses ignored, reentrant edges
 only, and so on).
+
+As in Cai & Knight's ``smatch.py`` (ACL 2013), mappings are scored from
+integer weight tables built once per graph pair: one for what a single
+variable matches at each target, one for what the relations between two
+adjacent variables match at each target pair.  The mappings the search
+visits are injective, which makes this split of the matched count exact
+(see :class:`_MatchContext`), so a move's gain is a sum of a few table
+entries.  The greedy step scores only moves whose new side can match
+something, walked in the same order as the full move list, so it picks
+the same move; plateau steps scan the full list.
 """
 
 from __future__ import annotations
@@ -86,189 +96,313 @@ def _result(matched, left_total, right_total, mapping) -> SmatchResult:
     )
 
 
-class _MatchContext:
-    """Left triples indexed by variable plus counters of the right triples.
+_NO_MATCHES: dict = {}
 
-    Move gains are computed from the triples touching the changed
-    variables only.  That is exact: two left triples can map onto the same
-    right triple (competing for its count) only if their mapped endpoints
-    coincide, which under an injective mapping means they touch the same
-    variables.
+
+class _MatchContext:
+    """Weight tables that score variable mappings between two triple sets.
+
+    Variables are numbered in instance order; a mapping is a list of
+    right-variable numbers (or ``None``) indexed by left variable.  Every
+    mapping the search visits is injective: the seeds are, a reassignment
+    evicts the target's holder, and a swap exchanges two images.  Under an
+    injective mapping ``m`` a left triple on one variable ``v`` (instance,
+    attribute or self-loop) can land only on a triple of ``m(v)``, and a
+    relation from ``v`` to ``w != v`` only on a relation from ``m(v)`` to
+    ``m(w)``, where no other left triple lands.  Left triples therefore
+    compete for a right triple's count only within one variable or one
+    ordered variable pair, and the matched count splits exactly into
+
+    * unary terms: ``unary[v][j]`` is the clipped matches of ``v``'s
+      instance, attribute and self-loop triples against right variable
+      ``j``'s, and
+    * pairwise terms: ``links[v][w][k][j]`` is the clipped matches of the
+      relation labels between ``v`` and ``w`` (both directions) when ``v``
+      is at ``j`` and ``w`` at ``k``.  Right self-loops are unary, so no
+      entry has ``j == k``.
+
+    Only nonzero entries are stored, so the keys double as the places
+    where a variable can match anything.  The tables are built once per
+    context; scoring a move then sums a few entries (see :class:`_Position`).
     """
 
     def __init__(self, left: TripleSet, right: TripleSet):
-        self.left = left
-        # kind tags keep instance/attribute/relation namespaces apart
-        self.triples: list[tuple[str, tuple[str, str, str]]] = (
-            [("i", t) for t in left.instances]
-            + [("a", t) for t in left.attributes]
-            + [("r", t) for t in left.relations]
-        )
-        self.by_var: dict[str, list[int]] = {}
-        for index, (kind, (first, _, third)) in enumerate(self.triples):
-            self.by_var.setdefault(first, []).append(index)
-            if kind == "r" and third != first:
-                self.by_var.setdefault(third, []).append(index)
-        self.right: Counter = Counter()
-        for kind, triples in (("i", right.instances), ("a", right.attributes),
-                              ("r", right.relations)):
-            for triple in triples:
-                self.right[(kind, triple)] += 1
-        self.concepts1 = {v: c for v, _, c in left.instances}
-        self.concepts2 = {v: c for v, _, c in right.instances}
+        self.vars1 = [v for v, _, _ in left.instances]
+        self.vars2 = [v for v, _, _ in right.instances]
+        self.concepts1 = [c for _, _, c in left.instances]
+        self.concepts2 = [c for _, _, c in right.instances]
+        self.index2 = {v: j for j, v in enumerate(self.vars2)}
+        index1 = {v: i for i, v in enumerate(self.vars1)}
+        unary1, pairs1 = _split_triples(left, index1)
+        unary2, pairs2 = _split_triples(right, self.index2)
 
-    def _form(self, index: int, lookup):
-        kind, (first, rel, third) = self.triples[index]
-        if kind == "r":
-            return kind, (lookup(first), rel, lookup(third))
-        return kind, (lookup(first), rel, third)
+        holders: dict = {}
+        for j, forms in enumerate(unary2):
+            for form, count in forms.items():
+                holders.setdefault(form, []).append((j, count))
+        self.unary: list[dict[int, int]] = []
+        for forms in unary1:
+            weights: dict[int, int] = {}
+            for form, count in forms.items():
+                for j, other in holders.get(form, ()):
+                    weights[j] = weights.get(j, 0) + min(count, other)
+            self.unary.append(weights)
 
-    def _local(self, indices, lookup) -> int:
-        forms = Counter(self._form(i, lookup) for i in indices)
-        return sum(
-            min(count, self.right.get(form, 0)) for form, count in forms.items()
-        )
+        carriers: dict[str, list] = {}
+        for (j, k), labels in pairs2.items():
+            for label, count in labels.items():
+                carriers.setdefault(label, []).append((j, k, count))
+        self.links: list[dict[int, dict[int, dict[int, int]]]] = [
+            {} for _ in self.vars1
+        ]
+        for (v, w), labels in pairs1.items():
+            forward = self.links[v].setdefault(w, {})
+            backward = self.links[w].setdefault(v, {})
+            for label, count in labels.items():
+                for j, k, other in carriers.get(label, ()):
+                    weight = min(count, other)
+                    row = forward.setdefault(k, {})
+                    row[j] = row.get(j, 0) + weight
+                    row = backward.setdefault(j, {})
+                    row[k] = row.get(k, 0) + weight
 
-    def count(self, mapping: dict[str, str | None]) -> int:
-        return self._local(range(len(self.triples)), mapping.get)
+    def images(self, mapping: dict[str, str | None]) -> list[int | None]:
+        index2 = self.index2
+        return [
+            None if mapping.get(v) is None else index2[mapping[v]] for v in self.vars1
+        ]
 
-    def delta(self, mapping: dict[str, str | None], changes, memo=None) -> int:
-        # the pre-move side depends only on which variables change, so it
-        # is shared by all candidate targets within one iteration
-        key = frozenset(changes)
-        cached = memo.get(key) if memo is not None else None
-        if cached is None:
-            affected: set[int] = set()
-            for var in changes:
-                affected.update(self.by_var.get(var, ()))
-            cached = (affected, self._local(affected, mapping.get))
-            if memo is not None:
-                memo[key] = cached
-        affected, before = cached
-        if not affected:
+    def mapping(self, images) -> dict[str, str | None]:
+        vars2 = self.vars2
+        return {
+            v: None if j is None else vars2[j] for v, j in zip(self.vars1, images)
+        }
+
+    def count(self, images) -> int:
+        """Matched triples under an injective mapping."""
+        total = 0
+        for v, j in enumerate(images):
+            if j is None:
+                continue
+            total += self.unary[v].get(j, 0)
+            for w, table in self.links[v].items():
+                if w > v:
+                    total += table.get(images[w], _NO_MATCHES).get(j, 0)
+        return total
+
+
+def _split_triples(triples: TripleSet, index: dict[str, int]):
+    """Per-variable counters of unary forms, and per ordered variable pair
+    counters of relation labels."""
+    unary: list[Counter] = [Counter() for _ in index]
+    for kind, group in (("i", triples.instances), ("a", triples.attributes)):
+        for first, rel, value in group:
+            unary[index[first]][(kind, rel, value)] += 1
+    pairs: dict[tuple[int, int], Counter] = {}
+    for first, rel, third in triples.relations:
+        if first == third:
+            unary[index[first]][("r", rel)] += 1
+        else:
+            pairs.setdefault((index[first], index[third]), Counter())[rel] += 1
+    return unary, pairs
+
+
+class _Position:
+    """One mapping of a climb, with what is needed to score its moves.
+
+    ``reach[v]`` gives, for every right variable where left variable ``v``
+    could match something, the matches it would have there with all other
+    variables held in place; ``current[v]`` is what it matches where it
+    stands.  A reassignment's or swap's gain then costs a few lookups.
+    """
+
+    def __init__(self, context: _MatchContext, images: list[int | None]):
+        self.context = context
+        self.images = images
+        self.holder = {j: v for v, j in enumerate(images) if j is not None}
+        self.reach: list[dict[int, int]] = []
+        for unary, links in zip(context.unary, context.links):
+            reach = dict(unary)
+            for w, table in links.items():
+                row = table.get(images[w])
+                if row:
+                    for j, weight in row.items():
+                        reach[j] = reach.get(j, 0) + weight
+            self.reach.append(reach)
+        self.current = [reach.get(j, 0) for reach, j in zip(self.reach, images)]
+
+    def _link(self, v: int, w: int, at_v, at_w) -> int:
+        table = self.context.links[v].get(w)
+        if table is None:
             return 0
+        return table.get(at_w, _NO_MATCHES).get(at_v, 0)
 
-        def changed(var):
-            return changes[var] if var in changes else mapping.get(var)
+    def reassign(self, v: int, j: int | None):
+        """Gain and changes of moving ``v`` to ``j``, evicting ``j``'s holder."""
+        gain = self.reach[v].get(j, 0) - self.current[v]
+        owner = self.holder.get(j)
+        if owner is None:
+            return gain, ((v, j),)
+        gain -= self.current[owner] - self._link(v, owner, self.images[v], j)
+        return gain, ((v, j), (owner, None))
 
-        return self._local(affected, changed) - before
+    def swap(self, v: int, w: int):
+        """Gain and changes of exchanging the images of ``v`` and ``w``."""
+        at_v, at_w = self.images[v], self.images[w]
+        gain = (
+            self.reach[v].get(at_w, 0)
+            + self.reach[w].get(at_v, 0)
+            + self._link(v, w, at_w, at_v)
+            + self._link(v, w, at_v, at_w)
+            - self.current[v]
+            - self.current[w]
+        )
+        return gain, ((v, at_w), (w, at_v))
+
+    def moves(self):
+        """Every reassignment, then every swap, with its gain, in search order."""
+        images = self.images
+        targets = [*range(len(self.context.vars2)), None]
+        for v, at in enumerate(images):
+            for j in targets:
+                if j != at:
+                    yield self.reassign(v, j)
+        for v, w in itertools.combinations(range(len(images)), 2):
+            if images[v] != images[w]:
+                yield self.swap(v, w)
+
+    def best_move(self):
+        """The first move in search order with the largest positive gain.
+
+        Only moves whose new side can match something are scored: a
+        variable's reach, and swaps with the holders of its reach or with
+        its neighbours.  Any other move gives up what the moved variables
+        match and gains nothing, so its gain is at most 0 and it cannot be
+        the strictly best.  Reach is walked in right-variable order, so the
+        first-best move is the one the full order would pick.
+        """
+        images, holder = self.images, self.holder
+        best_gain, best = 0, None
+        swaps = set()
+        for v, reach in enumerate(self.reach):
+            for j in sorted(reach):
+                owner = holder.get(j)
+                if owner == v:
+                    continue
+                gain, changes = self.reassign(v, j)
+                if gain > best_gain:
+                    best_gain, best = gain, changes
+                if owner is not None:
+                    swaps.add((v, owner) if v < owner else (owner, v))
+            swaps.update((v, w) for w in self.context.links[v] if w > v)
+        for v, w in sorted(swaps):
+            if images[v] != images[w]:
+                gain, changes = self.swap(v, w)
+                if gain > best_gain:
+                    best_gain, best = gain, changes
+        return best_gain, best
 
 
-def _name_seed(vars1, vars2) -> dict[str, str | None]:
-    names2 = set(vars2)
-    return {v: v if v in names2 else None for v in vars1}
+def _applied(images, changes) -> list[int | None]:
+    images = list(images)
+    for v, j in changes:
+        images[v] = j
+    return images
 
 
-def _greedy_mapping(context, vars1, vars2) -> dict[str, str | None]:
+def _name_seed(context: _MatchContext) -> list[int | None]:
+    return [context.index2.get(v) for v in context.vars1]
+
+
+def _greedy_seed(context: _MatchContext) -> list[int | None]:
     """Match same-concept variables first; the rest stay unmapped."""
-    pool: dict[str, list[str]] = {}
-    for v2 in vars2:
-        pool.setdefault(context.concepts2[v2], []).append(v2)
-    taken: set[str] = set()
-    mapping: dict[str, str | None] = {}
-    for v1 in vars1:
-        options = [v for v in pool.get(context.concepts1[v1], []) if v not in taken]
+    pool: dict[str, list[int]] = {}
+    for j, concept in enumerate(context.concepts2):
+        pool.setdefault(concept, []).append(j)
+    taken: set[int] = set()
+    images: list[int | None] = []
+    for concept in context.concepts1:
+        options = [j for j in pool.get(concept, ()) if j not in taken]
         if options:
-            mapping[v1] = options[0]
+            images.append(options[0])
             taken.add(options[0])
         else:
-            mapping[v1] = None
-    return mapping
+            images.append(None)
+    return images
 
 
-def _random_mapping(vars1, vars2, rng) -> dict[str, str | None]:
-    targets: list[str | None] = list(vars2)
-    if len(targets) < len(vars1):
-        targets += [None] * (len(vars1) - len(targets))
+def _random_seed(context: _MatchContext, rng) -> list[int | None]:
+    size = len(context.vars1)
+    targets: list[int | None] = list(range(len(context.vars2)))
+    if len(targets) < size:
+        targets += [None] * (size - len(targets))
     rng.shuffle(targets)
-    return dict(zip(vars1, targets))
+    return targets[:size]
 
 
 def _hill_climb(
     context: _MatchContext,
-    vars1: list[str],
-    vars2: list[str],
     restarts: int,
     rng: random.Random,
     extra_seeds=(),
 ):
-    seeds: list[dict[str, str | None]] = [
-        _name_seed(vars1, vars2),
-        _greedy_mapping(context, vars1, vars2),
-    ]
-    seeds.extend(dict(seed) for seed in extra_seeds)
+    seeds = [_name_seed(context), _greedy_seed(context)]
+    seeds.extend(context.images(seed) for seed in extra_seeds)
 
     climbs = max(restarts, len(seeds))
     best_score = -1
-    best_mapping: dict[str, str | None] = {v: None for v in vars1}
+    best_images: list[int | None] = [None] * len(context.vars1)
     for attempt in range(climbs):
         if attempt < len(seeds):
-            mapping = dict(seeds[attempt])
+            images = seeds[attempt]
         else:
-            mapping = _random_mapping(vars1, vars2, rng)
-        score, mapping = _climb_once(context, vars1, vars2, mapping)
+            images = _random_seed(context, rng)
+        score, images = _climb_once(context, images)
         if score > best_score:
             best_score = score
-            best_mapping = mapping
-    return best_score, best_mapping
+            best_images = images
+    return best_score, context.mapping(best_images)
 
 
 _SIDEWAYS_BUDGET = 8  # plateau steps allowed per climb before giving up
 
 
-def _moves(mapping, vars1, vars2):
-    """Single reassignments (with eviction) and pairwise swaps, expressed
-    as sparse change dictionaries over the current mapping."""
-    holder = {v: k for k, v in mapping.items() if v is not None}
-    for v1 in vars1:
-        current = mapping[v1]
-        for candidate in itertools.chain(vars2, (None,)):
-            if candidate == current:
-                continue
-            owner = holder.get(candidate) if candidate is not None else None
-            if owner is not None and owner != v1:
-                yield {v1: candidate, owner: None}  # evict the current holder
-            else:
-                yield {v1: candidate}
-    for a, b in itertools.combinations(vars1, 2):
-        if mapping[a] != mapping[b]:
-            yield {a: mapping[b], b: mapping[a]}
-
-
-def _climb_once(context, vars1, vars2, mapping):
-    mapping = dict(mapping)
-    score = context.count(mapping)
+def _climb_once(context, images):
+    position = _Position(context, images)
+    score = context.count(images)
     sideways = _SIDEWAYS_BUDGET
-    visited = {frozenset(mapping.items())}
+    visited = {tuple(images)}
     while True:
-        memo: dict = {}
-        best_gain = 0
-        best_move = None
-        for changes in _moves(mapping, vars1, vars2):
-            gain = context.delta(mapping, changes, memo)
-            if gain > best_gain:
-                best_gain, best_move = gain, changes
-        if best_move is not None:
-            mapping.update(best_move)
-            score += best_gain
-            visited.add(frozenset(mapping.items()))
-            continue
-        # Stuck on a plateau: take an unvisited equal-score step, a few times.
-        if sideways > 0:
-            stepped = False
-            for changes in _moves(mapping, vars1, vars2):
-                if context.delta(mapping, changes, memo) != 0:
-                    continue
-                key = frozenset((mapping | changes).items())
-                if key not in visited:
-                    mapping.update(changes)
-                    visited.add(key)
+        gain, changes = position.best_move()
+        if changes is None and sideways > 0:
+            # Stuck on a plateau: take an unvisited equal-score step, a few times.
+            for gain, candidate in position.moves():
+                if gain == 0 and tuple(_applied(images, candidate)) not in visited:
+                    changes = candidate
                     sideways -= 1
-                    stepped = True
                     break
-            if stepped:
-                continue
-        return score, mapping
+        if changes is None:
+            return score, images
+        images = _applied(images, changes)
+        visited.add(tuple(images))
+        score += gain
+        position = _Position(context, images)
+
+
+def _scored_smatch(
+    left: TripleSet, right: TripleSet, restarts: int, rng, extra_seeds=()
+) -> SmatchResult:
+    context = _MatchContext(left, right)
+    matched, mapping = _hill_climb(context, restarts, rng, extra_seeds)
+    return _result(matched, left.total, right.total, mapping)
+
+
+def _base_smatch(graph1: AmrGraph, graph2: AmrGraph, restarts: int, seed: int):
+    """Each graph validated once, as triples, and their Smatch result."""
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    left, right = to_triples(graph1), to_triples(graph2)
+    return left, right, _scored_smatch(left, right, restarts, random.Random(seed))
 
 
 def smatch(
@@ -282,20 +416,7 @@ def smatch(
     largest gain in matched triples.  Precision is measured against
     ``graph1`` (the prediction side), recall against ``graph2``.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    require_valid(graph1)
-    require_valid(graph2)
-    left, right = to_triples(graph1), to_triples(graph2)
-    context = _MatchContext(left, right)
-    matched, mapping = _hill_climb(
-        context,
-        list(graph1.nodes),
-        list(graph2.nodes),
-        restarts,
-        random.Random(seed),
-    )
-    return _result(matched, left.total, right.total, mapping)
+    return _base_smatch(graph1, graph2, restarts, seed)[2]
 
 
 def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
@@ -304,30 +425,25 @@ def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
     Only feasible for small graphs: the smaller variable set must have at
     most eight variables.
     """
-    require_valid(graph1)
-    require_valid(graph2)
-    vars1, vars2 = list(graph1.nodes), list(graph2.nodes)
-    if min(len(vars1), len(vars2)) > 8:
-        raise ValueError("oracle requires one side with at most 8 variables")
     left, right = to_triples(graph1), to_triples(graph2)
+    n1, n2 = len(graph1.nodes), len(graph2.nodes)
+    if min(n1, n2) > 8:
+        raise ValueError("oracle requires one side with at most 8 variables")
     context = _MatchContext(left, right)
 
-    best = -1
-    best_mapping: dict[str, str | None] = {v: None for v in vars1}
-    if len(vars1) <= len(vars2):
-        for images in itertools.permutations(vars2, len(vars1)):
-            mapping = dict(zip(vars1, images))
-            score = context.count(mapping)
-            if score > best:
-                best, best_mapping = score, mapping
+    if n1 <= n2:
+        candidates = itertools.permutations(range(n2), n1)
     else:
-        for sources in itertools.permutations(vars1, len(vars2)):
-            mapping = {v: None for v in vars1}
-            mapping.update(zip(sources, vars2))
-            score = context.count(mapping)
-            if score > best:
-                best, best_mapping = score, mapping
-    return _result(best, left.total, right.total, best_mapping)
+        candidates = (
+            _applied([None] * n1, zip(sources, range(n2)))
+            for sources in itertools.permutations(range(n1), n2)
+        )
+    best, best_images = -1, [None] * n1
+    for images in candidates:
+        score = context.count(images)
+        if score > best:
+            best, best_images = score, images
+    return _result(best, left.total, right.total, context.mapping(best_images))
 
 
 def _strip_sense(concept: str) -> str:
@@ -416,22 +532,6 @@ def _name_multiset(graph: AmrGraph) -> Counter:
     return names
 
 
-def _scored_smatch(
-    left: TripleSet,
-    right: TripleSet,
-    vars1,
-    vars2,
-    restarts,
-    rng,
-    extra_seeds,
-) -> SmatchResult:
-    context = _MatchContext(left, right)
-    matched, mapping = _hill_climb(
-        context, vars1, vars2, restarts, rng, extra_seeds=extra_seeds
-    )
-    return _result(matched, left.total, right.total, mapping)
-
-
 def fine_grained(
     graph1: AmrGraph, graph2: AmrGraph, restarts: int = 4, seed: int = 0
 ) -> dict[str, SmatchResult | None]:
@@ -443,18 +543,16 @@ def fine_grained(
     guarantees that removing edge labels or senses never lowers the score
     below the base Smatch.
     """
-    base = smatch(graph1, graph2, restarts=restarts, seed=seed)
-    vars1, vars2 = list(graph1.nodes), list(graph2.nodes)
+    left, right, base = _base_smatch(graph1, graph2, restarts, seed)
     rng = random.Random(seed)
-    base_seed = [{v: base.mapping.get(v) for v in vars1}]
-    left, right = to_triples(graph1), to_triples(graph2)
+    base_seed = (base.mapping,)
 
     results: dict[str, SmatchResult | None] = {"smatch": base}
     results["unlabeled"] = _scored_smatch(
-        _unlabeled(left), _unlabeled(right), vars1, vars2, restarts, rng, base_seed
+        _unlabeled(left), _unlabeled(right), restarts, rng, base_seed
     )
     results["no_wsd"] = _scored_smatch(
-        _no_wsd(left), _no_wsd(right), vars1, vars2, restarts, rng, base_seed
+        _no_wsd(left), _no_wsd(right), restarts, rng, base_seed
     )
     results["concepts"] = _multiset_f(
         _concept_multiset(graph1), _concept_multiset(graph2)
@@ -472,8 +570,6 @@ def fine_grained(
         results["reentrancy"] = _scored_smatch(
             _restricted(graph1, _reentrant_edges(graph1)),
             _restricted(graph2, reentrant2),
-            vars1,
-            vars2,
             restarts,
             rng,
             base_seed,
@@ -486,8 +582,6 @@ def fine_grained(
         results["srl"] = _scored_smatch(
             _restricted(graph1, _srl_edges(graph1)),
             _restricted(graph2, srl2),
-            vars1,
-            vars2,
             restarts,
             rng,
             base_seed,

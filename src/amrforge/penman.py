@@ -338,13 +338,13 @@ def read_corpus(stream, strict: bool = True):
     document with validation problems is kept, both carrying diagnostics.
     """
     if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
+        stream = io.StringIO(stream.decode("utf-8-sig"))
     elif isinstance(stream, str):
         stream = io.StringIO(stream)
     elif isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "mode") and "b" in getattr(stream, "mode", "")
     ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
+        stream = io.TextIOWrapper(stream, encoding="utf-8-sig")
 
     index = 0
     offset = 0

@@ -31,6 +31,13 @@ def test_linearize_prints_golden_sequence(corpus, capsys):
     assert lines[0] == GOLDEN_SEQUENCE
 
 
+def test_linearize_accepts_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.amr"
+    path.write_bytes(b"\xef\xbb\xbf" + MODAL_TEXT.encode("utf-8"))
+    assert run(["linearize", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [GOLDEN_SEQUENCE]
+
+
 def test_linearize_delinearize_pipe_is_isomorphic(corpus, tmp_path, capsys):
     toks_file = tmp_path / "toks.txt"
     penman_file = tmp_path / "back.amr"

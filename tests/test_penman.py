@@ -157,6 +157,13 @@ def test_read_corpus_accepts_bytes_stream():
     assert len(list(read_corpus(payload))) == 2
 
 
+def test_read_corpus_skips_byte_order_mark_in_bytes():
+    payload = "\ufeff(a / boy)\n\n(b / girl)\n".encode("utf-8")
+    for stream in (payload, io.BytesIO(payload)):
+        graphs = [document.graph for document in read_corpus(stream)]
+        assert [graph.nodes for graph in graphs] == [{"a": "boy"}, {"b": "girl"}]
+
+
 def test_serialize_rejects_invalid_graph():
     broken = AmrGraph(nodes={"a": "x", "b": "y"}, root="a")
     with pytest.raises(InvalidGraphError):
