@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 Edge = tuple[str, str, str]
@@ -246,7 +247,7 @@ def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
     return diags
 
 
-def _closure(start: set[str], adjacency: dict[str, set[str]]) -> set[str]:
+def _closure(start: set[str], adjacency: Mapping[str, Iterable[str]]) -> set[str]:
     seen = set(start)
     frontier = deque(start)
     while frontier:
@@ -513,19 +514,26 @@ def _search_bijection(first, second, colors1, colors2) -> bool:
                 return False
         return True
 
-    def extend(position: int) -> bool:
-        if position == len(order):
-            return True
+    # Depth-first backtracking with an explicit stack (graphs can be deeper
+    # than the interpreter's recursion limit): untried[p] holds the
+    # remaining candidates of order[p], tried in candidate order.
+    untried: list = []
+    position = 0
+    while position < len(order):
         v1 = order[position]
-        for v2 in candidates[v1]:
-            if v2 in used or not consistent(v1, v2):
-                continue
-            mapping[v1] = v2
-            used.add(v2)
-            if extend(position + 1):
-                return True
-            del mapping[v1]
-            used.discard(v2)
-        return False
-
-    return extend(0)
+        if position == len(untried):
+            untried.append(iter(candidates[v1]))
+        else:  # back from a dead end: undo this position's choice
+            used.discard(mapping.pop(v1))
+        for v2 in untried[position]:
+            if v2 not in used and consistent(v1, v2):
+                mapping[v1] = v2
+                used.add(v2)
+                position += 1
+                break
+        else:
+            untried.pop()
+            if not untried:
+                return False
+            position -= 1
+    return True

@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import multiprocessing
 import os
@@ -63,10 +64,14 @@ class CliError(ValueError):
 
 @contextmanager
 def _open_in(path: str):
+    # utf-8-sig drops a leading byte-order mark, as some editors write one
     if path == "-":
-        yield sys.stdin
+        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+        try:
+            yield handle
+        finally:
+            handle.detach()  # leave stdin itself open
     else:
-        # utf-8-sig drops a leading byte-order mark, as some editors write one
         with open(path, "r", encoding="utf-8-sig") as handle:
             yield handle
 
@@ -374,7 +379,7 @@ def _cmd_vocab(args, seed: int) -> int:
     documents = _read_documents(args.input, strict=strict)
     inventory = collect_symbols(documents)
     if args.base:
-        with open(args.base, "r", encoding="utf-8") as handle:
+        with open(args.base, "r", encoding="utf-8-sig") as handle:
             base = [line.rstrip("\n") for line in handle if line.strip()]
     else:
         base = [tk.OPEN, tk.CLOSE]

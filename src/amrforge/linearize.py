@@ -7,14 +7,25 @@ relations, and a closing paren, while a reentrant re-visit emits only the
 bare pointer.  :func:`delinearize` is the exact inverse up to node
 renaming, and :func:`repair` coerces near-valid model output into a
 sequence :func:`delinearize` accepts.
+
+Both read tokens through one walker, which never stops early.  At each
+grammar rule a token breaks, it records a :class:`StructureError`, keeps
+only the first one (rules are checked in a fixed order per token, so that
+is the fault a strict reader would stop at), applies the fix
+:func:`repair` documents and goes on.  :func:`delinearize` raises the
+recorded fault; :func:`repair` re-linearizes the salvaged graph.  Only a
+bare pointer can close a cycle, since a newly opened node has no
+descendants yet, so the walker tests reachability only at those
+back-references.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import tokens as tk
-from .amr import AmrGraph, require_valid
+from .amr import AmrGraph, Attribute, Edge, _closure, require_valid
 from .penman import EMPTY_CONCEPT
 
 EMPTY_GRAPH_TOKENS = (tk.OPEN, tk.pointer(0), EMPTY_CONCEPT, tk.CLOSE)
@@ -139,122 +150,12 @@ def delinearize(toks: list[str]) -> AmrGraph:
     ``z3``).  The sequence must be balanced and pointer-consistent: every
     pointer is defined once, before any bare reference to it, and the
     rebuilt graph must be valid (no duplicate triples, no cycles through
-    back references).
+    back references).  Raises the first :class:`StructureError` found.
     """
-    if not toks:
-        raise StructureError("empty sequence", 0)
-
-    nodes: dict[str, str] = {}
-    edges: list[tuple[str, str, str]] = []
-    attributes: list[tuple[str, str, str]] = []
-    edge_seen: set[tuple[str, str, str]] = set()
-    attr_seen: set[tuple[str, str, str]] = set()
-    reaches: dict[str, set[str]] = {}
-    root: str | None = None
-    stack: list[str] = []
-    pending_rel: tuple[str, int] | None = None
-
-    def add_edge(source: str, rel: str, target: str, position: int) -> None:
-        if (source, rel, target) in edge_seen:
-            raise StructureError(
-                f"duplicate edge ({source}, {rel}, {target})", position
-            )
-        if target == source or target in reaches[source]:
-            raise StructureError(
-                f"edge ({source}, {rel}, {target}) would close a cycle", position
-            )
-        edges.append((source, rel, target))
-        edge_seen.add((source, rel, target))
-        _propagate_reach(reaches, source, target)
-
-    i = 0
-    n = len(toks)
-    while i < n:
-        token = toks[i]
-        if token == tk.OPEN:
-            if root is not None and not stack:
-                raise StructureError("unexpected content after the graph", i)
-            if stack and pending_rel is None:
-                raise StructureError("node without an introducing relation", i)
-            if i + 1 >= n or tk.pointer_index(toks[i + 1]) is None:
-                raise StructureError("expected a pointer after '('", i + 1)
-            if i + 2 >= n or tk.is_structural(toks[i + 2]):
-                raise StructureError("missing concept after pointer", i + 2)
-            node = f"z{tk.pointer_index(toks[i + 1])}"
-            if node in nodes:
-                raise StructureError(
-                    f"pointer {toks[i + 1]} defined more than once", i + 1
-                )
-            nodes[node] = toks[i + 2]
-            reaches[node] = set()
-            if root is None:
-                root = node
-            if stack:
-                rel, pos = pending_rel
-                add_edge(stack[-1], rel, node, pos)
-                pending_rel = None
-            stack.append(node)
-            i += 3
-            continue
-        if token == tk.CLOSE:
-            if pending_rel is not None:
-                raise StructureError(
-                    f"relation {pending_rel[0]!r} has no target", pending_rel[1]
-                )
-            if not stack:
-                raise StructureError("unbalanced ')'", i)
-            stack.pop()
-            i += 1
-            continue
-        if tk.is_relation(token):
-            if not stack:
-                raise StructureError("relation outside of a node", i)
-            if pending_rel is not None:
-                raise StructureError(
-                    f"relation {pending_rel[0]!r} has no target", pending_rel[1]
-                )
-            pending_rel = (token, i)
-            i += 1
-            continue
-        pointer = tk.pointer_index(token)
-        if pointer is not None:
-            node = f"z{pointer}"
-            if node not in nodes:
-                raise StructureError(f"pointer {token} used before definition", i)
-            if not stack or pending_rel is None:
-                raise StructureError(f"unexpected pointer {token}", i)
-            rel, _ = pending_rel
-            add_edge(stack[-1], rel, node, i)
-            pending_rel = None
-            i += 1
-            continue
-        # plain token: an attribute constant
-        if not stack or pending_rel is None:
-            raise StructureError(f"unexpected token {token!r}", i)
-        triple = (stack[-1], pending_rel[0], token)
-        if triple in attr_seen:
-            raise StructureError(f"duplicate attribute {triple}", i)
-        attributes.append(triple)
-        attr_seen.add(triple)
-        pending_rel = None
-        i += 1
-
-    if stack:
-        raise StructureError("missing close-paren", n)
-    if root is None:
-        raise StructureError("sequence contains no node", 0)
-    return AmrGraph(
-        nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root
-    )
-
-
-def _propagate_reach(reaches: dict[str, set[str]], source: str, target: str) -> None:
-    """Maintain, per node, the set of nodes that can reach it."""
-    gained = {source} | reaches[source]
-    reaches[target] |= gained
-    for upstream in reaches.values():
-        if target in upstream:
-            upstream |= gained
+    graph, fault = _walk(toks)
+    if fault is not None:
+        raise fault
+    return graph
 
 
 def repair(toks: list[str]) -> list[str]:
@@ -270,143 +171,140 @@ def repair(toks: list[str]) -> list[str]:
     survives; callers then substitute ``EMPTY_GRAPH_TOKENS``.
     """
     toks = list(toks)
-    try:
-        delinearize(toks)
+    graph, fault = _walk(toks)
+    if fault is None:
         return toks
-    except StructureError:
-        pass
-    return linearize(_salvage(toks))
+    if graph is None:
+        raise RepairError("no node could be salvaged")
+    return linearize(graph)
 
 
-_DROPPED = None  # stack sentinel for spans whose node could not be salvaged
+def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
+    """Read a token sequence under the delinearize grammar, salvaging as
+    :func:`repair` describes.
 
-
-def _salvage(toks: list[str]) -> AmrGraph:
+    Returns the graph, pruned to what its root reaches (None when no node
+    was defined), and the first broken rule (None for a well-formed
+    sequence, whose graph is then exactly the one it encodes).
+    """
     nodes: dict[str, str] = {}
-    edges: list[tuple[str, str, str]] = []
-    attributes: list[tuple[str, str, str]] = []
-    edge_seen: set[tuple[str, str, str]] = set()
-    attr_seen: set[tuple[str, str, str]] = set()
-    reaches: dict[str, set[str]] = {}
-    by_pointer: dict[int, str] = {}
+    children: dict[str, list[str]] = {}
+    edges: list[Edge] = []
+    attributes: list[Attribute] = []
+    edge_seen: set[Edge] = set()
+    attr_seen: set[Attribute] = set()
     root: str | None = None
-    stack: list[str | None] = []
-    pending_rel: str | None = None
+    stack: list[str | None] = []  # None marks a span whose node was dropped
+    pending: tuple[str, int] | None = None  # relation awaiting its target
+    fault: StructureError | None = None
 
-    def define(pointer: int, concept: str) -> str:
-        nonlocal root
-        node = f"z{pointer}"
-        by_pointer[pointer] = node
-        nodes[node] = concept
-        reaches[node] = set()
-        if root is None:
-            root = node
-        return node
+    def fail(message: str, position: int) -> None:
+        nonlocal fault
+        if fault is None:
+            fault = StructureError(message, position)
 
-    def fresh_pointer() -> int:
-        k = 0
-        while k in by_pointer:
-            k += 1
-        return k
+    def attach(target: str, position: int) -> None:
+        nonlocal pending
+        if pending is not None and stack and stack[-1] is not None:
+            source, rel = stack[-1], pending[0]
+            if (source, rel, target) in edge_seen:
+                fail(f"duplicate edge ({source}, {rel}, {target})", position)
+            elif target == source or (
+                # a node without children reaches nothing but itself
+                children[target] and source in _closure({target}, children)
+            ):
+                fail(f"edge ({source}, {rel}, {target}) would close a cycle", position)
+            else:
+                edges.append((source, rel, target))
+                edge_seen.add((source, rel, target))
+                children[source].append(target)
+        pending = None
 
-    def attach(node: str) -> None:
-        nonlocal pending_rel
-        if pending_rel is not None and stack and stack[-1] is not None:
-            try_edge(stack[-1], pending_rel, node)
-        pending_rel = None
-
-    def try_edge(source: str, rel: str, target: str) -> None:
-        if (source, rel, target) in edge_seen:
-            return
-        if target == source or target in reaches[source]:
-            return  # would close a cycle
-        edges.append((source, rel, target))
-        edge_seen.add((source, rel, target))
-        _propagate_reach(reaches, source, target)
-
-    i = 0
     n = len(toks)
+    if not n:
+        fail("empty sequence", 0)
+    i = 0
     while i < n:
         token = toks[i]
         if token == tk.OPEN:
+            if root is not None and not stack:
+                fail("unexpected content after the graph", i)
+            if stack and pending is None:
+                fail("node without an introducing relation", i)
             pointer = tk.pointer_index(toks[i + 1]) if i + 1 < n else None
-            if pointer is not None and pointer in by_pointer:
-                # Re-definition: first concept wins, children attach to the
-                # original node.
-                node = by_pointer[pointer]
-                attach(node)
+            at = i + 1 if pointer is None else i + 2  # where the concept belongs
+            concept = toks[at] if at < n and not tk.is_structural(toks[at]) else None
+            if pointer is None:
+                fail("expected a pointer after '('", i + 1)
+                pointer = next(k for k in itertools.count() if f"z{k}" not in nodes)
+            elif concept is None:
+                fail("missing concept after pointer", i + 2)
+            elif f"z{pointer}" in nodes:
+                fail(f"pointer {toks[i + 1]} defined more than once", i + 1)
+            node = f"z{pointer}"
+            if node not in nodes and concept is not None:
+                nodes[node] = concept
+                children[node] = []
+                if root is None:
+                    root = node
+            if node in nodes:
+                # a re-defined pointer keeps its first concept, and children
+                # attach to the original node
+                attach(node, i)
                 stack.append(node)
-                i += 2
-                if i < n and not tk.is_structural(toks[i]):
-                    i += 1  # conflicting concept dropped
-                continue
-            if pointer is not None:
-                if i + 2 < n and not tk.is_structural(toks[i + 2]):
-                    node = define(pointer, toks[i + 2])
-                    attach(node)
-                    stack.append(node)
-                    i += 3
-                else:
-                    # pointer without a concept: the span is dropped
-                    pending_rel = None
-                    stack.append(_DROPPED)
-                    i += 2
-                continue
-            if i + 1 < n and not tk.is_structural(toks[i + 1]):
-                node = define(fresh_pointer(), toks[i + 1])
-                attach(node)
-                stack.append(node)
-                i += 2
-                continue
-            pending_rel = None
-            stack.append(_DROPPED)  # '(' without a usable head
-            i += 1
+            else:
+                pending = None
+                stack.append(None)
+            i = at + (concept is not None)
             continue
         if token == tk.CLOSE:
-            pending_rel = None  # dangling relation dropped
+            if pending is not None:
+                fail(f"relation {pending[0]!r} has no target", pending[1])
+            pending = None
             if stack:
                 stack.pop()
-            i += 1
-            continue
-        if tk.is_relation(token):
-            pending_rel = token if stack else None
-            i += 1
-            continue
-        pointer = tk.pointer_index(token)
-        if pointer is not None:
-            if pointer in by_pointer:
-                attach(by_pointer[pointer])
-            pending_rel = None  # undefined pointer references are dropped
-            i += 1
-            continue
-        if pending_rel is not None and stack and stack[-1] is not None:
-            triple = (stack[-1], pending_rel, token)
-            if triple not in attr_seen:
-                attributes.append(triple)
-                attr_seen.add(triple)
-        pending_rel = None
+            else:
+                fail("unbalanced ')'", i)
+        elif tk.is_relation(token):
+            if not stack:
+                fail("relation outside of a node", i)
+            if pending is not None:
+                fail(f"relation {pending[0]!r} has no target", pending[1])
+            pending = (token, i) if stack else None
+        elif (pointer := tk.pointer_index(token)) is not None:
+            node = f"z{pointer}"
+            if node not in nodes:
+                fail(f"pointer {token} used before definition", i)
+                pending = None
+            else:
+                if not stack or pending is None:
+                    fail(f"unexpected pointer {token}", i)
+                attach(node, i)
+        else:  # a plain token: an attribute constant
+            if not stack or pending is None:
+                fail(f"unexpected token {token!r}", i)
+            elif stack[-1] is not None:
+                triple = (stack[-1], pending[0], token)
+                if triple in attr_seen:
+                    fail(f"duplicate attribute {triple}", i)
+                else:
+                    attributes.append(triple)
+                    attr_seen.add(triple)
+            pending = None
         i += 1
 
+    if stack:
+        fail("missing close-paren", n)
+    # The first token either defines a node or breaks a rule, so a
+    # sequence without a node always comes with a fault.
     if root is None:
-        raise RepairError("no node could be salvaged")
-
-    return _restrict_to_reachable(nodes, edges, attributes, root)
-
-
-def _restrict_to_reachable(nodes, edges, attributes, root) -> AmrGraph:
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-    for s, _, t in edges:
-        adjacency[s].append(t)
-    keep = {root}
-    queue = [root]
-    while queue:
-        for target in adjacency[queue.pop()]:
-            if target not in keep:
-                keep.add(target)
-                queue.append(target)
-    return AmrGraph(
-        nodes={n: c for n, c in nodes.items() if n in keep},
-        edges=tuple(e for e in edges if e[0] in keep and e[2] in keep),
-        attributes=tuple(a for a in attributes if a[0] in keep),
+        return None, fault
+    keep = _closure({root}, children)
+    graph = AmrGraph(
+        nodes={node: concept for node, concept in nodes.items() if node in keep},
+        # keep is closed under children, so a kept source has a kept target
+        edges=tuple(edge for edge in edges if edge[0] in keep),
+        attributes=tuple(attr for attr in attributes if attr[0] in keep),
         root=root,
     )
+    return graph, fault

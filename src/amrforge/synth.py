@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .amr import AmrGraph
+from .amr import AmrGraph, _closure
 
 CONCEPTS = (
     "want-01",
@@ -90,13 +90,11 @@ def random_graph(
     ids = [f"z{i}" for i in range(count)]
     nodes = {node: rng.choice(concepts) for node in ids}
     edges: list[tuple[str, str, str]] = []
+    children: dict[str, list[str]] = {node: [] for node in ids}
     for i in range(1, count):
         parent = ids[rng.randrange(i)]
         edges.append((parent, rng.choice(relations), ids[i]))
-
-    ancestors: dict[str, set[str]] = {node: set() for node in ids}
-    for source, _, target in edges:
-        _absorb(ancestors, source, target)
+        children[parent].append(ids[i])
 
     added = 0
     attempts = 0
@@ -109,11 +107,11 @@ def random_graph(
         relation = rng.choice(relations)
         if (source, relation, target) in edge_set:
             continue
-        if target == source or target in ancestors[source]:
-            continue
+        if source in _closure({target}, children):
+            continue  # target reaches source: the edge would close a cycle
         edges.append((source, relation, target))
         edge_set.add((source, relation, target))
-        _absorb(ancestors, source, target)
+        children[source].append(target)
         added += 1
 
     attributes: list[tuple[str, str, str]] = []
@@ -130,14 +128,6 @@ def random_graph(
         attributes=tuple(attributes),
         root="z0",
     )
-
-
-def _absorb(ancestors: dict[str, set[str]], source: str, target: str) -> None:
-    gained = {source} | ancestors[source]
-    ancestors[target] |= gained
-    for upstream in ancestors.values():
-        if target in upstream:
-            upstream |= gained
 
 
 def random_sentence(rng: random.Random, min_len: int = 3, max_len: int = 20) -> list[str]:

@@ -1,9 +1,10 @@
 """Shared token constants and helpers.
 
 A token sequence is a plain ``list[str]``.  The text form is the
-space-joined sequence, so individual tokens are assumed to contain no
-whitespace (quoted PENMAN constants with internal spaces survive in
-memory but not a text round trip).
+space-joined sequence, so it can only hold tokens without whitespace:
+:func:`to_text` rejects the others.  Quoted PENMAN constants with internal
+spaces, such as ``"New York"``, are valid graphs and survive linearization
+in memory, but have no text form.
 """
 
 import re
@@ -45,7 +46,20 @@ def is_structural(token: str) -> bool:
 
 
 def to_text(tokens) -> str:
-    return " ".join(tokens)
+    """The space-joined text form.
+
+    Raises ValueError naming the first token that :func:`from_text` would
+    not give back, that is, one that contains whitespace (or is empty).
+    """
+    tokens = list(tokens)
+    text = " ".join(tokens)
+    if text.split() != tokens:
+        bad = next(token for token in tokens if token.split() != [token])
+        raise ValueError(
+            f"token {bad!r} has no text form: tokens must be non-empty and "
+            "contain no whitespace"
+        )
+    return text
 
 
 def from_text(text: str) -> list[str]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import defaultdict
 
@@ -11,7 +12,12 @@ from amrforge import (
     rename_nodes,
     validate,
 )
-from amrforge.amr import depth_bucket, reentrancy_bucket, size_bucket
+from amrforge.amr import (
+    _search_bijection,
+    depth_bucket,
+    reentrancy_bucket,
+    size_bucket,
+)
 from amrforge.synth import random_graph
 
 
@@ -177,6 +183,51 @@ def test_isomorphism_beyond_exact_search_size():
             graph, AmrGraph(nodes=nodes, edges=shuffled.edges,
                             attributes=shuffled.attributes, root=shuffled.root)
         )
+
+
+def _chain(length: int, concepts=None) -> AmrGraph:
+    concepts = concepts or {}
+    return AmrGraph(
+        nodes={f"n{i}": concepts.get(i, "c") for i in range(length)},
+        edges=tuple((f"n{i}", ":ARG0", f"n{i + 1}") for i in range(length - 1)),
+        root="n0",
+    )
+
+
+def test_isomorphism_search_deeper_than_the_recursion_limit():
+    chain = _chain(1500)
+    assert is_isomorphic(chain, chain)
+    assert not is_isomorphic(chain, _chain(1500, {750: "d"}))
+
+
+def test_bijection_search_backtracks_like_brute_force():
+    # One color for every node leaves all of the work to the search, which
+    # looks for a bijection carrying every edge of the first graph onto an
+    # edge of the second.  The second graph is a shuffled renaming of the
+    # first, with one edge relabelled half of the time.
+    rng = random.Random(5)
+    for _ in range(80):
+        first = random_graph(rng, 2, 6, max_reentrancies=3, concepts=("a",),
+                             relations=(":r", ":s"))
+        names = [f"w{i}" for i in range(len(first.nodes))]
+        rng.shuffle(names)
+        renamed = rename_nodes(first, dict(zip(first.nodes, names)))
+        edges = list(renamed.edges)
+        if edges and rng.random() < 0.5:
+            s, r, t = edges.pop(rng.randrange(len(edges)))
+            edges.append((s, ":s" if r == ":r" else ":r", t))
+        second = AmrGraph(nodes=dict(sorted(renamed.nodes.items())),
+                          edges=tuple(edges), root=renamed.root)
+        expected = any(
+            {(image[s], r, image[t]) for s, r, t in first.edges} <= set(edges)
+            for image in (
+                dict(zip(first.nodes, order))
+                for order in itertools.permutations(second.nodes)
+            )
+        )
+        colors1 = dict.fromkeys(first.nodes, 0)
+        colors2 = dict.fromkeys(second.nodes, 0)
+        assert _search_bijection(first, second, colors1, colors2) == expected
 
 
 def test_attributes_affect_isomorphism():

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -36,6 +37,24 @@ def test_linearize_accepts_byte_order_mark(tmp_path, capsys):
     path.write_bytes(b"\xef\xbb\xbf" + MODAL_TEXT.encode("utf-8"))
     assert run(["linearize", str(path)]) == 0
     assert capsys.readouterr().out.splitlines() == [GOLDEN_SEQUENCE]
+
+
+def test_linearize_accepts_byte_order_mark_on_stdin(monkeypatch, capsys):
+    payload = b"\xef\xbb\xbf" + MODAL_TEXT.encode("utf-8")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    assert run(["linearize", "-"]) == 0
+    assert capsys.readouterr().out.splitlines() == [GOLDEN_SEQUENCE]
+
+
+@pytest.mark.parametrize("command", ["linearize", "corrupt"])
+def test_constant_with_spaces_has_no_token_line(command, tmp_path, capsys):
+    path = tmp_path / "spaces.amr"
+    path.write_text('(c / city :name (n / name :op1 "New York"))\n',
+                    encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert run([command, str(path), "-o", str(out)]) == 1
+    assert "'\"New York\"'" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == ""
 
 
 def test_linearize_delinearize_pipe_is_isomorphic(corpus, tmp_path, capsys):
@@ -178,6 +197,15 @@ def test_vocab_writes_table_and_sidecar(corpus, tmp_path):
     sidecar = json.loads((tmp_path / "vocab.txt.partitions.json").read_text())
     assert sidecar["max_pointers"] == 512
     assert sidecar["partitions"]["possible"] == "base"
+
+
+def test_vocab_base_file_with_byte_order_mark(corpus, tmp_path, capsys):
+    base = tmp_path / "base.txt"
+    base.write_bytes(b"\xef\xbb\xbf(\n)\n")
+    assert run(["vocab", str(corpus), "--base", str(base)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["(", ")"]
+    assert not any("\ufeff" in line for line in lines)
 
 
 def test_delinearize_lenient_repairs(tmp_path, capsys):

@@ -99,6 +99,15 @@ def test_linearize_rejects_invalid_graph():
         linearize(AmrGraph(nodes={"a": "x", "b": "y"}, root="a"))
 
 
+def test_to_text_rejects_tokens_with_whitespace():
+    toks = ["(", "<Z0>", "name", ":op1", '"New York"', ")"]
+    with pytest.raises(ValueError, match="New York"):
+        to_text(toks)
+    with pytest.raises(ValueError, match="''"):
+        to_text(["(", "", ")"])
+    assert from_text(to_text(toks[:3])) == toks[:3]
+
+
 @pytest.mark.parametrize(
     "text,message,position",
     [
