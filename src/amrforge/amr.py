@@ -308,17 +308,7 @@ def compute_stats(graph: AmrGraph) -> GraphStats:
     """
     require_valid(graph)
     size = len(graph.nodes)
-
-    distance = {graph.root: 0}
-    frontier = deque([graph.root])
-    out = graph.out_edges()
-    while frontier:
-        node = frontier.popleft()
-        for _, _, target in out[node]:
-            if target not in distance:
-                distance[target] = distance[node] + 1
-                frontier.append(target)
-    depth = max(distance.values())
+    depth = max(_root_distances(graph).values())
 
     in_degree = Counter(t for _, _, t in graph.edges)
     reentrancies = sum(1 for count in in_degree.values() if count > 1)
@@ -331,6 +321,20 @@ def compute_stats(graph: AmrGraph) -> GraphStats:
         depth_bucket=depth_bucket(depth),
         reent_bucket=reentrancy_bucket(reentrancies),
     )
+
+
+def _root_distances(graph: AmrGraph) -> dict[str, int]:
+    """Shortest directed distance from the root, per node it reaches."""
+    distance = {graph.root: 0}
+    frontier = deque([graph.root])
+    out = graph.out_edges()
+    while frontier:
+        node = frontier.popleft()
+        for _, _, target in out[node]:
+            if target not in distance:
+                distance[target] = distance[node] + 1
+                frontier.append(target)
+    return distance
 
 
 def size_bucket(size: int) -> str:
@@ -378,11 +382,11 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
     attributes.
 
     Node colors are refined jointly (a Weisfeiler-Leman style partition
-    seeded with concept, root flag, degrees and attribute multiset); a
-    mismatch of the refined color signatures rejects early, and any match
-    is confirmed by an exact backtracking search restricted to same-color
-    candidates, so the answer is exact at every size.  Runtime can
-    degenerate only on automorphism-heavy graphs.
+    seeded with concept, distance from the root, degrees and attribute
+    multiset); a mismatch of the refined color signatures rejects early,
+    and any match is confirmed by an exact backtracking search restricted
+    to same-color candidates, so the answer is exact at every size.
+    Runtime can degenerate only on automorphism-heavy graphs.
     """
     require_valid(first)
     require_valid(second)
@@ -435,12 +439,15 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
     def initial(graph):
         out, inn = adjacency(graph)
         attrs = _attr_multisets(graph)
+        # the distance already tells nodes of a chain apart, which would
+        # otherwise take one refinement round per step of depth
+        distance = _root_distances(graph)
         colors = {
             n: intern(
                 (
                     "node",
                     graph.nodes[n],
-                    n == graph.root,
+                    distance[n],
                     len(out[n]),
                     len(inn[n]),
                     attrs[n],

@@ -225,6 +225,12 @@ def run(argv=None) -> int:
         seed = _resolve_seed(args)
         handler = _HANDLERS[args.command]
         return handler(args, seed)
+    except BrokenPipeError:
+        # The reader of stdout has stopped (`amrforge vocab ... | head`),
+        # which is no failure.  Pointing stdout at the null device keeps
+        # the flush at exit from raising again.
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return 0
     except (
         CliError,
         CorpusError,

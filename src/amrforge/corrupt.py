@@ -6,6 +6,11 @@ and masking word tokens.  Every operation is pure given an explicit
 ``random.Random`` generator and returns the corrupted sequence together
 with a :class:`CorruptionRecord` that is sufficient to restore the
 original sequence exactly.
+
+Graph corruption reads positions from the :class:`LinearLayout` of one
+linearization and never re-parses tokens: masking a token one-for-one
+moves no position, and a removed span drops the positions inside it and
+shifts those after it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from . import tokens as tk
 from .amr import AmrGraph
-from .linearize import LinearLayout, StructureError, linearize_with_layout
+from .linearize import LinearLayout, linearize_with_layout
 
 # One edit replaces the slice starting at position with a single [mask].
 Edit = tuple[str, int, tuple[str, ...]]  # (kind, position, original tokens)
@@ -95,89 +100,6 @@ def _half_up(x: float) -> int:
     return int(x + 0.5)
 
 
-@dataclass(frozen=True)
-class SequenceScan:
-    """Structural positions of a linearized (possibly corrupted) sequence."""
-
-    spans: dict[int, tuple[int, int]]  # pointer index -> (open, close)
-    intro_rel: dict[int, int | None]
-    def_pos: dict[int, int]
-    refs: dict[int, list[int]]
-    concept_pos: dict[int, int]
-    edge_rel_positions: list[int]
-    attr_rel_positions: list[int]
-
-
-def scan_sequence(toks: list[str]) -> SequenceScan:
-    """Locate node spans, pointer uses and relation tokens.
-
-    The sequence must be structurally intact: masking concepts and
-    relations one-for-one keeps it scannable, as does span removal.
-    """
-    spans: dict[int, tuple[int, int]] = {}
-    intro_rel: dict[int, int | None] = {}
-    def_pos: dict[int, int] = {}
-    refs: dict[int, list[int]] = {}
-    concept_pos: dict[int, int] = {}
-    edge_rel_positions: list[int] = []
-    attr_rel_positions: list[int] = []
-
-    stack: list[tuple[int, int]] = []  # (pointer, open position)
-    i = 0
-    n = len(toks)
-    while i < n:
-        token = toks[i]
-        if token == tk.OPEN:
-            pointer = tk.pointer_index(toks[i + 1]) if i + 1 < n else None
-            if pointer is None:
-                raise StructureError("expected a pointer after '('", i + 1)
-            if pointer in def_pos:
-                raise StructureError(
-                    f"pointer {toks[i + 1]} defined more than once", i + 1
-                )
-            if i + 2 >= n or tk.is_structural(toks[i + 2]):
-                raise StructureError("missing concept after pointer", i + 2)
-            def_pos[pointer] = i + 1
-            concept_pos[pointer] = i + 2
-            previous = toks[i - 1] if i > 0 else ""
-            intro_rel[pointer] = (
-                i - 1 if tk.is_relation(previous) or previous == tk.MASK else None
-            )
-            stack.append((pointer, i))
-            i += 3
-            continue
-        if token == tk.CLOSE:
-            if not stack:
-                raise StructureError("unbalanced ')'", i)
-            pointer, open_pos = stack.pop()
-            spans[pointer] = (open_pos, i)
-            i += 1
-            continue
-        if tk.is_relation(token):
-            nxt = toks[i + 1] if i + 1 < n else ""
-            if nxt == tk.OPEN or tk.is_pointer(nxt):
-                edge_rel_positions.append(i)
-            else:
-                attr_rel_positions.append(i)
-            i += 1
-            continue
-        pointer = tk.pointer_index(token)
-        if pointer is not None:
-            refs.setdefault(pointer, []).append(i)
-        i += 1
-    if stack:
-        raise StructureError("missing close-paren", n)
-    return SequenceScan(
-        spans=spans,
-        intro_rel=intro_rel,
-        def_pos=def_pos,
-        refs=refs,
-        concept_pos=concept_pos,
-        edge_rel_positions=edge_rel_positions,
-        attr_rel_positions=attr_rel_positions,
-    )
-
-
 def node_edge_step(node_rate: float, edge_rate: float):
     """Corruption step masking concept and edge-relation tokens in place.
 
@@ -187,28 +109,33 @@ def node_edge_step(node_rate: float, edge_rate: float):
     untouched, one ``[mask]`` per masked element.
     """
 
-    def step(toks: list[str], rng: random.Random):
-        scan = scan_sequence(toks)
-        concept_candidates = sorted(
-            pos for pos in scan.concept_pos.values() if toks[pos] != tk.MASK
-        )
-        edge_candidates = sorted(scan.edge_rel_positions)
+    def step(toks: list[str], layout: LinearLayout, rng: random.Random):
+        concept_candidates = _unmasked(toks, layout.concept_pos)
+        edge_candidates = _unmasked(toks, layout.edge_rel_pos)
         node_picks = rng.sample(
             concept_candidates, _half_up(node_rate * len(concept_candidates))
         )
         edge_picks = rng.sample(
             edge_candidates, _half_up(edge_rate * len(edge_candidates))
         )
-        out = list(toks)
-        edits: list[Edit] = []
-        node_set = set(node_picks)
-        for pos in sorted(node_picks + edge_picks):
-            kind = "node" if pos in node_set else "edge"
-            edits.append((kind, pos, (toks[pos],)))
-            out[pos] = tk.MASK
-        return out, CorruptionRecord(edits=tuple(edits))
+        kinds = dict.fromkeys(node_picks, "node") | dict.fromkeys(edge_picks, "edge")
+        out, edits = _mask_each(toks, kinds)
+        return out, layout, CorruptionRecord(edits=edits)
 
     return step
+
+
+def _unmasked(toks: list[str], positions: dict) -> list[int]:
+    return sorted(pos for pos in positions.values() if toks[pos] != tk.MASK)
+
+
+def _mask_each(toks: list[str], kinds: dict[int, str]):
+    """Mask the token at each position; one edit of the given kind each,
+    in position order."""
+    out = list(toks)
+    for pos in kinds:
+        out[pos] = tk.MASK
+    return out, tuple((kinds[pos], pos, (toks[pos],)) for pos in sorted(kinds))
 
 
 def subgraph_step(probability: float):
@@ -222,53 +149,93 @@ def subgraph_step(probability: float):
     through unchanged.
     """
 
-    def step(toks: list[str], rng: random.Random):
-        scan = scan_sequence(toks)
-        if len(scan.spans) < 2:
-            return list(toks), CorruptionRecord()
-        if rng.random() >= probability:
-            return list(toks), CorruptionRecord()
-        eligible: list[tuple[int, int]] = []
-        for pointer, (open_pos, close_pos) in sorted(
-            scan.spans.items(), key=lambda item: item[1][0]
-        ):
-            start = scan.intro_rel[pointer]
-            if start is None:
-                continue
-            if _span_is_eligible(scan, open_pos, close_pos):
-                eligible.append((start, close_pos))
-        if not eligible:
-            return list(toks), CorruptionRecord()
-        start, end = eligible[rng.randrange(len(eligible))]
-        removed = tuple(toks[start : end + 1])
-        out = toks[:start] + [tk.MASK] + toks[end + 1 :]
-        return out, CorruptionRecord(edits=(("subgraph", start, removed),))
+    def step(toks: list[str], layout: LinearLayout, rng: random.Random):
+        if len(layout.span) > 1 and rng.random() < probability:
+            eligible = _eligible_spans(layout)
+            if eligible:
+                return _cut_span(toks, layout, eligible[rng.randrange(len(eligible))])
+        return toks, layout, CorruptionRecord()
 
     return step
 
 
-def _span_is_eligible(scan: SequenceScan, open_pos: int, close_pos: int) -> bool:
-    for pointer, definition in scan.def_pos.items():
-        if open_pos <= definition <= close_pos:
-            for ref in scan.refs.get(pointer, ()):
-                if not (open_pos <= ref <= close_pos):
-                    return False
-    return True
+def _eligible_spans(layout: LinearLayout) -> list[str]:
+    """Non-root nodes whose span can be removed, in text order.
+
+    Spans nest along the depth-first spanning tree, so folding each
+    node's last reference up that tree gives, per span, the last
+    reference to any pointer defined inside it.  A pointer is referenced
+    only after its definition, so the span keeps all those references
+    exactly when that last one lies before its close paren.
+    """
+    order = sorted(layout.span, key=layout.span.get)
+    # ref_positions runs in text order, so each node keeps its last reference
+    last = {node: pos for pos, node in layout.ref_positions}
+    parent: dict[str, str | None] = {}
+    enclosing: list[str] = []
+    for node in order:
+        while enclosing and layout.span[enclosing[-1]][1] < layout.span[node][0]:
+            enclosing.pop()
+        parent[node] = enclosing[-1] if enclosing else None
+        enclosing.append(node)
+    for node in reversed(order):  # descendants before their ancestors
+        up = parent[node]
+        if up is not None and node in last:
+            last[up] = max(last.get(up, -1), last[node])
+    return [
+        node
+        for node in order
+        if parent[node] is not None and last.get(node, -1) <= layout.span[node][1]
+    ]
+
+
+def _cut_span(toks: list[str], layout: LinearLayout, node: str):
+    """Replace ``node``'s span and its introducing relation by one ``[mask]``.
+
+    Returns the tokens, the layout with the positions inside the span
+    dropped and those after it shifted, and the record.
+    """
+    start, end = layout.intro_rel_pos[node], layout.span[node][1]
+    removed = tuple(toks[start : end + 1])
+    shift = len(removed) - 1
+
+    def inside(pos: int | None) -> bool:
+        return pos is not None and start <= pos <= end
+
+    def moved(pos: int | None) -> int | None:
+        return pos - shift if pos is not None and pos > end else pos
+
+    def kept(table: dict) -> dict:
+        return {key: moved(pos) for key, pos in table.items() if not inside(pos)}
+
+    span = {
+        other: (moved(open_pos), moved(close_pos))
+        for other, (open_pos, close_pos) in layout.span.items()
+        if not inside(open_pos)
+    }
+    cut = LinearLayout(
+        pointer_of={n: k for n, k in layout.pointer_of.items() if n in span},
+        concept_pos=kept(layout.concept_pos),
+        edge_rel_pos=kept(layout.edge_rel_pos),
+        attr_rel_pos=kept(layout.attr_rel_pos),
+        span=span,
+        intro_rel_pos=kept(layout.intro_rel_pos),
+        ref_positions=[(moved(pos), other) for pos, other in layout.ref_positions
+                       if not inside(pos)],
+    )
+    out = toks[:start] + [tk.MASK] + toks[end + 1 :]
+    return out, cut, CorruptionRecord(edits=(("subgraph", start, removed),))
 
 
 def text_step(rate: float):
     """Corruption step masking word tokens that are not already masked."""
 
-    def step(toks: list[str], rng: random.Random):
+    def step(toks: list[str], layout: LinearLayout | None, rng: random.Random):
         candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
-        picks = sorted(rng.sample(candidates, _half_up(rate * len(candidates))))
-        out = list(toks)
-        edits: list[Edit] = []
-        for pos in picks:
-            edits.append(("text", pos, (toks[pos],)))
-            out[pos] = tk.MASK
-        return out, CorruptionRecord(
-            edits=tuple(edits), masked_text_positions=frozenset(picks)
+        picks = rng.sample(candidates, _half_up(rate * len(candidates)))
+        out, edits = _mask_each(toks, dict.fromkeys(picks, "text"))
+        return out, layout, CorruptionRecord(
+            edits=edits, masked_text_positions=frozenset(picks)
         )
 
     return step
@@ -279,25 +246,32 @@ def mask_text(toks: list[str], rate: float, rng: random.Random):
     for token in toks:
         if token in tk.MARKERS:
             raise ValueError(f"text to corrupt must not contain marker {token}")
-    return text_step(rate)(list(toks), rng)
+    out, _, record = text_step(rate)(list(toks), None, rng)
+    return out, record
 
 
 def compose(graph: AmrGraph, steps, rng: random.Random):
     """Apply corruption steps in order to the graph's linearization.
 
-    Steps run on the running token sequence (sub-graph masking is
-    conventionally first so later steps see the remaining elements);
-    records merge disjointly.  Graph-level record fields are resolved for
-    the first step, whose positions refer to the uncorrupted
-    linearization.
+    Each step is called as ``step(toks, layout, rng)`` with the running
+    token sequence and its :class:`LinearLayout`, leaves both untouched,
+    and returns ``(toks, layout, record)`` for the next step; the
+    positions in its record refer to the sequence it was given.
+    Sub-graph masking conventionally runs first, so later steps see the
+    remaining elements.  Records merge disjointly, and every step's
+    edits are resolved to graph terms (masked node ids, edge indices and
+    the removed sub-graph) through the layout that step ran on.
     """
-    toks, layout = linearize_with_layout(graph)
+    return _compose(graph, *linearize_with_layout(graph), steps, rng)
+
+
+def _compose(graph: AmrGraph, toks: list[str], layout: LinearLayout, steps, rng):
+    """:func:`compose` from the graph's linearization ``(toks, layout)``."""
     record = CorruptionRecord()
-    for index, step in enumerate(steps):
-        toks, step_record = step(toks, rng)
-        if index == 0:
-            step_record = _attach_graph_info(step_record, graph, layout)
-        record = merge_records(record, step_record)
+    for step in steps:
+        out, next_layout, step_record = step(toks, layout, rng)
+        record = merge_records(record, _attach_graph_info(step_record, graph, layout))
+        toks, layout = out, next_layout
     return toks, record
 
 
@@ -327,22 +301,18 @@ def corrupt_graph(graph: AmrGraph, config: CorruptionConfig, rng: random.Random)
 def mask_selected_nodes_edges(graph: AmrGraph, node_ids, edge_indices):
     """Deterministically mask the given nodes' concepts and edges' relations."""
     toks, layout = linearize_with_layout(graph)
-    edits: list[Edit] = []
-    positions: list[tuple[int, str]] = []
+    kinds: dict[int, str] = {}
     for node in node_ids:
         if node not in layout.concept_pos:
             raise ValueError(f"unknown node {node!r}")
-        positions.append((layout.concept_pos[node], "node"))
+        kinds[layout.concept_pos[node]] = "node"
     for index in edge_indices:
         if index not in layout.edge_rel_pos:
             raise ValueError(f"unknown edge index {index}")
-        positions.append((layout.edge_rel_pos[index], "edge"))
-    out = list(toks)
-    for pos, kind in sorted(positions):
-        edits.append((kind, pos, (toks[pos],)))
-        out[pos] = tk.MASK
+        kinds[layout.edge_rel_pos[index]] = "edge"
+    out, edits = _mask_each(toks, kinds)
     return out, CorruptionRecord(
-        edits=tuple(edits),
+        edits=edits,
         masked_node_ids=frozenset(node_ids),
         masked_edge_indices=frozenset(edge_indices),
     )
@@ -359,43 +329,20 @@ def remove_subtree(graph: AmrGraph, node: str):
         raise ValueError(f"unknown node {node!r}")
     if node == graph.root:
         raise ValueError("cannot remove the root span")
-    open_pos, close_pos = layout.span[node]
-    inside = {
-        other
-        for other, (o, _) in layout.span.items()
-        if open_pos <= o <= close_pos
-    }
-    for ref_pos, other in layout.ref_positions:
-        if other in inside and not (open_pos <= ref_pos <= close_pos):
-            raise ValueError(
-                f"span of {node!r} defines a pointer referenced outside the span"
-            )
-    start = layout.intro_rel_pos[node]
-    removed = tuple(toks[start : close_pos + 1])
-    out = toks[:start] + [tk.MASK] + toks[close_pos + 1 :]
-    record = CorruptionRecord(
-        edits=(("subgraph", start, removed),),
-        removed_subgraph=_induced_subgraph(graph, inside, node),
-    )
-    return out, record
-
-
-def _induced_subgraph(graph: AmrGraph, keep: set[str], root: str) -> AmrGraph:
-    return AmrGraph(
-        nodes={n: c for n, c in graph.nodes.items() if n in keep},
-        edges=tuple(e for e in graph.edges if e[0] in keep and e[2] in keep),
-        attributes=tuple(a for a in graph.attributes if a[0] in keep),
-        root=root,
-    )
+    if node not in _eligible_spans(layout):
+        raise ValueError(
+            f"span of {node!r} defines a pointer referenced outside the span"
+        )
+    out, _, record = _cut_span(toks, layout, node)
+    return out, _attach_graph_info(record, graph, layout)
 
 
 def _attach_graph_info(
     record: CorruptionRecord, graph: AmrGraph, layout: LinearLayout
 ) -> CorruptionRecord:
+    """Name a step's edits in graph terms, through the layout it ran on."""
     node_of_concept = {pos: n for n, pos in layout.concept_pos.items()}
     edge_of_rel = {pos: i for i, pos in layout.edge_rel_pos.items()}
-    node_of_pointer = layout.node_of_pointer()
-
     node_ids: set[str] = set()
     edge_indices: set[int] = set()
     removed = record.removed_subgraph
@@ -405,12 +352,15 @@ def _attach_graph_info(
         elif kind == "edge":
             edge_indices.add(edge_of_rel[pos])
         elif kind == "subgraph":
-            inside: list[str] = []
-            for offset, token in enumerate(original):
-                if token == tk.OPEN:
-                    pointer = tk.pointer_index(original[offset + 1])
-                    inside.append(node_of_pointer[pointer])
-            removed = _induced_subgraph(graph, set(inside), inside[0])
+            end = pos + len(original) - 1
+            inside = {n for n, (o, _) in layout.span.items() if pos <= o <= end}
+            removed = AmrGraph(
+                nodes={n: c for n, c in graph.nodes.items() if n in inside},
+                edges=tuple(e for e in graph.edges
+                            if e[0] in inside and e[2] in inside),
+                attributes=tuple(a for a in graph.attributes if a[0] in inside),
+                root=min(inside, key=layout.span.get),
+            )
     return replace(
         record,
         masked_node_ids=frozenset(node_ids),

@@ -63,9 +63,6 @@ class LinearLayout:
     intro_rel_pos: dict[str, int | None]
     ref_positions: list[tuple[int, str]] = field(default_factory=list)
 
-    def node_of_pointer(self) -> dict[int, str]:
-        return {k: node for node, k in self.pointer_of.items()}
-
 
 def linearize(graph: AmrGraph) -> list[str]:
     return linearize_with_layout(graph)[0]

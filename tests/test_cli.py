@@ -1,5 +1,8 @@
+import errno
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -222,6 +225,18 @@ def test_delinearize_strict_fails_on_malformed(tmp_path):
     path = tmp_path / "toks.txt"
     path.write_text("( <Z0> go :arg0\n", encoding="utf-8")
     assert run(["delinearize", str(path)]) == 1
+
+
+def test_closed_stdout_ends_quietly(corpus, monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert run(["vocab", str(corpus)]) == 0
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_input_file_exits_one(tmp_path):

@@ -21,11 +21,9 @@ from amrforge import (
     subgraph_step,
     text_step,
 )
-from amrforge.corrupt import _half_up, scan_sequence
+from amrforge.corrupt import _half_up
 from amrforge.synth import random_graph
-from amrforge.tokens import MASK, from_text, pointer_index, to_text
-
-from conftest import GOLDEN_SEQUENCE
+from amrforge.tokens import MASK, pointer_index, to_text
 
 
 def test_config_defaults_and_validation():
@@ -139,9 +137,16 @@ def test_mask_subgraph_output_is_structurally_sound():
     for _ in range(200):
         graph = random_graph(rng, 2, 25, max_reentrancies=4, attribute_prob=0.2)
         toks, record = mask_subgraph(graph, config, rng)
-        scan = scan_sequence(toks)  # raises if parens are unbalanced
-        for pointer in scan.refs:
-            assert pointer in scan.def_pos  # no orphaned references
+        depth = 0
+        defined, referenced = set(), set()
+        for i, token in enumerate(toks):
+            depth += (token == "(") - (token == ")")
+            assert depth >= 0  # balanced
+            pointer = pointer_index(token)
+            if pointer is not None:
+                (defined if toks[i - 1] == "(" else referenced).add(pointer)
+        assert depth == 0
+        assert referenced <= defined  # no orphaned references
         if not record.is_empty():
             masked += 1
             assert record.removed_subgraph is not None
@@ -220,10 +225,32 @@ def test_compose_masks_only_remaining_elements():
             rng,
         )
         # all remaining concepts/relations are masked, none doubly
-        scan = scan_sequence(toks)
-        for pos in scan.concept_pos.values():
-            assert toks[pos] == MASK
+        for i, token in enumerate(toks):
+            if token == "(":  # ( <Zk> concept
+                assert toks[i + 2] == MASK
         assert restore_tokens(toks, record) == linearize(graph)
+
+
+@pytest.mark.parametrize("subgraph_rate", [0.0, 1.0])
+def test_composed_record_names_every_masked_element(subgraph_rate):
+    # every step's edits are named in graph terms, not only the first's
+    rng = random.Random(13)
+    config = CorruptionConfig(subgraph_rate=subgraph_rate, node_rate=1.0,
+                              edge_rate=1.0)
+    removals = 0
+    for _ in range(50):
+        graph = random_graph(rng, 2, 25, max_reentrancies=4, attribute_prob=0.2)
+        _, record = corrupt_graph(graph, config, rng)
+        removed = set()
+        if record.removed_subgraph is not None:
+            removed = set(record.removed_subgraph.nodes)
+        removals += bool(removed)
+        assert record.masked_node_ids == set(graph.nodes) - removed
+        assert record.masked_edge_indices == {
+            index for index, (source, _, target) in enumerate(graph.edges)
+            if source not in removed and target not in removed
+        }
+    assert removals == 0 if subgraph_rate == 0.0 else removals > 40
 
 
 def test_record_merge_is_disjoint_and_subgraph_exclusive(golden):
@@ -256,14 +283,6 @@ def test_statistical_node_mask_fraction():
         _, record = mask_nodes_edges(graph, config, rng)
         total_fraction += len(record.masked_node_ids) / len(graph.nodes)
     assert abs(total_fraction / runs - 0.15) < 0.01
-
-
-def test_golden_sequence_scan_matches_layout(golden):
-    scan = scan_sequence(from_text(GOLDEN_SEQUENCE))
-    assert sorted(scan.spans) == [0, 1, 2, 3]
-    assert scan.intro_rel[0] is None
-    assert len(scan.edge_rel_positions) == 3
-    assert scan.attr_rel_positions == []
 
 
 def test_reverse_order_composition_still_restores(golden):

@@ -229,6 +229,9 @@ def test_layout_positions(golden):
     assert toks[open_pos] == "(" and toks[close_pos] == ")"
     assert toks[layout.intro_rel_pos["z1"]] == ":domain"
     assert layout.intro_rel_pos["z0"] is None
+    assert sorted(layout.span) == ["z0", "z1", "z2", "z3"]
+    assert len(layout.edge_rel_pos) == 3
+    assert layout.attr_rel_pos == {}
 
 
 def test_repair_preserves_back_reference_when_closing():
