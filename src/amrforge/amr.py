@@ -191,22 +191,15 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
     return diags
 
 
-# Characters that delimit tokens in both the PENMAN grammar and the token
-# text form; symbols containing them cannot survive a round trip.
-_BREAK_CHARS = set(' \t\r\n()/"')
-
-_POINTER_SHAPE = re.compile(r"<Z\d+>\Z")
-
-
-def _plain_symbol_ok(symbol: str) -> bool:
-    return bool(symbol) and not any(c in _BREAK_CHARS for c in symbol)
-
-
-def _value_ok(value: str) -> bool:
-    # quoted constants may contain anything but a newline or stray quote
-    if len(value) >= 2 and value.startswith('"') and value.endswith('"'):
-        return "\n" not in value and '"' not in value[1:-1]
-    return _plain_symbol_ok(value) and not _POINTER_SHAPE.match(value)
+# A plain symbol has none of the characters that delimit tokens in both
+# the PENMAN grammar and the token text form, since a symbol containing
+# them cannot survive a round trip.
+_PLAIN = r'[^ \t\r\n()/"]+'
+_NODE_ID_RE = re.compile(rf"(?!:){_PLAIN}")
+# a concept or constant: quoted, with no newline or stray quote inside, or
+# plain, without a leading colon and not shaped like a pointer token
+_VALUE_RE = re.compile(rf'"[^"\n]*"|(?!:|<Z\d+>\Z){_PLAIN}')
+_RELATION_RE = re.compile(rf":{_PLAIN}")
 
 
 def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
@@ -219,9 +212,9 @@ def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     for node, concept in graph.nodes.items():
-        if not _plain_symbol_ok(node) or node.startswith(":"):
+        if not _NODE_ID_RE.fullmatch(node):
             diags.append(Diagnostic("bad-symbol", f"unusable node id {node!r}"))
-        if not _value_ok(concept) or concept.startswith(":"):
+        if not _VALUE_RE.fullmatch(concept):
             diags.append(
                 Diagnostic(
                     "bad-symbol", f"unusable concept {concept!r} on node {node!r}"
@@ -230,14 +223,14 @@ def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
     relations = [(s, r) for s, r, _ in graph.edges]
     relations += [(s, r) for s, r, _ in graph.attributes]
     for source, rel in relations:
-        if len(rel) < 2 or not rel.startswith(":") or not _plain_symbol_ok(rel):
+        if not _RELATION_RE.fullmatch(rel):
             diags.append(
                 Diagnostic(
                     "bad-symbol", f"unusable relation {rel!r} on node {source!r}"
                 )
             )
     for source, rel, value in graph.attributes:
-        if not _value_ok(value) or value.startswith(":"):
+        if not _VALUE_RE.fullmatch(value):
             diags.append(
                 Diagnostic(
                     "bad-symbol",
@@ -411,11 +404,14 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
     return _search_bijection(first, second, colors1, colors2)
 
 
-def _attr_multisets(graph: AmrGraph) -> dict[str, tuple]:
-    table: dict[str, list] = {n: [] for n in graph.nodes}
-    for s, r, v in graph.attributes:
-        table[s].append((r, v))
-    return {n: tuple(sorted(pairs)) for n, pairs in table.items()}
+def _adjacency(graph: AmrGraph):
+    """Outgoing (relation, target) and incoming (relation, source) per node."""
+    out: dict[str, list] = {n: [] for n in graph.nodes}
+    inn: dict[str, list] = {n: [] for n in graph.nodes}
+    for s, r, t in graph.edges:
+        out[s].append((r, t))
+        inn[t].append((r, s))
+    return out, inn
 
 
 def _joint_colors(first: AmrGraph, second: AmrGraph):
@@ -428,21 +424,12 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
             interned[key] = value
         return value
 
-    def adjacency(graph):
-        out: dict[str, list] = {n: [] for n in graph.nodes}
-        inn: dict[str, list] = {n: [] for n in graph.nodes}
-        for s, r, t in graph.edges:
-            out[s].append((r, t))
-            inn[t].append((r, s))
-        return out, inn
-
-    def initial(graph):
-        out, inn = adjacency(graph)
-        attrs = _attr_multisets(graph)
+    def initial(graph, out, inn):
+        attrs = graph.node_attributes()
         # the distance already tells nodes of a chain apart, which would
         # otherwise take one refinement round per step of depth
         distance = _root_distances(graph)
-        colors = {
+        return {
             n: intern(
                 (
                     "node",
@@ -450,15 +437,15 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
                     distance[n],
                     len(out[n]),
                     len(inn[n]),
-                    attrs[n],
+                    tuple(sorted((r, v) for _, r, v in attrs[n])),
                 )
             )
             for n in graph.nodes
         }
-        return colors, out, inn
 
-    colors1, out1, inn1 = initial(first)
-    colors2, out2, inn2 = initial(second)
+    adjacency1, adjacency2 = _adjacency(first), _adjacency(second)
+    colors1 = initial(first, *adjacency1)
+    colors2 = initial(second, *adjacency2)
 
     def refine(colors, out, inn):
         return {
@@ -474,8 +461,8 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
 
     for _ in range(len(first.nodes) + 1):
         before = len(set(colors1.values()) | set(colors2.values()))
-        colors1 = refine(colors1, out1, inn1)
-        colors2 = refine(colors2, out2, inn2)
+        colors1 = refine(colors1, *adjacency1)
+        colors2 = refine(colors2, *adjacency2)
         after = len(set(colors1.values()) | set(colors2.values()))
         if after == before:
             break
@@ -500,11 +487,7 @@ def _search_bijection(first, second, colors1, colors2) -> bool:
         return False
     order = sorted(first.nodes, key=lambda n: len(candidates[n]))
 
-    out1: dict[str, list] = {n: [] for n in first.nodes}
-    inn1: dict[str, list] = {n: [] for n in first.nodes}
-    for s, r, t in first.edges:
-        out1[s].append((r, t))
-        inn1[t].append((r, s))
+    out1, inn1 = _adjacency(first)
     edge_set2 = set(second.edges)
 
     mapping: dict[str, str] = {}

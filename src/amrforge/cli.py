@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import io
 import json
 import multiprocessing
@@ -18,7 +19,7 @@ import sys
 from contextlib import contextmanager
 
 from . import tokens as tk
-from .amr import InvalidGraphError, compute_stats, validate
+from .amr import InvalidGraphError, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from .linearize import (
     EMPTY_GRAPH_TOKENS,
@@ -131,9 +132,9 @@ def _scored_graph(document: PenmanDocument, strict: bool):
         raise CliError(
             "invalid document: " + "; ".join(d.message for d in document.diagnostics)
         )
-    if validate(document.graph):
-        return empty_graph()
-    return document.graph
+    # in a lenient read, diagnostics mean an invalid graph, or a syntax
+    # error that already put the fallback in the graph's place
+    return empty_graph()
 
 
 def _json_score(result) -> dict | None:
@@ -228,8 +229,10 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         # The reader of stdout has stopped (`amrforge vocab ... | head`),
         # which is no failure.  Pointing stdout at the null device keeps
-        # the flush at exit from raising again.
+        # the flush at exit from raising again; closing it at exit, before
+        # that flush, keeps it from being collected unclosed.
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        atexit.register(sys.stdout.close)
         return 0
     except (
         CliError,
@@ -258,7 +261,7 @@ def _cmd_validate(args, seed: int) -> int:
     any_invalid = False
     with _open_out(args.output) as out:
         for index, document in enumerate(documents):
-            diagnostics = list(document.diagnostics) or validate(document.graph)
+            diagnostics = document.diagnostics
             if diagnostics:
                 any_invalid = True
             row = {

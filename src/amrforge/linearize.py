@@ -25,10 +25,11 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import tokens as tk
-from .amr import AmrGraph, Attribute, Edge, _closure, require_valid
-from .penman import EMPTY_CONCEPT
+from .amr import (
+    _RELATION_RE, _VALUE_RE, AmrGraph, Attribute, Edge, _closure, require_valid,
+)
 
-EMPTY_GRAPH_TOKENS = (tk.OPEN, tk.pointer(0), EMPTY_CONCEPT, tk.CLOSE)
+EMPTY_GRAPH_TOKENS = (tk.OPEN, tk.pointer(0), tk.EMPTY_CONCEPT, tk.CLOSE)
 
 
 class StructureError(ValueError):
@@ -146,8 +147,10 @@ def delinearize(toks: list[str]) -> AmrGraph:
     Node ids are synthesized from pointer indices (``<Z3>`` becomes
     ``z3``).  The sequence must be balanced and pointer-consistent: every
     pointer is defined once, before any bare reference to it, and the
-    rebuilt graph must be valid (no duplicate triples, no cycles through
-    back references).  Raises the first :class:`StructureError` found.
+    rebuilt graph must be valid (concepts, relations and constants that
+    :func:`~amrforge.amr.validate` accepts, no duplicate triples, no
+    cycles through back references).  Raises the first
+    :class:`StructureError` found.
     """
     graph, fault = _walk(toks)
     if fault is not None:
@@ -159,13 +162,15 @@ def repair(toks: list[str]) -> list[str]:
     """Coerce an arbitrary token sequence into one delinearize accepts.
 
     Sequences that already delinearize are returned unchanged.  Otherwise
-    a permissive rebuild closes unclosed nodes, drops trailing or
-    target-less relations, drops references to pointers that were never
-    defined (or not defined yet), keeps the first concept where a pointer
-    is defined twice, and discards edges that would close a cycle; the
-    salvaged graph is then re-linearized, which renumbers pointers
-    densely.  Idempotent.  Raises :class:`RepairError` when no node
-    survives; callers then substitute ``EMPTY_GRAPH_TOKENS``.
+    a permissive rebuild closes unclosed nodes, drops nodes whose concept
+    is missing or unusable, drops trailing, target-less or unusable
+    relations and those with an unusable constant, drops references to
+    pointers that were never defined (or not defined yet), keeps the
+    first concept where a pointer is defined twice, and discards edges
+    that would close a cycle; the salvaged graph is then re-linearized,
+    which renumbers pointers densely.  Idempotent.  Raises
+    :class:`RepairError` when no node survives; callers then substitute
+    ``EMPTY_GRAPH_TOKENS``.
     """
     toks = list(toks)
     graph, fault = _walk(toks)
@@ -231,6 +236,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
             pointer = tk.pointer_index(toks[i + 1]) if i + 1 < n else None
             at = i + 1 if pointer is None else i + 2  # where the concept belongs
             concept = toks[at] if at < n and not tk.is_structural(toks[at]) else None
+            usable = concept is not None and _VALUE_RE.fullmatch(concept)
             if pointer is None:
                 fail("expected a pointer after '('", i + 1)
                 pointer = next(k for k in itertools.count() if f"z{k}" not in nodes)
@@ -238,8 +244,10 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 fail("missing concept after pointer", i + 2)
             elif f"z{pointer}" in nodes:
                 fail(f"pointer {toks[i + 1]} defined more than once", i + 1)
+            elif not usable:
+                fail(f"unusable concept {concept!r}", at)
             node = f"z{pointer}"
-            if node not in nodes and concept is not None:
+            if node not in nodes and usable:
                 nodes[node] = concept
                 children[node] = []
                 if root is None:
@@ -268,6 +276,9 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
             if pending is not None:
                 fail(f"relation {pending[0]!r} has no target", pending[1])
             pending = (token, i) if stack else None
+            if not _RELATION_RE.fullmatch(token):
+                fail(f"unusable relation {token!r}", i)
+                pending = None
         elif (pointer := tk.pointer_index(token)) is not None:
             node = f"z{pointer}"
             if node not in nodes:
@@ -280,6 +291,8 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
         else:  # a plain token: an attribute constant
             if not stack or pending is None:
                 fail(f"unexpected token {token!r}", i)
+            elif not _VALUE_RE.fullmatch(token):
+                fail(f"unusable constant {token!r}", i)
             elif stack[-1] is not None:
                 triple = (stack[-1], pending[0], token)
                 if triple in attr_seen:

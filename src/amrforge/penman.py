@@ -4,6 +4,10 @@ A corpus file is UTF-8 text in which each document is a run of optional
 ``# ::key value`` metadata lines followed by one parenthesized PENMAN
 expression; documents are separated by blank lines.  This is the
 toolkit's canonical on-disk graph format.
+
+The writer does not walk the graph itself: it renders the depth-first
+token walk of :func:`~amrforge.linearize.linearize_with_layout`, so
+PENMAN text and pointer-token sequences follow one traversal policy.
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, replace
 
-from .amr import AmrGraph, Diagnostic, InvalidGraphError, require_valid, validate
-
-EMPTY_CONCEPT = "amr-empty"
+from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
+from .linearize import linearize_with_layout
+from .tokens import EMPTY_CONCEPT
 
 _ATOM_BREAK = set(' \t\r\n()/"')
 
@@ -267,63 +271,35 @@ def _parse_expression(tokens: list[_Token]) -> AmrGraph:
 def serialize_penman(document: PenmanDocument) -> str:
     """Render metadata lines and the graph as PENMAN text.
 
-    Each node is expanded at its first occurrence in stored edge order,
-    with attributes before edges; later references are bare variables.
-    The result re-parses to an isomorphic graph, and metadata values
-    round-trip byte for byte.
+    The graph is written as :func:`graph_to_penman` writes it.  The result
+    re-parses to an isomorphic graph, and metadata values round-trip byte
+    for byte.
     """
-    graph = document.graph
-    require_valid(graph)
     lines = [
         f"# ::{key} {value}" if value else f"# ::{key}"
         for key, value in document.metadata.items()
     ]
-    lines.append(graph_to_penman(graph))
+    lines.append(graph_to_penman(document.graph))
     return "\n".join(lines)
 
 
 def graph_to_penman(graph: AmrGraph) -> str:
-    require_valid(graph)
-    out = graph.out_edges()
-    attrs = graph.node_attributes()
-    expanded: set[str] = set()
-    parts: list[str] = []
+    """One line of PENMAN, rendered from the graph's linearization.
 
-    # Explicit stack so that deeply nested graphs cannot overflow recursion.
-    # Whether a target is expanded or referenced is decided when the item is
-    # popped, i.e. in textual order, so a reentrant node is always defined at
-    # its first occurrence in the depth-first walk.
-    stack: list[tuple[str, str]] = [("visit", graph.root)]
-    while stack:
-        action, payload = stack.pop()
-        if action == "text":
-            parts.append(payload)
-            continue
-        node = payload
-        if node in expanded:
-            parts.append(node)
-            continue
-        expanded.add(node)
-        parts.append(f"({node}")
-        parts.append("/")
-        parts.append(graph.concept(node))
-        for _, rel, value in attrs[node]:
-            parts.append(rel)
-            parts.append(value)
-        tail: list[tuple[str, str]] = []
-        for _, rel, target in out[node]:
-            tail.append(("text", rel))
-            tail.append(("visit", target))
-        tail.append(("text", ")"))
-        for item in reversed(tail):
-            stack.append(item)
-    return _render(parts)
-
-
-def _render(parts: list[str]) -> str:
-    pieces: list[str] = []
-    for i, part in enumerate(parts):
-        if i > 0 and part != ")" and not pieces[-1].endswith("("):
+    Each node is expanded at its first occurrence in stored edge order,
+    with attributes before edges; later references are bare variables.
+    Each ``( <Zk>`` becomes ``(node /``, each bare pointer becomes its
+    node id, and every other token is copied as it is.
+    """
+    parts, layout = linearize_with_layout(graph)
+    for node, position in layout.concept_pos.items():
+        parts[position - 2] = f"({node}"
+        parts[position - 1] = "/"
+    for position, node in layout.ref_positions:
+        parts[position] = node
+    pieces = parts[:1]
+    for part in parts[1:]:
+        if part != ")":
             pieces.append(" ")
         pieces.append(part)
     return "".join(pieces)

@@ -20,6 +20,9 @@ MARKERS = (TEXT_START, TEXT_END, GRAPH_START, GRAPH_END)
 OPEN = "("
 CLOSE = ")"
 
+# the concept of the fallback graph that stands in for unusable input
+EMPTY_CONCEPT = "amr-empty"
+
 _POINTER_RE = re.compile(r"<Z(\d+)>")
 
 

@@ -2,10 +2,13 @@ import errno
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import amrforge
 from amrforge import is_isomorphic, read_corpus
 from amrforge.cli import run
 
@@ -221,6 +224,14 @@ def test_delinearize_lenient_repairs(tmp_path, capsys):
     assert docs[1].graph.nodes["z0"] == "amr-empty"
 
 
+def test_delinearize_lenient_drops_symbols_validate_rejects(tmp_path, capsys):
+    path = tmp_path / "toks.txt"
+    path.write_text('( <Z0> want-01 :ARG0 x"y )\n( <Z0> a/b )\n', encoding="utf-8")
+    assert run(["delinearize", str(path), "--lenient"]) == 0
+    out = capsys.readouterr().out
+    assert out == "(z0 / want-01)\n\n(z0 / amr-empty)\n"
+
+
 def test_delinearize_strict_fails_on_malformed(tmp_path):
     path = tmp_path / "toks.txt"
     path.write_text("( <Z0> go :arg0\n", encoding="utf-8")
@@ -237,6 +248,22 @@ def test_closed_stdout_ends_quietly(corpus, monkeypatch, capsys):
     assert sys.stdout.name == os.devnull
     sys.stdout.close()
     assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_no_unclosed_file(corpus):
+    # the reader takes one line of a vocabulary far larger than a pipe
+    # buffer, so a later write meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(amrforge.__file__).parents[1]))
+    process = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-m", "amrforge.cli", "vocab", str(corpus),
+         "--max-pointers", "50000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert process.stdout.readline() == b"(\n"
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert process.returncode == 0
+    assert err.decode() == ""
 
 
 def test_missing_input_file_exits_one(tmp_path):

@@ -12,6 +12,7 @@ from amrforge import (
     is_isomorphic,
     linearize,
     repair,
+    validate,
 )
 from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph
@@ -124,6 +125,41 @@ def test_delinearize_structure_errors(text, message, position):
     with pytest.raises(StructureError, match=message) as info:
         delinearize(from_text(text))
     assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("( <Z0> a/b )", "unusable concept 'a/b'", 2),
+        ("( <Z0> : )", "unusable concept ':'", 2),
+        ('( <Z0> want-01 :ARG0 x"y )', "unusable constant 'x\"y'", 4),
+        ("( <Z0> want-01 :a/b ( <Z1> boy ) )", "unusable relation ':a/b'", 3),
+        ("( <Z0> go :ARG0 ( <Z1> \" ) )", "unusable concept '\"'", 6),
+    ],
+)
+def test_delinearize_rejects_symbols_validate_rejects(text, message, position):
+    with pytest.raises(StructureError, match=message) as info:
+        delinearize(from_text(text))
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ('( <Z0> want-01 :ARG0 x"y )', "( <Z0> want-01 )"),
+        ("( <Z0> want-01 :a/b ( <Z1> boy ) )", "( <Z0> want-01 )"),
+        ("( <Z0> want-01 :ARG0 ( <Z1> a/b :mod ( <Z2> big ) ) :ARG1 ( <Z3> go ) )",
+         "( <Z0> want-01 :ARG1 ( <Z1> go ) )"),
+        ("( <Z0> : :ARG0 ( <Z1> go ) )", "( <Z0> go )"),
+    ],
+)
+def test_repair_drops_unusable_symbols(text, expected):
+    assert repair(from_text(text)) == from_text(expected)
+
+
+def test_repair_without_a_usable_concept_raises():
+    with pytest.raises(RepairError):
+        repair(from_text("( <Z0> a/b )"))
 
 
 def test_delinearize_rejects_cycle_through_back_reference():
@@ -239,3 +275,26 @@ def test_repair_preserves_back_reference_when_closing():
     assert repaired == from_text("( <Z0> a :r ( <Z1> b ) :s <Z1> )")
     graph = delinearize(repaired)
     assert ("z0", ":s", "z1") in graph.edges
+
+
+BAD_SYMBOLS = ["a/b", 'x"y', ":a/b", ":", '"', ":a(b", "a(b"]
+
+
+def test_repair_output_is_always_a_valid_graph():
+    rng = random.Random(37)
+    for _ in range(400):
+        graph = random_graph(rng, 1, 15, max_reentrancies=3, attribute_prob=0.3)
+        broken = linearize(graph)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(broken))
+            if rng.random() < 0.5:
+                broken[at] = rng.choice(BAD_SYMBOLS)
+            else:
+                broken.insert(at, rng.choice(BAD_SYMBOLS))
+        broken = _mutate(broken, rng) if rng.random() < 0.3 else broken
+        try:
+            repaired = repair(broken)
+        except RepairError:
+            continue
+        assert validate(delinearize(repaired)) == []
+        assert repair(repaired) == repaired
