@@ -15,6 +15,7 @@ import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 Edge = tuple[str, str, str]
 Attribute = tuple[str, str, str]
@@ -57,19 +58,32 @@ class AmrGraph:
 
     Node ids are opaque strings: PENMAN variable names on ingest,
     ``z0, z1, ...`` when synthesized.
+
+    ``nodes`` is a read-only view of a private copy, so a graph cannot
+    change once built, and :func:`validate` keeps a passing result on the
+    instance: checking a valid graph again costs nothing.  The mark is not
+    a field, so equality ignores it and ``dataclasses.replace`` starts the
+    new graph unmarked.
     """
 
-    nodes: dict[str, str]
+    nodes: Mapping[str, str]
     edges: tuple[Edge, ...] = ()
     attributes: tuple[Attribute, ...] = ()
     root: str = ""
 
+    _valid = False  # set on an instance by validate or _trusted
+
     def __post_init__(self):
-        object.__setattr__(self, "nodes", dict(self.nodes))
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         object.__setattr__(
             self, "attributes", tuple(tuple(a) for a in self.attributes)
         )
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled (smatch --jobs sends graphs to
+        # worker processes); rebuild from a plain dict, unmarked
+        return AmrGraph, (dict(self.nodes), self.edges, self.attributes, self.root)
 
     def concept(self, node: str) -> str:
         return self.nodes[node]
@@ -110,7 +124,24 @@ def validate(graph: AmrGraph) -> list[Diagnostic]:
     the root exists, all edge and attribute endpoints are known, there are
     no duplicate triples, the graph is connected, every node is reachable
     from the root along directed edges, and the graph is acyclic.
+    A valid graph is marked as such, and later calls return at once.
     """
+    if graph._valid:
+        return []
+    diags = _diagnose(graph)
+    if not diags:
+        _trusted(graph)
+    return diags
+
+
+def _trusted(graph: AmrGraph) -> AmrGraph:
+    """Mark a graph valid without checking it: only for graphs built
+    under rules that give every invariant :func:`validate` checks."""
+    object.__setattr__(graph, "_valid", True)
+    return graph
+
+
+def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     nodes = graph.nodes
     if not nodes:
@@ -286,6 +317,8 @@ def _find_cycles(nodes, edges) -> list[Diagnostic]:
 
 
 def require_valid(graph: AmrGraph) -> None:
+    if graph._valid:  # checked already: not even a call to validate
+        return
     diags = validate(graph)
     if diags:
         raise InvalidGraphError(diags)

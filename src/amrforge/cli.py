@@ -21,14 +21,7 @@ from contextlib import contextmanager
 from . import tokens as tk
 from .amr import InvalidGraphError, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
-from .linearize import (
-    EMPTY_GRAPH_TOKENS,
-    RepairError,
-    StructureError,
-    delinearize,
-    linearize,
-    repair,
-)
+from .linearize import StructureError, _walk, delinearize, linearize
 from .metrics import (
     FINE_GRAINED_KEYS,
     aggregate,
@@ -40,6 +33,7 @@ from .penman import (
     CorpusError,
     PenmanDocument,
     PenmanSyntaxError,
+    _render,
     empty_graph,
     graph_to_penman,
     read_corpus,
@@ -324,21 +318,25 @@ def _cmd_delinearize(args, seed: int) -> int:
     strict = True if args.strict is None else args.strict
     with _open_in(args.input) as handle:
         lines = [line.strip() for line in handle if line.strip()]
-    graphs = []
-    for number, line in enumerate(lines):
+    texts = []
+    for line in lines:
         toks = tk.from_text(line)
         if strict:
-            graphs.append(delinearize(toks))
+            texts.append(graph_to_penman(delinearize(toks)))
+            continue
+        # one walk per line: what delinearize(repair(toks)) would build
+        graph, fault = _walk(toks)
+        if graph is None:
+            texts.append(graph_to_penman(empty_graph()))
         else:
-            try:
-                graphs.append(delinearize(repair(toks)))
-            except (RepairError, StructureError):
-                graphs.append(delinearize(list(EMPTY_GRAPH_TOKENS)))
+            # a repaired sequence is re-linearized, which renumbers its
+            # pointers in walk order
+            texts.append(_render(graph, renumber=fault is not None))
     with _open_out(args.output) as out:
-        for i, graph in enumerate(graphs):
+        for i, text in enumerate(texts):
             if i:
                 print(file=out)
-            print(graph_to_penman(graph), file=out)
+            print(text, file=out)
     return 0
 
 

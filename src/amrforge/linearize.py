@@ -22,11 +22,13 @@ back-references.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import tokens as tk
 from .amr import (
-    _RELATION_RE, _VALUE_RE, AmrGraph, Attribute, Edge, _closure, require_valid,
+    _RELATION_RE, _VALUE_RE, AmrGraph, Attribute, Edge, _closure, _trusted,
+    require_valid,
 )
 
 EMPTY_GRAPH_TOKENS = (tk.OPEN, tk.pointer(0), tk.EMPTY_CONCEPT, tk.CLOSE)
@@ -84,26 +86,7 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     span: dict[str, tuple[int, int]] = {}
     ref_positions: list[tuple[int, str]] = []
 
-    # Explicit stack; whether a target expands or emits a bare pointer is
-    # decided when its visit is popped, i.e. in textual order, so every
-    # node is defined at its first occurrence in the depth-first walk.
-    stack: list[tuple[str, object]] = [("visit", graph.root)]
-    while stack:
-        action, payload = stack.pop()
-        if action == "close":
-            span[payload] = (span_open[payload], len(toks))
-            toks.append(tk.CLOSE)
-            continue
-        if action == "edge":
-            index, rel = payload
-            edge_rel_pos[index] = len(toks)
-            toks.append(rel)
-            continue
-        node = payload
-        if node in pointer_of:
-            ref_positions.append((len(toks), node))
-            toks.append(tk.pointer(pointer_of[node]))
-            continue
+    def open_span(node: str) -> None:
         pointer_of[node] = len(pointer_of)
         span_open[node] = len(toks)
         toks.append(tk.OPEN)
@@ -114,19 +97,34 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
             attr_rel_pos[index] = len(toks)
             toks.append(rel)
             toks.append(value)
-        tail: list[tuple[str, object]] = [("close", node)]
-        for index, rel, target in reversed(out[node]):
-            tail.append(("visit", target))
-            tail.append(("edge", (index, rel)))
-        stack.extend(tail)
+        stack.append((node, iter(out[node])))
 
-    # A non-root span is always introduced by the edge relation emitted
-    # immediately before its open paren.
+    # Explicit stack of open nodes, each with its edges still to write.
+    # Whether a target expands or is a bare pointer is decided when its
+    # edge is written, i.e. in textual order, so every node is defined at
+    # its first occurrence in the depth-first walk.
+    stack: list[tuple[str, Iterator[tuple[int, str, str]]]] = []
+    open_span(graph.root)
+    while stack:
+        node, edges = stack[-1]
+        for index, rel, target in edges:
+            edge_rel_pos[index] = len(toks)
+            toks.append(rel)
+            if target not in pointer_of:
+                open_span(target)
+                break
+            ref_positions.append((len(toks), target))
+            toks.append(tk.pointer(pointer_of[target]))
+        else:
+            stack.pop()
+            span[node] = (span_open[node], len(toks))
+            toks.append(tk.CLOSE)
+
+    # A non-root span is introduced by the edge relation written just
+    # before its open paren.
     intro_rel_pos = {
-        node: open_pos - 1
-        if open_pos > 0 and tk.is_relation(toks[open_pos - 1])
-        else None
-        for node, (open_pos, _) in span.items()
+        node: None if node == graph.root else start - 1
+        for node, (start, _) in span.items()
     }
 
     layout = LinearLayout(
@@ -187,7 +185,11 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
 
     Returns the graph, pruned to what its root reaches (None when no node
     was defined), and the first broken rule (None for a well-formed
-    sequence, whose graph is then exactly the one it encodes).
+    sequence, whose graph is then exactly the one it encodes).  The graph
+    is valid by construction, and is returned marked so: symbols pass
+    :func:`~amrforge.amr.validate`'s patterns, duplicate triples and
+    cycle-closing edges are refused, and every node is reachable from the
+    root.
     """
     nodes: dict[str, str] = {}
     children: dict[str, list[str]] = {}
@@ -310,11 +312,11 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     if root is None:
         return None, fault
     keep = _closure({root}, children)
-    graph = AmrGraph(
+    graph = _trusted(AmrGraph(
         nodes={node: concept for node, concept in nodes.items() if node in keep},
         # keep is closed under children, so a kept source has a kept target
         edges=tuple(edge for edge in edges if edge[0] in keep),
         attributes=tuple(attr for attr in attributes if attr[0] in keep),
         root=root,
-    )
+    ))
     return graph, fault

@@ -13,13 +13,12 @@ PENMAN text and pointer-token sequences follow one traversal policy.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, replace
 
 from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
 from .linearize import linearize_with_layout
 from .tokens import EMPTY_CONCEPT
-
-_ATOM_BREAK = set(' \t\r\n()/"')
 
 
 class PenmanSyntaxError(ValueError):
@@ -64,64 +63,30 @@ def empty_graph() -> AmrGraph:
     return AmrGraph(nodes={"z0": EMPTY_CONCEPT}, root="z0")
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    kind: str  # "(", ")", "/", "atom", "string"
-    line: int
-    column: int
+# One match per token: a delimiter, a string literal (a backslash escapes
+# any next character, a newline included), a lone quote that opens a
+# string without an end, or an atom.  Whitespace matches nothing.
+_TOKEN_RE = re.compile(r'[()/]|"(?:\\[\s\S]|[^"\\\n])*"|"|[^ \t\r\n()/"]+')
+_DELIMITERS = ("(", ")", "/")
+_NOT_ATOM = '()/"'  # first characters of the tokens that are not atoms
 
 
-def _tokenize(text: str, first_line: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = first_line
-    column = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch in "()/":
-            tokens.append(_Token(ch, ch, line, column))
-            i += 1
-            column += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, column
-            j = i + 1
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                if text[j] == "\n":
-                    break
-                j += 1
-            if j >= n or text[j] != '"':
-                raise PenmanSyntaxError(
-                    "unterminated string literal", start_line, start_col
-                )
-            literal = text[i : j + 1]
-            tokens.append(_Token(literal, "string", start_line, start_col))
-            column += j + 1 - i
-            i = j + 1
-            continue
-        j = i
-        while j < n and text[j] not in _ATOM_BREAK:
-            j += 1
-        tokens.append(_Token(text[i:j], "atom", line, column))
-        column += j - i
-        i = j
-    return tokens
+def _line_column(text: str, index: int, first_line: int) -> tuple[int, int]:
+    """Line and column of the ``index``-th token of ``text``.
+
+    Only the newlines between tokens start a line; an escaped newline
+    inside a string literal is counted as a column.
+    """
+    line, line_start, end = first_line, 0, 0
+    for number, match in enumerate(_TOKEN_RE.finditer(text)):
+        newlines = text.count("\n", end, match.start())
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", end, match.start()) + 1
+        if number == index:
+            return line, match.start() - line_start + 1
+        end = match.end()
+    raise IndexError(index)
 
 
 def _split_metadata(text: str) -> tuple[dict[str, str], str, int]:
@@ -159,8 +124,7 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
     is returned carrying the diagnostics.
     """
     metadata, body, body_line = _split_metadata(text)
-    tokens = _tokenize(body, body_line)
-    graph = _parse_expression(tokens)
+    graph = _parse_expression(body, body_line)
     diagnostics = validate(graph)
     if diagnostics and strict:
         raise InvalidGraphError(diagnostics)
@@ -172,20 +136,28 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
     )
 
 
-def _parse_expression(tokens: list[_Token]) -> AmrGraph:
+def _parse_expression(text: str, first_line: int) -> AmrGraph:
+    """The graph of one PENMAN expression starting at line ``first_line``."""
+    tokens = _TOKEN_RE.findall(text)
+    count = len(tokens)
+
+    def fail(message: str, index: int):
+        raise PenmanSyntaxError(message, *_line_column(text, index, first_line))
+
+    if '"' in tokens:
+        fail("unterminated string literal", tokens.index('"'))
     if not tokens:
         raise PenmanSyntaxError("expected '(' to start a graph", 1, 1)
 
     # Pre-scan variable definitions so that references written before
     # their definition still resolve as reentrant edges.
-    declared: set[str] = set()
-    for i in range(len(tokens) - 2):
-        if (
-            tokens[i].kind == "("
-            and tokens[i + 1].kind == "atom"
-            and tokens[i + 2].kind == "/"
-        ):
-            declared.add(tokens[i + 1].text)
+    declared = {
+        tokens[i + 1]
+        for i in range(count - 2)
+        if tokens[i] == "("
+        and tokens[i + 1][0] not in _NOT_ATOM
+        and tokens[i + 2] == "/"
+    }
 
     nodes: dict[str, str] = {}
     edges: list[tuple[str, str, str]] = []
@@ -193,75 +165,65 @@ def _parse_expression(tokens: list[_Token]) -> AmrGraph:
     root: str | None = None
 
     stack: list[str] = []
-    pending_rel: _Token | None = None
+    pending: int | None = None  # position of the relation awaiting a target
     pos = 0
-
-    def fail(message: str, token: _Token):
-        raise PenmanSyntaxError(message, token.line, token.column)
-
-    while pos < len(tokens):
+    while pos < count:
         token = tokens[pos]
-        if token.kind == "(":
-            if stack and pending_rel is None:
-                fail("expected a relation before a nested node", token)
-            if pos + 1 >= len(tokens) or tokens[pos + 1].kind != "atom":
-                fail("expected a variable after '('", token)
-            var_token = tokens[pos + 1]
-            if pos + 2 >= len(tokens) or tokens[pos + 2].kind != "/":
-                fail(f"expected '/' after variable {var_token.text!r}", var_token)
-            if pos + 3 >= len(tokens) or tokens[pos + 3].kind not in ("atom", "string"):
-                fail("missing concept after '/'", tokens[pos + 2])
-            if var_token.text in nodes:
-                fail(f"duplicate variable definition {var_token.text!r}", var_token)
-            var = var_token.text
-            nodes[var] = tokens[pos + 3].text
+        if token == "(":
+            if stack and pending is None:
+                fail("expected a relation before a nested node", pos)
+            if pos + 1 >= count or tokens[pos + 1][0] in _NOT_ATOM:
+                fail("expected a variable after '('", pos)
+            var = tokens[pos + 1]
+            if pos + 2 >= count or tokens[pos + 2] != "/":
+                fail(f"expected '/' after variable {var!r}", pos + 1)
+            if pos + 3 >= count or tokens[pos + 3] in _DELIMITERS:
+                fail("missing concept after '/'", pos + 2)
+            if var in nodes:
+                fail(f"duplicate variable definition {var!r}", pos + 1)
+            nodes[var] = tokens[pos + 3]
             if root is None:
                 root = var
             if stack:
-                edges.append((stack[-1], pending_rel.text, var))
-                pending_rel = None
+                edges.append((stack[-1], tokens[pending], var))
+                pending = None
             stack.append(var)
             pos += 4
             continue
-        if token.kind == ")":
-            if pending_rel is not None:
-                fail(f"relation {pending_rel.text!r} has no target", pending_rel)
+        if token == ")":
+            if pending is not None:
+                fail(f"relation {tokens[pending]!r} has no target", pending)
             if not stack:
-                fail("unbalanced ')'", token)
+                fail("unbalanced ')'", pos)
             stack.pop()
             pos += 1
             if not stack:
-                if pos < len(tokens):
-                    fail("unexpected content after the graph", tokens[pos])
+                if pos < count:
+                    fail("unexpected content after the graph", pos)
                 break
             continue
-        if token.kind == "/":
-            fail("unexpected '/'", token)
-        if token.kind == "atom" and token.text.startswith(":") and len(token.text) > 1:
+        if token == "/":
+            fail("unexpected '/'", pos)
+        if token[0] == ":" and len(token) > 1:
             if not stack:
-                fail("relation outside of a node", token)
-            if pending_rel is not None:
-                fail(f"relation {pending_rel.text!r} has no target", pending_rel)
-            pending_rel = token
+                fail("relation outside of a node", pos)
+            if pending is not None:
+                fail(f"relation {tokens[pending]!r} has no target", pending)
+            pending = pos
             pos += 1
             continue
-        # atom or string target
-        if not stack or pending_rel is None:
-            fail(f"unexpected token {token.text!r}", token)
-        if token.kind == "atom" and token.text in declared:
-            edges.append((stack[-1], pending_rel.text, token.text))
+        # atom or string target; only atoms are ever declared variables
+        if not stack or pending is None:
+            fail(f"unexpected token {token!r}", pos)
+        if token in declared:
+            edges.append((stack[-1], tokens[pending], token))
         else:
-            attributes.append((stack[-1], pending_rel.text, token.text))
-        pending_rel = None
+            attributes.append((stack[-1], tokens[pending], token))
+        pending = None
         pos += 1
 
     if stack or root is None:
-        last = tokens[-1]
-        raise PenmanSyntaxError(
-            "unbalanced '(': expression ends before all nodes are closed",
-            last.line,
-            last.column,
-        )
+        fail("unbalanced '(': expression ends before all nodes are closed", count - 1)
 
     return AmrGraph(
         nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root
@@ -291,18 +253,32 @@ def graph_to_penman(graph: AmrGraph) -> str:
     Each ``( <Zk>`` becomes ``(node /``, each bare pointer becomes its
     node id, and every other token is copied as it is.
     """
+    return _render(graph, renumber=False)
+
+
+def _render(graph: AmrGraph, renumber: bool) -> str:
+    """:func:`graph_to_penman`, or with ``renumber`` the same text with
+    each node named ``zk`` after its pointer ``<Zk>``, which is what
+    ``graph_to_penman(delinearize(linearize(graph)))`` writes."""
     parts, layout = linearize_with_layout(graph)
+    name = {
+        node: f"z{pointer}" if renumber else node
+        for node, pointer in layout.pointer_of.items()
+    }
     for node, position in layout.concept_pos.items():
-        parts[position - 2] = f"({node}"
+        parts[position - 2] = f"({name[node]}"
         parts[position - 1] = "/"
     for position, node in layout.ref_positions:
-        parts[position] = node
+        parts[position] = name[node]
     pieces = parts[:1]
     for part in parts[1:]:
         if part != ")":
             pieces.append(" ")
         pieces.append(part)
     return "".join(pieces)
+
+
+_BOM = "\ufeff"  # the byte-order mark some editors write
 
 
 def read_corpus(stream, strict: bool = True):
@@ -312,21 +288,26 @@ def read_corpus(stream, strict: bool = True):
     the first malformed document aborts with its index; in lenient mode a
     document with a syntax error is replaced by the fallback graph and a
     document with validation problems is kept, both carrying diagnostics.
+    A leading byte-order mark is skipped, and its bytes are counted in the
+    source spans.
     """
     if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8-sig"))
+        stream = io.StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = io.StringIO(stream)
     elif isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "mode") and "b" in getattr(stream, "mode", "")
     ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8-sig")
+        stream = io.TextIOWrapper(stream, encoding="utf-8")
 
     index = 0
     offset = 0
     block: list[str] = []
     block_start = 0
     for line in stream:
+        if not offset and line.startswith(_BOM):
+            line = line[1:]
+            offset = len(_BOM.encode("utf-8"))
         line_bytes = len(line.encode("utf-8"))
         if line.strip() == "":
             if block:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from amrforge import AmrGraph
+from amrforge import AmrGraph, amr
 
 GOLDEN_SEQUENCE = (
     "( <Z0> possible :domain ( <Z1> go :arg0 ( <Z2> boy ) ) "
@@ -67,3 +67,18 @@ def golden():
 @pytest.fixture
 def contrast():
     return contrast_graph()
+
+
+@pytest.fixture
+def diagnose_calls(monkeypatch):
+    """The graphs whose invariants validate checks, one entry per check
+    (a graph already marked valid is not checked again)."""
+    calls = []
+    check = amr._diagnose
+
+    def counted(graph):
+        calls.append(graph)
+        return check(graph)
+
+    monkeypatch.setattr(amr, "_diagnose", counted)
+    return calls

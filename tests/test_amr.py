@@ -1,6 +1,8 @@
 import itertools
+import pickle
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from amrforge.amr import (
     _search_bijection,
     depth_bucket,
     reentrancy_bucket,
+    require_valid,
     size_bucket,
 )
 from amrforge.synth import random_graph
@@ -310,3 +313,49 @@ def test_quoted_constants_with_spaces_are_valid():
         root="n",
     )
     assert validate(graph) == []
+
+
+def test_nodes_are_read_only():
+    nodes = {"a": "x"}
+    graph = AmrGraph(nodes=nodes, root="a")
+    with pytest.raises(TypeError):
+        graph.nodes["a"] = "y"
+    with pytest.raises(TypeError):
+        graph.nodes["b"] = "y"
+    nodes["a"] = "y"  # the graph keeps its own copy
+    assert graph.nodes == {"a": "x"}
+
+
+def test_pickle_round_trip_keeps_equality():
+    rng = random.Random(43)
+    for _ in range(20):
+        graph = random_graph(rng, 1, 20, max_reentrancies=3, attribute_prob=0.3)
+        validate(graph)
+        copy = pickle.loads(pickle.dumps(graph))
+        assert copy == graph
+        assert validate(copy) == []
+        with pytest.raises(TypeError):
+            copy.nodes[copy.root] = "y"
+
+
+def test_valid_graph_is_checked_once(diagnose_calls):
+    graph = random_graph(random.Random(47), 10, 20, max_reentrancies=3)
+    assert validate(graph) == []
+    assert validate(graph) == []
+    require_valid(graph)
+    compute_stats(graph)
+    assert is_isomorphic(graph, graph)
+    assert diagnose_calls == [graph]
+
+
+def test_copies_and_invalid_graphs_are_not_marked(diagnose_calls):
+    graph = random_graph(random.Random(53), 10, 20, max_reentrancies=3)
+    validate(graph)
+    copy = replace(graph)
+    assert copy == graph
+    assert validate(copy) == []
+    assert len(diagnose_calls) == 2
+    broken = AmrGraph(nodes={"a": "x", "b": "y"}, root="a")
+    assert validate(broken)
+    assert validate(broken)
+    assert len(diagnose_calls) == 4

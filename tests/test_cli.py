@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import amrforge
-from amrforge import is_isomorphic, read_corpus
+from amrforge import graph_to_penman, is_isomorphic, read_corpus, synth
 from amrforge.cli import run
 
 from conftest import CONTRAST_TEXT, GOLDEN_SEQUENCE
@@ -264,6 +265,33 @@ def test_closed_pipe_leaves_no_unclosed_file(corpus):
     _, err = process.communicate(timeout=60)
     assert process.returncode == 0
     assert err.decode() == ""
+
+
+@pytest.mark.parametrize("command, checks_per_document", [
+    (["linearize"], 1),
+    (["build-tasks", "--tasks", "everything"], 1),
+    (["corrupt"], 1),
+    (["delinearize", "--lenient"], 0),
+])
+def test_each_graph_is_validated_once(command, checks_per_document, tmp_path,
+                                      diagnose_calls):
+    rng = random.Random(59)
+    documents = 6
+    corpus = tmp_path / "corpus.amr"
+    with open(corpus, "w", encoding="utf-8") as out:
+        for index in range(documents):
+            graph = synth.random_graph(rng, 3, 25, max_reentrancies=3,
+                                       attribute_prob=0.2)
+            words = " ".join(synth.random_sentence(rng))
+            out.write(f"# ::id {index}\n# ::tok {words}\n")
+            out.write(graph_to_penman(graph) + "\n\n")
+    source = corpus
+    if command[0] == "delinearize":  # walked graphs are valid by construction
+        source = tmp_path / "lines.txt"
+        assert run(["corrupt", str(corpus), "-o", str(source)]) == 0
+    diagnose_calls.clear()
+    assert run([*command, str(source), "-o", str(tmp_path / "out")]) == 0
+    assert len(diagnose_calls) == checks_per_document * documents
 
 
 def test_missing_input_file_exits_one(tmp_path):

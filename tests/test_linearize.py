@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from amrforge import (
     repair,
     validate,
 )
-from amrforge.linearize import linearize_with_layout
+from amrforge.linearize import _walk, linearize_with_layout
 from amrforge.synth import random_graph
 from amrforge.tokens import from_text, is_pointer, is_relation, pointer_index, to_text
 
@@ -296,5 +299,27 @@ def test_repair_output_is_always_a_valid_graph():
             repaired = repair(broken)
         except RepairError:
             continue
-        assert validate(delinearize(repaired)) == []
+        # replace() drops the validity mark, so validate checks afresh
+        assert validate(replace(delinearize(repaired))) == []
         assert repair(repaired) == repaired
+
+
+def test_walked_graphs_are_valid_without_the_mark():
+    fixture = Path(__file__).parent / "data" / "walker_golden.json"
+    cases = json.loads(fixture.read_text(encoding="utf-8"))["sequences"]
+    sequences = [from_text(case["tokens"]) for case in cases]
+    rng = random.Random(41)
+    for _ in range(400):
+        graph = random_graph(rng, 1, 30, max_reentrancies=6, attribute_prob=0.3,
+                             relations=(":ARG0", ":ARG1", ":mod"))
+        broken = linearize(graph)
+        if rng.random() < 0.3:
+            broken.insert(rng.randrange(len(broken)), rng.choice(BAD_SYMBOLS))
+        sequences.append(_mutate(broken, rng))
+    walked = 0
+    for toks in sequences:
+        graph, _ = _walk(toks)
+        if graph is not None:
+            walked += 1
+            assert validate(replace(graph)) == [], toks
+    assert walked > 800

@@ -164,6 +164,16 @@ def test_read_corpus_skips_byte_order_mark_in_bytes():
         assert [graph.nodes for graph in graphs] == [{"a": "boy"}, {"b": "girl"}]
 
 
+def test_source_spans_count_the_byte_order_mark():
+    payload = "\ufeff(a / b)\n\n# ::snt é\n(c / d)\n".encode("utf-8")
+    for stream in (payload, io.BytesIO(payload), payload.decode("utf-8")):
+        spans = [document.source_span for document in read_corpus(stream)]
+        assert spans == [(3, 11), (12, 31)]
+        assert [payload[start:end] for start, end in spans] == [
+            b"(a / b)\n", "# ::snt é\n(c / d)\n".encode("utf-8"),
+        ]
+
+
 def test_serialize_rejects_invalid_graph():
     broken = AmrGraph(nodes={"a": "x", "b": "y"}, root="a")
     with pytest.raises(InvalidGraphError):
