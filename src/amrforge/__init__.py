@@ -22,15 +22,11 @@ from .corrupt import (
     corrupt_graph,
     derive_rng,
     mask_nodes_edges,
-    mask_selected_nodes_edges,
     mask_subgraph,
     mask_text,
-    merge_records,
     node_edge_step,
-    remove_subtree,
     restore_tokens,
     subgraph_step,
-    text_step,
 )
 from .linearize import (
     EMPTY_GRAPH_TOKENS,
@@ -44,7 +40,6 @@ from .metrics import (
     BleuResult,
     SmatchResult,
     TripleSet,
-    corpus_bleu,
     corpus_bleu_details,
     fine_grained,
     smatch,

@@ -151,7 +151,9 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
             Diagnostic("missing-root", f"root {graph.root!r} is not a node")
         )
 
-    anchored: list[Edge] = []
+    # child lists in edge order, duplicates kept: the one adjacency that
+    # connectivity, reachability and the cycle search all read
+    children: dict[str, list[str]] = {n: [] for n in nodes}
     for s, r, t in graph.edges:
         unknown = [v for v in (s, t) if v not in nodes]
         if unknown:
@@ -162,7 +164,7 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
                 )
             )
         else:
-            anchored.append((s, r, t))
+            children[s].append(t)
     for s, r, v in graph.attributes:
         if s not in nodes:
             diags.append(
@@ -188,10 +190,10 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
     diags.extend(_check_symbols(graph))
 
     if graph.root in nodes:
-        undirected: dict[str, set[str]] = {n: set() for n in nodes}
-        for s, _, t in anchored:
-            undirected[s].add(t)
-            undirected[t].add(s)
+        undirected = {n: set(targets) for n, targets in children.items()}
+        for s, targets in children.items():
+            for t in targets:
+                undirected[t].add(s)
         component = _closure({graph.root}, undirected)
         stray = [n for n in nodes if n not in component]
         while stray:
@@ -204,10 +206,7 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
             )
             stray = [n for n in stray if n not in group]
 
-        directed: dict[str, set[str]] = {n: set() for n in nodes}
-        for s, _, t in anchored:
-            directed[s].add(t)
-        reachable = _closure({graph.root}, directed)
+        reachable = _closure({graph.root}, children)
         unreachable = sorted(n for n in component if n not in reachable)
         if unreachable:
             diags.append(
@@ -218,14 +217,15 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
                 )
             )
 
-    diags.extend(_find_cycles(nodes, anchored))
+    diags.extend(_find_cycles(children))
     return diags
 
 
-# A plain symbol has none of the characters that delimit tokens in both
-# the PENMAN grammar and the token text form, since a symbol containing
-# them cannot survive a round trip.
-_PLAIN = r'[^ \t\r\n()/"]+'
+# A plain symbol has none of the characters that delimit tokens in the
+# PENMAN grammar or the token text form, which splits at every character
+# that str.isspace accepts, since a symbol containing them cannot survive
+# a round trip.
+_PLAIN = r'[^\s()/"]+'
 _NODE_ID_RE = re.compile(rf"(?!:){_PLAIN}")
 # a concept or constant: quoted, with no newline or stray quote inside, or
 # plain, without a leading colon and not shaped like a pointer token
@@ -282,15 +282,12 @@ def _closure(start: set[str], adjacency: Mapping[str, Iterable[str]]) -> set[str
     return seen
 
 
-def _find_cycles(nodes, edges) -> list[Diagnostic]:
+def _find_cycles(adjacency: dict[str, list[str]]) -> list[Diagnostic]:
     """Report one diagnostic per back edge found by depth-first search."""
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-    for s, _, t in edges:
-        adjacency[s].append(t)
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
+    color = {n: WHITE for n in adjacency}
     diags: list[Diagnostic] = []
-    for start in nodes:
+    for start in adjacency:
         if color[start] != WHITE:
             continue
         path: list[str] = []

@@ -16,6 +16,7 @@ import json
 import multiprocessing
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 
 from . import tokens as tk
@@ -148,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel workers where supported; output order "
                         "is always input order")
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true", default=None)
-    mode.add_argument("--lenient", dest="strict", action="store_false")
 
     parser = argparse.ArgumentParser(
         prog="amrforge",
@@ -159,8 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def command(name, help_text, strict=True):
+        # each command owns its mode flags: set_defaults on flags shared
+        # through a parent parser would change every command's default
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--strict", dest="strict", action="store_true")
+        mode.add_argument("--lenient", dest="strict", action="store_false")
+        p.set_defaults(strict=strict)
+        return p
 
     def add_io(p, out_default="-"):
         p.add_argument("input", help="corpus file, or - for stdin")
@@ -195,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: the two parentheses)")
     vocab.add_argument("--max-pointers", type=int, default=512)
 
-    smatch_cmd = command("smatch", "score predicted graphs against gold")
+    smatch_cmd = command("smatch", "score predicted graphs against gold",
+                         strict=False)
     smatch_cmd.add_argument("gold")
     smatch_cmd.add_argument("predicted")
     smatch_cmd.add_argument("-o", "--output", default="-")
@@ -270,11 +276,8 @@ def _cmd_validate(args, seed: int) -> int:
 
 
 def _cmd_stats(args, seed: int) -> int:
-    strict = True if args.strict is None else args.strict
-    documents = _read_documents(args.input, strict=strict)
-    buckets = {
-        "size": {}, "depth": {}, "reentrancies": {},
-    }
+    documents = _read_documents(args.input, args.strict)
+    buckets = {"size": Counter(), "depth": Counter(), "reentrancies": Counter()}
     with _open_out(args.output) as out:
         for index, document in enumerate(documents):
             if document.diagnostics:
@@ -290,38 +293,30 @@ def _cmd_stats(args, seed: int) -> int:
                 "depth_bucket": stats.depth_bucket,
                 "reent_bucket": stats.reent_bucket,
             }
-            buckets["size"][stats.size_bucket] = (
-                buckets["size"].get(stats.size_bucket, 0) + 1
-            )
-            buckets["depth"][stats.depth_bucket] = (
-                buckets["depth"].get(stats.depth_bucket, 0) + 1
-            )
-            buckets["reentrancies"][stats.reent_bucket] = (
-                buckets["reentrancies"].get(stats.reent_bucket, 0) + 1
-            )
+            buckets["size"][stats.size_bucket] += 1
+            buckets["depth"][stats.depth_bucket] += 1
+            buckets["reentrancies"][stats.reent_bucket] += 1
             print(json.dumps(row, ensure_ascii=False), file=out)
         print(json.dumps({"summary": buckets}, ensure_ascii=False), file=out)
     return 0
 
 
 def _cmd_linearize(args, seed: int) -> int:
-    strict = True if args.strict is None else args.strict
-    documents = _read_documents(args.input, strict=strict)
+    documents = _read_documents(args.input, args.strict)
     with _open_out(args.output) as out:
         for document in documents:
-            graph = _scored_graph(document, strict)
+            graph = _scored_graph(document, args.strict)
             print(tk.to_text(linearize(graph)), file=out)
     return 0
 
 
 def _cmd_delinearize(args, seed: int) -> int:
-    strict = True if args.strict is None else args.strict
     with _open_in(args.input) as handle:
         lines = [line.strip() for line in handle if line.strip()]
     texts = []
     for line in lines:
         toks = tk.from_text(line)
-        if strict:
+        if args.strict:
             texts.append(graph_to_penman(delinearize(toks)))
             continue
         # one walk per line: what delinearize(repair(toks)) would build
@@ -342,12 +337,11 @@ def _cmd_delinearize(args, seed: int) -> int:
 
 def _cmd_corrupt(args, seed: int) -> int:
     _note_seed(seed)
-    strict = True if args.strict is None else args.strict
-    documents = _read_documents(args.input, strict=strict)
+    documents = _read_documents(args.input, args.strict)
     config = _config_from(args, seed)
     with _open_out(args.output) as out:
         for index, document in enumerate(documents):
-            graph = _scored_graph(document, strict)
+            graph = _scored_graph(document, args.strict)
             toks, _ = corrupt_graph(graph, config, derive_rng(seed, index))
             print(tk.to_text(toks), file=out)
     return 0
@@ -366,14 +360,13 @@ def _parse_task_set(names: str):
 
 def _cmd_build_tasks(args, seed: int) -> int:
     _note_seed(seed)
-    strict = True if args.strict is None else args.strict
-    documents = _read_documents(args.input, strict=strict)
+    documents = _read_documents(args.input, args.strict)
     tags = _parse_task_set(args.tasks)
     config = _config_from(args, seed)
     schedule = MaskSchedule(total_steps=args.total_steps)
     pairs = []
     for index, document in enumerate(documents):
-        graph = _scored_graph(document, strict)
+        graph = _scored_graph(document, args.strict)
         pairs.append((_document_text(document, index), graph))
     with _open_out(args.output) as out:
         for sample in build_corpus(pairs, schedule, config, tags):
@@ -382,8 +375,7 @@ def _cmd_build_tasks(args, seed: int) -> int:
 
 
 def _cmd_vocab(args, seed: int) -> int:
-    strict = True if args.strict is None else args.strict
-    documents = _read_documents(args.input, strict=strict)
+    documents = _read_documents(args.input, args.strict)
     inventory = collect_symbols(documents)
     if args.base:
         with open(args.base, "r", encoding="utf-8-sig") as handle:
@@ -408,17 +400,16 @@ def _smatch_pair(payload):
 
 def _cmd_smatch(args, seed: int) -> int:
     _note_seed(seed)
-    strict = False if args.strict is None else args.strict  # lenient by default
-    gold_docs = _read_documents(args.gold, strict=strict)
-    pred_docs = _read_documents(args.predicted, strict=strict)
+    gold_docs = _read_documents(args.gold, args.strict)
+    pred_docs = _read_documents(args.predicted, args.strict)
     if len(gold_docs) != len(pred_docs):
         raise CliError(
             f"gold has {len(gold_docs)} documents, predicted has {len(pred_docs)}"
         )
     payloads = []
     for gold, predicted in zip(gold_docs, pred_docs):
-        gold_graph = _scored_graph(gold, strict)
-        pred_graph = _scored_graph(predicted, strict)
+        gold_graph = _scored_graph(gold, args.strict)
+        pred_graph = _scored_graph(predicted, args.strict)
         payloads.append((pred_graph, gold_graph, args.restarts, seed, args.fine))
     if args.jobs > 1 and len(payloads) > 1:
         with multiprocessing.Pool(args.jobs) as pool:

@@ -16,7 +16,7 @@ shifts those after it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import tokens as tk
 from .amr import AmrGraph
@@ -67,19 +67,6 @@ class CorruptionRecord:
         return len(self.edits)
 
 
-def merge_records(first: CorruptionRecord, second: CorruptionRecord) -> CorruptionRecord:
-    if first.removed_subgraph is not None and second.removed_subgraph is not None:
-        raise ValueError("cannot merge two sub-graph removals")
-    return CorruptionRecord(
-        edits=first.edits + second.edits,
-        masked_node_ids=first.masked_node_ids | second.masked_node_ids,
-        masked_edge_indices=first.masked_edge_indices | second.masked_edge_indices,
-        removed_subgraph=first.removed_subgraph or second.removed_subgraph,
-        masked_text_positions=first.masked_text_positions
-        | second.masked_text_positions,
-    )
-
-
 def restore_tokens(corrupted: list[str], record: CorruptionRecord) -> list[str]:
     """Undo a corruption: the exact original token sequence."""
     out = list(corrupted)
@@ -120,7 +107,7 @@ def node_edge_step(node_rate: float, edge_rate: float):
         )
         kinds = dict.fromkeys(node_picks, "node") | dict.fromkeys(edge_picks, "edge")
         out, edits = _mask_each(toks, kinds)
-        return out, layout, CorruptionRecord(edits=edits)
+        return out, layout, edits
 
     return step
 
@@ -154,7 +141,7 @@ def subgraph_step(probability: float):
             eligible = _eligible_spans(layout)
             if eligible:
                 return _cut_span(toks, layout, eligible[rng.randrange(len(eligible))])
-        return toks, layout, CorruptionRecord()
+        return toks, layout, ()
 
     return step
 
@@ -193,7 +180,7 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
     """Replace ``node``'s span and its introducing relation by one ``[mask]``.
 
     Returns the tokens, the layout with the positions inside the span
-    dropped and those after it shifted, and the record.
+    dropped and those after it shifted, and the edits: the one removal.
     """
     start, end = layout.intro_rel_pos[node], layout.span[node][1]
     removed = tuple(toks[start : end + 1])
@@ -224,30 +211,19 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
                        if not inside(pos)],
     )
     out = toks[:start] + [tk.MASK] + toks[end + 1 :]
-    return out, cut, CorruptionRecord(edits=(("subgraph", start, removed),))
-
-
-def text_step(rate: float):
-    """Corruption step masking word tokens that are not already masked."""
-
-    def step(toks: list[str], layout: LinearLayout | None, rng: random.Random):
-        candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
-        picks = rng.sample(candidates, _half_up(rate * len(candidates)))
-        out, edits = _mask_each(toks, dict.fromkeys(picks, "text"))
-        return out, layout, CorruptionRecord(
-            edits=edits, masked_text_positions=frozenset(picks)
-        )
-
-    return step
+    return out, cut, (("subgraph", start, removed),)
 
 
 def mask_text(toks: list[str], rate: float, rng: random.Random):
-    """Replace ``round(rate * n)`` uniformly chosen word tokens by ``[mask]``."""
+    """Replace ``round(rate * n)`` uniformly chosen word tokens by ``[mask]``,
+    counting only the n tokens that are not ``[mask]`` already."""
     for token in toks:
         if token in tk.MARKERS:
             raise ValueError(f"text to corrupt must not contain marker {token}")
-    out, _, record = text_step(rate)(list(toks), None, rng)
-    return out, record
+    candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
+    picks = rng.sample(candidates, _half_up(rate * len(candidates)))
+    out, edits = _mask_each(toks, dict.fromkeys(picks, "text"))
+    return out, CorruptionRecord(edits=edits, masked_text_positions=frozenset(picks))
 
 
 def compose(graph: AmrGraph, steps, rng: random.Random):
@@ -255,24 +231,55 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
 
     Each step is called as ``step(toks, layout, rng)`` with the running
     token sequence and its :class:`LinearLayout`, leaves both untouched,
-    and returns ``(toks, layout, record)`` for the next step; the
-    positions in its record refer to the sequence it was given.
+    and returns ``(toks, layout, edits)`` for the next step; the
+    positions in its edits refer to the sequence it was given.
     Sub-graph masking conventionally runs first, so later steps see the
-    remaining elements.  Records merge disjointly, and every step's
-    edits are resolved to graph terms (masked node ids, edge indices and
-    the removed sub-graph) through the layout that step ran on.
+    remaining elements, and at most one step may remove a sub-graph.
+    Every step's edits are named in graph terms (masked node ids, edge
+    indices and the removed sub-graph) through the layout it ran on.
     """
     return _compose(graph, *linearize_with_layout(graph), steps, rng)
 
 
 def _compose(graph: AmrGraph, toks: list[str], layout: LinearLayout, steps, rng):
     """:func:`compose` from the graph's linearization ``(toks, layout)``."""
-    record = CorruptionRecord()
+    edits: list[Edit] = []
+    node_ids: set[str] = set()
+    edge_indices: set[int] = set()
+    removed = None
     for step in steps:
-        out, next_layout, step_record = step(toks, layout, rng)
-        record = merge_records(record, _attach_graph_info(step_record, graph, layout))
+        out, next_layout, step_edits = step(toks, layout, rng)
+        node_of_concept = {pos: n for n, pos in layout.concept_pos.items()}
+        edge_of_rel = {pos: i for i, pos in layout.edge_rel_pos.items()}
+        for kind, pos, original in step_edits:
+            if kind == "node":
+                node_ids.add(node_of_concept[pos])
+            elif kind == "edge":
+                edge_indices.add(edge_of_rel[pos])
+            elif kind == "subgraph":
+                if removed is not None:
+                    raise ValueError("cannot merge two sub-graph removals")
+                removed = _removed_subgraph(graph, layout, pos, len(original))
+        edits += step_edits
         toks, layout = out, next_layout
-    return toks, record
+    return toks, CorruptionRecord(
+        edits=tuple(edits),
+        masked_node_ids=frozenset(node_ids),
+        masked_edge_indices=frozenset(edge_indices),
+        removed_subgraph=removed,
+    )
+
+
+def _removed_subgraph(graph: AmrGraph, layout: LinearLayout, start: int, length: int):
+    """The graph whose spans open inside ``length`` tokens from ``start``."""
+    end = start + length - 1
+    inside = {n for n, (o, _) in layout.span.items() if start <= o <= end}
+    return AmrGraph(
+        nodes={n: c for n, c in graph.nodes.items() if n in inside},
+        edges=tuple(e for e in graph.edges if e[0] in inside and e[2] in inside),
+        attributes=tuple(a for a in graph.attributes if a[0] in inside),
+        root=min(inside, key=layout.span.get),
+    )
 
 
 def mask_nodes_edges(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):
@@ -298,72 +305,3 @@ def corrupt_graph(graph: AmrGraph, config: CorruptionConfig, rng: random.Random)
     )
 
 
-def mask_selected_nodes_edges(graph: AmrGraph, node_ids, edge_indices):
-    """Deterministically mask the given nodes' concepts and edges' relations."""
-    toks, layout = linearize_with_layout(graph)
-    kinds: dict[int, str] = {}
-    for node in node_ids:
-        if node not in layout.concept_pos:
-            raise ValueError(f"unknown node {node!r}")
-        kinds[layout.concept_pos[node]] = "node"
-    for index in edge_indices:
-        if index not in layout.edge_rel_pos:
-            raise ValueError(f"unknown edge index {index}")
-        kinds[layout.edge_rel_pos[index]] = "edge"
-    out, edits = _mask_each(toks, kinds)
-    return out, CorruptionRecord(
-        edits=edits,
-        masked_node_ids=frozenset(node_ids),
-        masked_edge_indices=frozenset(edge_indices),
-    )
-
-
-def remove_subtree(graph: AmrGraph, node: str):
-    """Deterministically remove the subtree span rooted at ``node``.
-
-    Raises ``ValueError`` for the root, for unknown nodes, and for spans
-    that define a pointer referenced outside the span.
-    """
-    toks, layout = linearize_with_layout(graph)
-    if node not in layout.span:
-        raise ValueError(f"unknown node {node!r}")
-    if node == graph.root:
-        raise ValueError("cannot remove the root span")
-    if node not in _eligible_spans(layout):
-        raise ValueError(
-            f"span of {node!r} defines a pointer referenced outside the span"
-        )
-    out, _, record = _cut_span(toks, layout, node)
-    return out, _attach_graph_info(record, graph, layout)
-
-
-def _attach_graph_info(
-    record: CorruptionRecord, graph: AmrGraph, layout: LinearLayout
-) -> CorruptionRecord:
-    """Name a step's edits in graph terms, through the layout it ran on."""
-    node_of_concept = {pos: n for n, pos in layout.concept_pos.items()}
-    edge_of_rel = {pos: i for i, pos in layout.edge_rel_pos.items()}
-    node_ids: set[str] = set()
-    edge_indices: set[int] = set()
-    removed = record.removed_subgraph
-    for kind, pos, original in record.edits:
-        if kind == "node":
-            node_ids.add(node_of_concept[pos])
-        elif kind == "edge":
-            edge_indices.add(edge_of_rel[pos])
-        elif kind == "subgraph":
-            end = pos + len(original) - 1
-            inside = {n for n, (o, _) in layout.span.items() if pos <= o <= end}
-            removed = AmrGraph(
-                nodes={n: c for n, c in graph.nodes.items() if n in inside},
-                edges=tuple(e for e in graph.edges
-                            if e[0] in inside and e[2] in inside),
-                attributes=tuple(a for a in graph.attributes if a[0] in inside),
-                root=min(inside, key=layout.span.get),
-            )
-    return replace(
-        record,
-        masked_node_ids=frozenset(node_ids),
-        masked_edge_indices=frozenset(edge_indices),
-        removed_subgraph=removed,
-    )

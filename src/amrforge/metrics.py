@@ -686,9 +686,5 @@ def corpus_bleu_details(
     )
 
 
-def corpus_bleu(hypotheses: list[list[str]], references: list[list[str]]) -> float:
-    return corpus_bleu_details(hypotheses, references).score
-
-
 def _ngrams(toks: list[str], order: int):
     return (tuple(toks[i : i + order]) for i in range(len(toks) - order + 1))

@@ -86,17 +86,13 @@ class TaskError(ValueError):
 
 @dataclass(frozen=True)
 class MaskSchedule:
-    """Linearly growing masking rate: initial_rate + slope * step / total_steps."""
+    """Linearly growing masking rate: 0.1 + 0.75 * step / total_steps."""
 
     total_steps: int
-    initial_rate: float = 0.1
-    slope: float = 0.75
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError("total_steps must be at least 1")
-        if self.initial_rate != 0.1 or self.slope != 0.75:
-            raise ValueError("the schedule is fixed at 0.1 + 0.75 * t/T")
 
 
 def schedule_rate(step: int, schedule: MaskSchedule) -> float:
@@ -104,7 +100,7 @@ def schedule_rate(step: int, schedule: MaskSchedule) -> float:
         raise ValueError(
             f"step {step} outside [0, {schedule.total_steps}]"
         )
-    return schedule.initial_rate + schedule.slope * step / schedule.total_steps
+    return 0.1 + 0.75 * step / schedule.total_steps
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,14 @@ def decode(ids: list[int], vocabulary: Vocabulary) -> list[str]:
 
 def save_vocabulary(vocabulary: Vocabulary, path) -> None:
     """One token per line (line number = id) plus a JSON sidecar with the
-    partition labels."""
+    partition labels.
+
+    Only ``\n`` ends a line, untranslated: a quoted concept may hold a CR,
+    a form feed or U+2028, which universal newlines would split at.
+    """
     path = Path(path)
-    path.write_text("\n".join(vocabulary.token_of) + "\n", encoding="utf-8")
+    path.write_text("\n".join(vocabulary.token_of) + "\n", encoding="utf-8",
+                    newline="")
     sidecar = {
         "max_pointers": vocabulary.max_pointers,
         "partitions": vocabulary.partitions,
@@ -162,7 +167,8 @@ def save_vocabulary(vocabulary: Vocabulary, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     path = Path(path)
-    token_of = tuple(path.read_text(encoding="utf-8").splitlines())
+    with open(path, encoding="utf-8", newline="") as handle:
+        token_of = tuple(handle.read().removesuffix("\n").split("\n"))
     sidecar = json.loads(
         Path(str(path) + ".partitions.json").read_text(encoding="utf-8")
     )

@@ -9,8 +9,11 @@ import pytest
 from amrforge import (
     AmrGraph,
     InvalidGraphError,
+    StructureError,
     compute_stats,
+    delinearize,
     is_isomorphic,
+    parse_penman,
     rename_nodes,
     validate,
 )
@@ -58,6 +61,59 @@ def test_disconnected_nodes_yield_one_connectivity_diagnostic():
 def test_missing_root():
     diags = validate(AmrGraph(nodes={"a": "boy"}, root="x"))
     assert [d.code for d in diags] == ["missing-root"]
+
+
+def test_every_violation_kind_is_reported_in_order():
+    # A rooted graph with every violation that needs a root, including a
+    # duplicated back edge (two cycle diagnostics), and a rootless one:
+    # without a root, connectivity and reachability are not checked.
+    rooted = AmrGraph(
+        nodes={"r": "want-01", "a": "boy", "b": "go/02", "u": "up",
+               "s1": "x", "s2": "y", "s3": "z", "c": "loop"},
+        edges=(
+            ("r", ":ARG0", "a"), ("r", ":ARG0", "a"), ("a", ":ARG1", "b"),
+            ("b", ":ARG2", "a"), ("b", ":ARG2", "a"), ("u", "mod", "r"),
+            ("a", ":ARG3", "ghost"), ("s1", ":r", "s2"), ("s2", ":r", "s1"),
+            ("r", ":ARG1", "c"), ("c", ":ARG1", "c"),
+        ),
+        attributes=(("a", ":quant", "5"), ("a", ":quant", "5"),
+                    ("ghost2", ":polarity", "-")),
+        root="r",
+    )
+    assert [(d.code, d.message) for d in validate(rooted)] == [
+        ("dangling-edge", "edge (a, :ARG3, ghost) references unknown node(s) "
+                          "['ghost']"),
+        ("dangling-attribute", "attribute (ghost2, :polarity, -) references "
+                               "unknown node 'ghost2'"),
+        ("duplicate-edge", "edge ('r', ':ARG0', 'a') appears 2 times"),
+        ("duplicate-edge", "edge ('b', ':ARG2', 'a') appears 2 times"),
+        ("duplicate-attribute", "attribute ('a', ':quant', '5') appears 2 times"),
+        ("bad-symbol", "unusable concept 'go/02' on node 'b'"),
+        ("bad-symbol", "unusable relation 'mod' on node 'u'"),
+        ("disconnected", "component ['s1', 's2'] is not connected to the root"),
+        ("disconnected", "component ['s3'] is not connected to the root"),
+        ("unreachable", "nodes not reachable from the root along directed "
+                        "edges: ['u']"),
+        ("cycle", "cycle: a -> b -> a"),
+        ("cycle", "cycle: a -> b -> a"),
+        ("cycle", "cycle: c -> c"),
+        ("cycle", "cycle: s1 -> s2 -> s1"),
+    ]
+    rootless = AmrGraph(
+        nodes={"p": "x", "q": "y y"},
+        edges=(("p", ":r", "q"), ("q", ":r", "p"), ("q", ":s", "nowhere")),
+        root="missing",
+    )
+    assert [(d.code, d.message) for d in validate(rootless)] == [
+        ("missing-root", "root 'missing' is not a node"),
+        ("dangling-edge", "edge (q, :s, nowhere) references unknown node(s) "
+                          "['nowhere']"),
+        ("bad-symbol", "unusable concept 'y y' on node 'q'"),
+        ("cycle", "cycle: p -> q -> p"),
+    ]
+    assert [(d.code, d.message) for d in validate(AmrGraph(nodes={}))] == [
+        ("missing-root", "graph has no nodes"),
+    ]
 
 
 def test_dangling_edge():
@@ -304,6 +360,31 @@ def test_symbols_colliding_with_the_grammar_are_invalid():
     ]
     for graph in cases:
         assert any(d.code == "bad-symbol" for d in validate(graph)), graph
+
+
+# whitespace to str.split, so the token text form cannot carry it, beyond
+# the space, tab, CR and LF that the PENMAN grammar splits at
+TEXT_ONLY_SPACES = ["\f", "\v", "\xa0", "\u2028", "\x1c", "\x1d", "\x1e",
+                    "\x1f", "\x85"]
+
+
+@pytest.mark.parametrize("space", TEXT_ONLY_SPACES, ids=repr)
+def test_symbols_with_any_whitespace_are_invalid(space):
+    word = f"fo{space}o"
+    cases = {
+        "node id": AmrGraph(nodes={word: "x"}, root=word),
+        "concept": AmrGraph(nodes={"a": word}, root="a"),
+        "relation": AmrGraph(nodes={"a": "x", "b": "y"},
+                             edges=(("a", f":{word}", "b"),), root="a"),
+        "constant": AmrGraph(nodes={"a": "x"},
+                             attributes=(("a", ":mod", word),), root="a"),
+    }
+    for label, graph in cases.items():
+        assert [d.code for d in validate(graph)] == ["bad-symbol"], label
+    with pytest.raises(InvalidGraphError, match="unusable concept"):
+        parse_penman(f"(a / {word})")
+    with pytest.raises(StructureError, match="unusable concept"):
+        delinearize(["(", "<Z0>", word, ")"])
 
 
 def test_quoted_constants_with_spaces_are_valid():

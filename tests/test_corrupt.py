@@ -5,21 +5,16 @@ import pytest
 from amrforge import (
     AmrGraph,
     CorruptionConfig,
-    CorruptionRecord,
     compose,
     corrupt_graph,
     derive_rng,
     linearize,
     mask_nodes_edges,
-    mask_selected_nodes_edges,
     mask_subgraph,
     mask_text,
-    merge_records,
     node_edge_step,
-    remove_subtree,
     restore_tokens,
     subgraph_step,
-    text_step,
 )
 from amrforge.corrupt import _half_up
 from amrforge.synth import random_graph
@@ -52,9 +47,11 @@ def test_zero_rates_are_identity(golden):
 
 
 def test_masking_concept_and_relation_tokens(golden):
-    # mask the node labeled "go" and the edge introducing "boy"
+    # one of four nodes and one of three edges; this seed picks the node
+    # labeled "go" and the edge introducing "boy"
     edge_index = golden.edges.index(("z1", ":arg0", "z2"))
-    toks, record = mask_selected_nodes_edges(golden, {"z1"}, {edge_index})
+    config = CorruptionConfig(node_rate=0.25, edge_rate=1 / 3)
+    toks, record = mask_nodes_edges(golden, config, random.Random(4))
     assert to_text(toks) == (
         "( <Z0> possible :domain ( <Z1> [mask] [mask] ( <Z2> boy ) ) "
         ":polarity ( <Z3> negative ) )"
@@ -100,8 +97,10 @@ def test_seven_node_graph_masks_exactly_one_node():
     assert toks.count(MASK) == 1
 
 
-def test_remove_subtree_collapses_whole_span(golden):
-    toks, record = remove_subtree(golden, "z1")
+def test_subgraph_removal_collapses_whole_span(golden):
+    # this seed removes the span of "go", which holds "boy"
+    config = CorruptionConfig(subgraph_rate=1.0)
+    toks, record = mask_subgraph(golden, config, random.Random(1))
     assert to_text(toks) == "( <Z0> possible [mask] :polarity ( <Z3> negative ) )"
     assert toks.count(MASK) == 1
     assert record.removed_subgraph is not None
@@ -110,16 +109,21 @@ def test_remove_subtree_collapses_whole_span(golden):
     assert restore_tokens(toks, record) == linearize(golden)
 
 
-def test_remove_subtree_rejects_root_and_orphaning_spans(golden, contrast):
-    with pytest.raises(ValueError, match="root"):
-        remove_subtree(golden, "z0")
-    # the span of "a" defines h, which is referenced outside the span
-    with pytest.raises(ValueError, match="referenced outside"):
-        remove_subtree(contrast, "a")
-    # the span of "o" only references h; removing it is fine
-    toks, record = remove_subtree(contrast, "o")
-    assert toks.count(MASK) == 1
-    assert set(record.removed_subgraph.nodes) == {"o", "y"}
+def test_subgraph_removal_skips_root_and_orphaning_spans(contrast):
+    # The root span is never removed.  The spans of "a" and "h" define h,
+    # which is referenced outside them; the span of "o" only references
+    # h, so removing it is fine.
+    config = CorruptionConfig(subgraph_rate=1.0)
+    removed = set()
+    for seed in range(200):
+        toks, record = mask_subgraph(contrast, config, random.Random(seed))
+        assert toks.count(MASK) == 1
+        removed.add((record.removed_subgraph.root,
+                     frozenset(record.removed_subgraph.nodes)))
+    assert removed == {
+        ("s", frozenset("s")), ("p", frozenset("poy")),
+        ("o", frozenset("oy")), ("y", frozenset("y")),
+    }
 
 
 def test_mask_subgraph_on_single_node_is_identity():
@@ -199,7 +203,7 @@ def test_compose_empty_is_identity(golden):
 def test_compose_zero_rates_identity(golden):
     toks, record = compose(
         golden,
-        [node_edge_step(0.0, 0.0), text_step(0.0)],
+        [node_edge_step(0.0, 0.0), subgraph_step(0.0)],
         random.Random(0),
     )
     assert toks == linearize(golden)
@@ -253,17 +257,20 @@ def test_composed_record_names_every_masked_element(subgraph_rate):
     assert removals == 0 if subgraph_rate == 0.0 else removals > 40
 
 
-def test_record_merge_is_disjoint_and_subgraph_exclusive(golden):
-    _, first = remove_subtree(golden, "z1")
-    _, second = remove_subtree(golden, "z3")
+def test_compose_merges_records_and_allows_one_subgraph_removal(golden):
+    # every removal from the four-node graph leaves a removable span
     with pytest.raises(ValueError, match="two sub-graph removals"):
-        merge_records(first, second)
-    merged = merge_records(first, CorruptionRecord())
-    assert merged == first
+        compose(golden, [subgraph_step(1.0), subgraph_step(1.0)],
+                random.Random(0))
+    alone = compose(golden, [subgraph_step(1.0)], random.Random(0))
+    merged = compose(golden, [subgraph_step(1.0), node_edge_step(0.0, 0.0)],
+                     random.Random(0))
+    assert merged == alone
 
 
 def test_restore_rejects_mismatched_record(golden):
-    toks, record = remove_subtree(golden, "z1")
+    config = CorruptionConfig(subgraph_rate=1.0)
+    toks, record = mask_subgraph(golden, config, random.Random(1))
     with pytest.raises(ValueError, match="record mismatch"):
         restore_tokens(linearize(golden), record)
 

@@ -6,7 +6,6 @@ import pytest
 from amrforge import (
     AmrGraph,
     InvalidGraphError,
-    corpus_bleu,
     corpus_bleu_details,
     fine_grained,
     parse_penman,
@@ -210,7 +209,7 @@ def test_aggregate_micro_average():
 
 def test_bleu_identity():
     toks = ["the", "boy", "wants", "to", "go"]
-    assert corpus_bleu([toks], [toks]) == 1.0
+    assert corpus_bleu_details([toks], [toks]).score == 1.0
 
 
 def test_bleu_clipping_case():
@@ -224,7 +223,8 @@ def test_bleu_clipping_case():
 
 
 def test_bleu_disjoint_vocabulary():
-    assert corpus_bleu([["x", "y", "z", "w"]], [["a", "b", "c", "d"]]) == 0.0
+    details = corpus_bleu_details([["x", "y", "z", "w"]], [["a", "b", "c", "d"]])
+    assert details.score == 0.0
 
 
 def test_bleu_brevity_penalty():
@@ -239,11 +239,11 @@ def test_bleu_brevity_penalty():
 def test_bleu_corpus_pooling():
     hyps = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
     refs = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
-    assert corpus_bleu(hyps, refs) == 1.0
+    assert corpus_bleu_details(hyps, refs).score == 1.0
 
 
 def test_bleu_length_mismatch():
     with pytest.raises(ValueError, match="hypotheses"):
-        corpus_bleu([["a"]], [["a"], ["b"]])
+        corpus_bleu_details([["a"]], [["a"], ["b"]])
     with pytest.raises(ValueError, match="at least one"):
-        corpus_bleu([], [])
+        corpus_bleu_details([], [])

@@ -67,7 +67,8 @@ def test_schedule_range_errors():
 
 
 def test_schedule_constants_are_pinned():
-    with pytest.raises(ValueError):
+    # 0.1 + 0.75 * t/T is fixed: the schedule takes no rate or slope
+    with pytest.raises(TypeError):
         MaskSchedule(total_steps=10, initial_rate=0.2)
     with pytest.raises(ValueError):
         MaskSchedule(total_steps=0)

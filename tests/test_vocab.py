@@ -3,6 +3,7 @@ import random
 import pytest
 
 from amrforge import (
+    AmrGraph,
     PenmanDocument,
     PointerCapacityError,
     UnknownTokenError,
@@ -145,3 +146,17 @@ def test_save_and_load(tmp_path):
     assert loaded == vocabulary
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[vocabulary.id_of["boy"]] == "boy"
+
+
+@pytest.mark.parametrize("space", ["\r", "\f", "\v", "\x1c", "\x85", "\u2028"],
+                         ids=repr)
+def test_save_and_load_keep_line_breaks_inside_quoted_concepts(tmp_path, space):
+    # a quoted concept may hold any of these; only "\n" ends a saved line
+    graph = AmrGraph(nodes={"a": f'"x{space}y"', "b": "boy"},
+                     edges=(("a", ":mod", "b"),), root="a")
+    document = PenmanDocument(metadata={}, graph=graph)
+    vocabulary = build_vocabulary(["(", ")"], collect_symbols([document]),
+                                  max_pointers=4)
+    path = tmp_path / "vocab.txt"
+    save_vocabulary(vocabulary, path)
+    assert load_vocabulary(path) == vocabulary
