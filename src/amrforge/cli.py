@@ -1,10 +1,12 @@
 """Command-line interface binding ingestion, transformation, corpus
 building and evaluation into reproducible pipelines.
 
-Every randomized command resolves one seed (flag, then the AMRFORGE_SEED
-environment variable, then 0), echoes it on standard error, and derives
-all per-document randomness from it, so identical invocations produce
-byte-identical outputs.
+Every command takes the same three steps: read its whole input, run one
+function per document, and write the resulting lines.  The randomized
+commands (corrupt, build-tasks, smatch) resolve one seed (flag, then the
+AMRFORGE_SEED environment variable, then 0), echo it on standard error,
+and derive all per-document randomness from it, so identical invocations
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import tokens as tk
-from .amr import InvalidGraphError, compute_stats
+from .amr import AmrGraph, InvalidGraphError, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from .linearize import StructureError, _walk, delinearize, linearize
 from .metrics import (
@@ -72,30 +74,56 @@ def _open_in(path: str):
             yield handle
 
 
-@contextmanager
-def _open_out(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+def _read(path: str, strict: bool) -> list[tuple[PenmanDocument, AmrGraph]]:
+    """Every document of a corpus, each with the graph to use.
+
+    A strict read raises on the first unusable document.  In a lenient
+    read, diagnostics mean an invalid graph, or a syntax error that
+    already put the fallback in the graph's place: either way the
+    fallback is the graph to use.
+    """
+    with _open_in(path) as handle:
+        documents = list(read_corpus(handle, strict=strict))
+    return [(d, empty_graph() if d.diagnostics else d.graph) for d in documents]
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+def _read_lines(path: str) -> list[str]:
+    # a text file's lines end at "\n" only, where str.splitlines would
+    # also break at form feeds, U+0085 or U+2028
+    with _open_in(path) as handle:
+        return list(handle)
+
+
+def _write(path: str, lines) -> None:
+    # the file opens before the first line is made: an error while making
+    # the lines leaves those before it
+    with (nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8")) as out:
+        for line in lines:
+            print(line, file=out)
+
+
+def _json(row) -> str:
+    return json.dumps(row, ensure_ascii=False)
+
+
+def _seed(args) -> int:
+    """The --seed flag, else $AMRFORGE_SEED, else 0, echoed on stderr."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(ENV_SEED, "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return 0
+    print(f"amrforge: seed {seed}", file=sys.stderr)
+    return seed
 
 
-def _read_documents(path: str, strict: bool) -> list[PenmanDocument]:
-    with _open_in(path) as handle:
-        return list(read_corpus(handle, strict=strict))
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _config_from(args, seed: int) -> CorruptionConfig:
@@ -119,19 +147,6 @@ def _document_text(document: PenmanDocument, index: int) -> list[str]:
     )
 
 
-def _scored_graph(document: PenmanDocument, strict: bool):
-    """The document's graph, or the fallback when it is unusable."""
-    if not document.diagnostics:
-        return document.graph
-    if strict:
-        raise CliError(
-            "invalid document: " + "; ".join(d.message for d in document.diagnostics)
-        )
-    # in a lenient read, diagnostics mean an invalid graph, or a syntax
-    # error that already put the fallback in the graph's place
-    return empty_graph()
-
-
 def _json_score(result) -> dict | None:
     if result is None:
         return None
@@ -143,13 +158,6 @@ def _json_score(result) -> dict | None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="random seed "
-                        f"(default: ${ENV_SEED} or 0)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers where supported; output order "
-                        "is always input order")
-
     parser = argparse.ArgumentParser(
         prog="amrforge",
         description="AMR toolkit: graphs in, token sequences, task samples "
@@ -157,31 +165,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, strict=True):
-        # each command owns its mode flags: set_defaults on flags shared
-        # through a parent parser would change every command's default
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--strict", dest="strict", action="store_true")
-        mode.add_argument("--lenient", dest="strict", action="store_false")
-        p.set_defaults(strict=strict)
+    def command(name, handler, help_text, inputs=("input",), strict=True,
+                seed=False):
+        # each command declares only the flags it acts on; strict=None
+        # leaves out the mode flags
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for arg in inputs:
+            p.add_argument(arg, help=f"{arg} file, or - for stdin")
+        p.add_argument("-o", "--output", default="-",
+                       help="output file, or - for stdout")
+        p.add_argument("--jobs", type=_jobs, default=1,
+                       help="parallel workers where supported (smatch); "
+                       "output order is always input order")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help=f"random seed (default: ${ENV_SEED} or 0)")
+        if strict is not None:
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--strict", dest="strict", action="store_true")
+            mode.add_argument("--lenient", dest="strict", action="store_false")
+            p.set_defaults(strict=strict)
         return p
 
-    def add_io(p, out_default="-"):
-        p.add_argument("input", help="corpus file, or - for stdin")
-        p.add_argument("-o", "--output", default=out_default,
-                       help="output file, or - for stdout")
+    command("validate", _cmd_validate,
+            "report invariant violations per document", strict=None)
+    command("stats", _cmd_stats,
+            "per-graph size/depth/reentrancy rows plus a bucket summary")
+    command("linearize", _cmd_linearize, "PENMAN corpus to token lines")
+    command("delinearize", _cmd_delinearize, "token lines to PENMAN")
 
-    add_io(command("validate", "report invariant violations per document"))
-    add_io(command("stats", "per-graph size/depth/reentrancy rows plus a "
-                            "bucket summary"))
-    add_io(command("linearize", "PENMAN corpus to token lines"))
-    add_io(command("delinearize", "token lines to PENMAN"))
-
-    corrupt = command("corrupt", "apply graph noise to a corpus")
-    add_io(corrupt)
-    build = command("build-tasks", "emit task samples as JSON lines")
-    add_io(build)
+    corrupt = command("corrupt", _cmd_corrupt, "apply graph noise to a corpus",
+                      seed=True)
+    build = command("build-tasks", _cmd_build_tasks,
+                    "emit task samples as JSON lines", seed=True)
     build.add_argument("--tasks", default="all",
                        help="comma-separated task names, or all (the six "
                        "pre-training tasks) / finetune / everything")
@@ -193,26 +210,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--subgraph-rate", type=float, default=0.35)
         p.add_argument("--text-rate", type=float, default=0.15)
 
-    vocab = command("vocab", "build the extended symbol vocabulary")
-    add_io(vocab)
+    vocab = command("vocab", _cmd_vocab, "build the extended symbol vocabulary")
     vocab.add_argument("--base", default=None,
                        help="file with base tokens, one per line "
                        "(default: the two parentheses)")
     vocab.add_argument("--max-pointers", type=int, default=512)
 
-    smatch_cmd = command("smatch", "score predicted graphs against gold",
-                         strict=False)
-    smatch_cmd.add_argument("gold")
-    smatch_cmd.add_argument("predicted")
-    smatch_cmd.add_argument("-o", "--output", default="-")
+    smatch_cmd = command("smatch", _cmd_smatch,
+                         "score predicted graphs against gold",
+                         inputs=("gold", "predicted"), strict=False, seed=True)
     smatch_cmd.add_argument("--restarts", type=int, default=4)
     smatch_cmd.add_argument("--fine", action="store_true",
                             help="also report fine-grained sub-metrics")
 
-    bleu = command("bleu", "corpus BLEU over whitespace tokens")
-    bleu.add_argument("reference")
-    bleu.add_argument("hypothesis")
-    bleu.add_argument("-o", "--output", default="-")
+    command("bleu", _cmd_bleu, "corpus BLEU over whitespace tokens",
+            inputs=("reference", "hypothesis"), strict=None)
     return parser
 
 
@@ -223,9 +235,7 @@ def run(argv=None) -> int:
     except SystemExit as exit_request:
         return int(exit_request.code or 0)
     try:
-        seed = _resolve_seed(args)
-        handler = _HANDLERS[args.command]
-        return handler(args, seed)
+        return args.handler(args)
     except BrokenPipeError:
         # The reader of stdout has stopped (`amrforge vocab ... | head`),
         # which is no failure.  Pointing stdout at the null device keeps
@@ -252,98 +262,88 @@ def main() -> None:
     sys.exit(run())
 
 
-def _note_seed(seed: int) -> None:
-    print(f"amrforge: seed {seed}", file=sys.stderr)
+def _cmd_validate(args) -> int:
+    documents = _read(args.input, strict=False)
+    _write(args.output, (
+        _json({
+            "index": index,
+            "id": document.metadata.get("id"),
+            "diagnostics": [
+                {"code": d.code, "message": d.message} for d in document.diagnostics
+            ],
+        })
+        for index, (document, _) in enumerate(documents)
+    ))
+    return 1 if any(document.diagnostics for document, _ in documents) else 0
 
 
-def _cmd_validate(args, seed: int) -> int:
-    documents = _read_documents(args.input, strict=False)
-    any_invalid = False
-    with _open_out(args.output) as out:
-        for index, document in enumerate(documents):
-            diagnostics = document.diagnostics
-            if diagnostics:
-                any_invalid = True
-            row = {
-                "index": index,
-                "id": document.metadata.get("id"),
-                "diagnostics": [
-                    {"code": d.code, "message": d.message} for d in diagnostics
-                ],
-            }
-            print(json.dumps(row, ensure_ascii=False), file=out)
-    return 1 if any_invalid else 0
-
-
-def _cmd_stats(args, seed: int) -> int:
-    documents = _read_documents(args.input, args.strict)
+def _stats_rows(documents):
     buckets = {"size": Counter(), "depth": Counter(), "reentrancies": Counter()}
-    with _open_out(args.output) as out:
-        for index, document in enumerate(documents):
-            if document.diagnostics:
-                continue  # lenient mode: skip unusable documents
-            stats = compute_stats(document.graph)
-            row = {
-                "index": index,
-                "id": document.metadata.get("id"),
-                "size": stats.size,
-                "depth": stats.depth,
-                "reentrancies": stats.reentrancies,
-                "size_bucket": stats.size_bucket,
-                "depth_bucket": stats.depth_bucket,
-                "reent_bucket": stats.reent_bucket,
-            }
-            buckets["size"][stats.size_bucket] += 1
-            buckets["depth"][stats.depth_bucket] += 1
-            buckets["reentrancies"][stats.reent_bucket] += 1
-            print(json.dumps(row, ensure_ascii=False), file=out)
-        print(json.dumps({"summary": buckets}, ensure_ascii=False), file=out)
+    for index, (document, graph) in enumerate(documents):
+        if document.diagnostics:
+            continue  # lenient mode: skip unusable documents
+        stats = compute_stats(graph)
+        buckets["size"][stats.size_bucket] += 1
+        buckets["depth"][stats.depth_bucket] += 1
+        buckets["reentrancies"][stats.reent_bucket] += 1
+        yield _json({
+            "index": index,
+            "id": document.metadata.get("id"),
+            "size": stats.size,
+            "depth": stats.depth,
+            "reentrancies": stats.reentrancies,
+            "size_bucket": stats.size_bucket,
+            "depth_bucket": stats.depth_bucket,
+            "reent_bucket": stats.reent_bucket,
+        })
+    yield _json({"summary": buckets})
+
+
+def _cmd_stats(args) -> int:
+    _write(args.output, _stats_rows(_read(args.input, args.strict)))
     return 0
 
 
-def _cmd_linearize(args, seed: int) -> int:
-    documents = _read_documents(args.input, args.strict)
-    with _open_out(args.output) as out:
-        for document in documents:
-            graph = _scored_graph(document, args.strict)
-            print(tk.to_text(linearize(graph)), file=out)
+def _cmd_linearize(args) -> int:
+    documents = _read(args.input, args.strict)
+    _write(args.output, (tk.to_text(linearize(graph)) for _, graph in documents))
     return 0
 
 
-def _cmd_delinearize(args, seed: int) -> int:
-    with _open_in(args.input) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    texts = []
-    for line in lines:
-        toks = tk.from_text(line)
-        if args.strict:
-            texts.append(graph_to_penman(delinearize(toks)))
-            continue
-        # one walk per line: what delinearize(repair(toks)) would build
-        graph, fault = _walk(toks)
-        if graph is None:
-            texts.append(graph_to_penman(empty_graph()))
-        else:
-            # a repaired sequence is re-linearized, which renumbers its
-            # pointers in walk order
-            texts.append(_render(graph, renumber=fault is not None))
-    with _open_out(args.output) as out:
-        for i, text in enumerate(texts):
-            if i:
-                print(file=out)
-            print(text, file=out)
+def _penman_of_line(line: str, strict: bool) -> str:
+    toks = tk.from_text(line)
+    if strict:
+        return graph_to_penman(delinearize(toks))
+    # one walk per line: what delinearize(repair(toks)) would build
+    graph, fault = _walk(toks)
+    if graph is None:
+        return graph_to_penman(empty_graph())
+    # a repaired sequence is re-linearized, which renumbers its pointers
+    # in walk order
+    return _render(graph, renumber=fault is not None)
+
+
+def _cmd_delinearize(args) -> int:
+    # a token line is read when it is walked, so every line is walked
+    # before the output opens, and a strict error writes nothing
+    texts = [
+        _penman_of_line(line.strip(), args.strict)
+        for line in _read_lines(args.input)
+        if line.strip()
+    ]
+    # a blank line between documents
+    _write(args.output, (("\n" if i else "") + text for i, text in enumerate(texts)))
     return 0
 
 
-def _cmd_corrupt(args, seed: int) -> int:
-    _note_seed(seed)
-    documents = _read_documents(args.input, args.strict)
+def _cmd_corrupt(args) -> int:
+    seed = _seed(args)
+    documents = _read(args.input, args.strict)
     config = _config_from(args, seed)
-    with _open_out(args.output) as out:
-        for index, document in enumerate(documents):
-            graph = _scored_graph(document, args.strict)
-            toks, _ = corrupt_graph(graph, config, derive_rng(seed, index))
-            print(tk.to_text(toks), file=out)
+    _write(args.output, (
+        tk.to_text(corrupt_graph(graph, config, derive_rng(seed, index))[0])
+        for index, (_, graph) in enumerate(documents)
+    ))
     return 0
 
 
@@ -358,25 +358,24 @@ def _parse_task_set(names: str):
     return tuple(parse_tag(part.strip()) for part in names.split(",") if part.strip())
 
 
-def _cmd_build_tasks(args, seed: int) -> int:
-    _note_seed(seed)
-    documents = _read_documents(args.input, args.strict)
+def _cmd_build_tasks(args) -> int:
+    seed = _seed(args)
+    documents = _read(args.input, args.strict)
     tags = _parse_task_set(args.tasks)
-    config = _config_from(args, seed)
+    pairs = [
+        (_document_text(document, index), graph)
+        for index, (document, graph) in enumerate(documents)
+    ]
     schedule = MaskSchedule(total_steps=args.total_steps)
-    pairs = []
-    for index, document in enumerate(documents):
-        graph = _scored_graph(document, args.strict)
-        pairs.append((_document_text(document, index), graph))
-    with _open_out(args.output) as out:
-        for sample in build_corpus(pairs, schedule, config, tags):
-            print(sample_to_json(sample), file=out)
+    samples = build_corpus(pairs, schedule, _config_from(args, seed), tags)
+    _write(args.output, map(sample_to_json, samples))
     return 0
 
 
-def _cmd_vocab(args, seed: int) -> int:
-    documents = _read_documents(args.input, args.strict)
-    inventory = collect_symbols(documents)
+def _cmd_vocab(args) -> int:
+    # each document's own graph counts, an invalid one included
+    documents = _read(args.input, args.strict)
+    inventory = collect_symbols(document for document, _ in documents)
     if args.base:
         with open(args.base, "r", encoding="utf-8-sig") as handle:
             base = [line.rstrip("\n") for line in handle if line.strip()]
@@ -384,10 +383,9 @@ def _cmd_vocab(args, seed: int) -> int:
         base = [tk.OPEN, tk.CLOSE]
     vocabulary = build_vocabulary(base, inventory, max_pointers=args.max_pointers)
     if args.output == "-":
-        for token in vocabulary.token_of:
-            print(token)
+        _write("-", vocabulary.token_of)
     else:
-        save_vocabulary(vocabulary, args.output)
+        save_vocabulary(vocabulary, args.output)  # with its partition sidecar
     return 0
 
 
@@ -398,21 +396,19 @@ def _smatch_pair(payload):
     return {"smatch": smatch(graph1, graph2, restarts=restarts, seed=seed)}
 
 
-def _cmd_smatch(args, seed: int) -> int:
-    _note_seed(seed)
-    gold_docs = _read_documents(args.gold, args.strict)
-    pred_docs = _read_documents(args.predicted, args.strict)
-    if len(gold_docs) != len(pred_docs):
-        raise CliError(
-            f"gold has {len(gold_docs)} documents, predicted has {len(pred_docs)}"
-        )
-    payloads = []
-    for gold, predicted in zip(gold_docs, pred_docs):
-        gold_graph = _scored_graph(gold, args.strict)
-        pred_graph = _scored_graph(predicted, args.strict)
-        payloads.append((pred_graph, gold_graph, args.restarts, seed, args.fine))
-    if args.jobs > 1 and len(payloads) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+def _cmd_smatch(args) -> int:
+    seed = _seed(args)
+    gold = _read(args.gold, args.strict)
+    predicted = _read(args.predicted, args.strict)
+    if len(gold) != len(predicted):
+        raise CliError(f"gold has {len(gold)} documents, predicted has {len(predicted)}")
+    payloads = [
+        (pred_graph, gold_graph, args.restarts, seed, args.fine)
+        for (_, gold_graph), (_, pred_graph) in zip(gold, predicted)
+    ]
+    workers = min(args.jobs, len(payloads))  # no idle workers
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             per_pair = pool.map(_smatch_pair, payloads)
     else:
         per_pair = [_smatch_pair(payload) for payload in payloads]
@@ -420,43 +416,23 @@ def _cmd_smatch(args, seed: int) -> int:
     keys = FINE_GRAINED_KEYS if args.fine else ("smatch",)
     report = {"seed": seed, "pairs": len(per_pair)}
     for key in keys:
-        report[key] = _json_score(
-            aggregate(result.get(key) for result in per_pair)
-        )
-    with _open_out(args.output) as out:
-        print(json.dumps(report, ensure_ascii=False), file=out)
+        report[key] = _json_score(aggregate(result.get(key) for result in per_pair))
+    _write(args.output, [_json(report)])
     return 0
 
 
-def _cmd_bleu(args, seed: int) -> int:
-    with _open_in(args.reference) as handle:
-        references = [line.split() for line in handle.read().splitlines()]
-    with _open_in(args.hypothesis) as handle:
-        hypotheses = [line.split() for line in handle.read().splitlines()]
+def _cmd_bleu(args) -> int:
+    references = [line.split() for line in _read_lines(args.reference)]
+    hypotheses = [line.split() for line in _read_lines(args.hypothesis)]
     details = corpus_bleu_details(hypotheses, references)
-    report = {
+    _write(args.output, [_json({
         "bleu": round(details.score, 6),
         "precisions": [round(p, 6) for p in details.precisions],
         "brevity_penalty": round(details.brevity_penalty, 6),
         "hypothesis_length": details.hypothesis_length,
         "reference_length": details.reference_length,
-    }
-    with _open_out(args.output) as out:
-        print(json.dumps(report, ensure_ascii=False), file=out)
+    })])
     return 0
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "stats": _cmd_stats,
-    "linearize": _cmd_linearize,
-    "delinearize": _cmd_delinearize,
-    "corrupt": _cmd_corrupt,
-    "build-tasks": _cmd_build_tasks,
-    "vocab": _cmd_vocab,
-    "smatch": _cmd_smatch,
-    "bleu": _cmd_bleu,
-}
 
 
 if __name__ == "__main__":

@@ -324,3 +324,120 @@ def test_smatch_report_key_set(corpus, capsys):
     report = json.loads(capsys.readouterr().out)
     assert list(report) == ["seed", "pairs", "smatch"]
     assert set(report["smatch"]) == {"precision", "recall", "f1"}
+
+
+def test_bleu_lines_end_at_newline_only(tmp_path, capsys):
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_text("the boy\x85went home\nhe ran fast\x0cnow\n", encoding="utf-8")
+    hyp.write_text("the boy went home\nhe ran fast now\n", encoding="utf-8")
+    assert run(["bleu", str(ref), str(hyp)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bleu"] == 1.0
+    assert report["reference_length"] == report["hypothesis_length"] == 8
+
+
+def test_bleu_empty_file_has_no_lines(tmp_path, capsys):
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_text("", encoding="utf-8")
+    hyp.write_text("the boy\n", encoding="utf-8")
+    assert run(["bleu", str(ref), str(hyp)]) == 1
+    assert "1 hypotheses vs 0 references" in capsys.readouterr().err
+
+
+def test_bad_seed_fails_only_the_commands_that_use_one(corpus, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.setenv("AMRFORGE_SEED", "abc")
+    assert run(["linearize", str(corpus)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == GOLDEN_SEQUENCE
+    assert run(["corrupt", str(corpus)]) == 1
+    assert "AMRFORGE_SEED must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5", "two"])
+@pytest.mark.parametrize("command", ["smatch", "linearize"])
+def test_jobs_below_one_is_a_usage_error(command, jobs, corpus, capsys):
+    inputs = [str(corpus)] * (2 if command == "smatch" else 1)
+    assert run([command, *inputs, "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, function, items):
+        return [function(item) for item in items]
+
+
+@pytest.mark.parametrize("jobs, pool_sizes", [("64", [2]), ("2", [2]), ("1", [])])
+def test_smatch_starts_at_most_one_worker_per_pair(jobs, pool_sizes, corpus,
+                                                   monkeypatch, capsys):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr("multiprocessing.Pool", _RecordingPool)
+    assert run(["smatch", str(corpus), str(corpus), "--jobs", jobs]) == 0
+    assert _RecordingPool.sizes == pool_sizes
+    assert json.loads(capsys.readouterr().out)["smatch"]["f1"] == 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ["linearize"], ["stats"], ["corrupt"], ["build-tasks"], ["vocab"],
+])
+def test_strict_read_error_writes_no_file(command, tmp_path):
+    bad = tmp_path / "bad.amr"
+    bad.write_text("# ::tok a boy\n(a / boy)\n\n(broken / x :mod\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*command, str(bad), "-o", str(out)]) == 1
+    assert not out.exists()
+    assert run([*command, str(tmp_path / "missing.amr"), "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_smatch_strict_read_error_writes_no_file(corpus, tmp_path):
+    bad = tmp_path / "bad.amr"
+    bad.write_text("(a / boy)\n\n(broken / x :mod\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert run(["smatch", str(corpus), str(bad), "--strict", "-o", str(out)]) == 1
+    assert not out.exists()
+    assert run(["smatch", str(corpus), str(tmp_path / "missing.amr"),
+                "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_delinearize_strict_error_writes_no_file(tmp_path):
+    lines = tmp_path / "toks.txt"
+    lines.write_text("( <Z0> boy )\n( <Z0> go :arg0\n", encoding="utf-8")
+    out = tmp_path / "out.amr"
+    assert run(["delinearize", str(lines), "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["linearize", "in.amr", "--seed", "1"],
+    ["stats", "in.amr", "--seed", "1"],
+    ["vocab", "in.amr", "--seed", "1"],
+    ["bleu", "ref.txt", "hyp.txt", "--lenient"],
+    ["bleu", "ref.txt", "hyp.txt", "--seed", "1"],
+    ["validate", "in.amr", "--strict"],
+    ["validate", "in.amr", "--lenient"],
+])
+def test_flags_a_command_does_not_use_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_reports_every_document_despite_a_syntax_error(tmp_path, capsys):
+    path = tmp_path / "bad.amr"
+    path.write_text("# ::id a\n(a / boy)\n\n# ::id b\n(broken / x :mod\n\n"
+                    "# ::id c\n(c / dog)\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["id"] for row in rows] == ["a", "b", "c"]
+    assert [bool(row["diagnostics"]) for row in rows] == [False, True, False]
