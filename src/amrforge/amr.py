@@ -413,21 +413,6 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
     """
     require_valid(first)
     require_valid(second)
-    if len(first.nodes) != len(second.nodes):
-        return False
-    if len(first.edges) != len(second.edges):
-        return False
-    if len(first.attributes) != len(second.attributes):
-        return False
-    if Counter(first.nodes.values()) != Counter(second.nodes.values()):
-        return False
-    if Counter(r for _, r, _ in first.edges) != Counter(
-        r for _, r, _ in second.edges
-    ):
-        return False
-    if first.nodes[first.root] != second.nodes[second.root]:
-        return False
-
     colors1, colors2 = _joint_colors(first, second)
     if _color_signature(first, colors1) != _color_signature(second, colors2):
         return False
@@ -512,9 +497,8 @@ def _search_bijection(first, second, colors1, colors2) -> bool:
     by_color: dict[int, list[str]] = {}
     for n in second.nodes:
         by_color.setdefault(colors2[n], []).append(n)
-    candidates = {n: by_color.get(colors1[n], []) for n in first.nodes}
-    if any(not c for c in candidates.values()):
-        return False
+    # equal color signatures: every color of first has nodes in second
+    candidates = {n: by_color[colors1[n]] for n in first.nodes}
     order = sorted(first.nodes, key=lambda n: len(candidates[n]))
 
     out1, inn1 = _adjacency(first)

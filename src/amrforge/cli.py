@@ -17,9 +17,10 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import sys
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from . import tokens as tk
 from .amr import AmrGraph, InvalidGraphError, compute_stats
@@ -95,12 +96,42 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _write(path: str, lines) -> None:
-    # the file opens before the first line is made: an error while making
-    # the lines leaves those before it
-    with (nullcontext(sys.stdout) if path == "-"
-          else open(path, "w", encoding="utf-8")) as out:
-        for line in lines:
-            print(line, file=out)
+    """Print each line to stdout (``-``) or to the file at ``path``.
+
+    On stdout an error leaves the lines printed before it.  A regular file
+    is written beside its path and moved into place after the last line,
+    so an error leaves it absent or unchanged.  Anything else at ``path``,
+    such as a FIFO or ``/dev/null``, is written in place.
+    """
+    if path == "-":
+        _print_all(lines, sys.stdout)
+        return
+    real = os.path.realpath(path)  # a symlinked output keeps its link
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(real, "w", encoding="utf-8") as out:
+            _print_all(lines, out)
+        return
+    temporary = f"{real}.{os.getpid()}.tmp"
+    # "x" gives a new file the umask's mode, and never opens an existing one
+    try:
+        out = open(temporary, "x", encoding="utf-8")
+    except FileNotFoundError as error:
+        error.filename = path  # a missing directory: name the output
+        raise
+    try:
+        with out:
+            if os.path.exists(real):
+                shutil.copymode(real, temporary)
+            _print_all(lines, out)
+        os.replace(temporary, real)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
+def _print_all(lines, out) -> None:
+    for line in lines:
+        print(line, file=out)
 
 
 def _json(row) -> str:

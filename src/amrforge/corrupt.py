@@ -97,8 +97,9 @@ def node_edge_step(node_rate: float, edge_rate: float):
     """
 
     def step(toks: list[str], layout: LinearLayout, rng: random.Random):
-        concept_candidates = _unmasked(toks, layout.concept_pos)
-        edge_candidates = _unmasked(toks, layout.edge_rel_pos)
+        # a node's concept follows its open paren and pointer
+        concept_candidates = _unmasked(toks, (o + 2 for o, _ in layout.span.values()))
+        edge_candidates = _unmasked(toks, layout.edge_rel_pos.values())
         node_picks = rng.sample(
             concept_candidates, _half_up(node_rate * len(concept_candidates))
         )
@@ -112,8 +113,8 @@ def node_edge_step(node_rate: float, edge_rate: float):
     return step
 
 
-def _unmasked(toks: list[str], positions: dict) -> list[int]:
-    return sorted(pos for pos in positions.values() if toks[pos] != tk.MASK)
+def _unmasked(toks: list[str], positions) -> list[int]:
+    return sorted(pos for pos in positions if toks[pos] != tk.MASK)
 
 
 def _mask_each(toks: list[str], kinds: dict[int, str]):
@@ -155,23 +156,22 @@ def _eligible_spans(layout: LinearLayout) -> list[str]:
     only after its definition, so the span keeps all those references
     exactly when that last one lies before its close paren.
     """
-    order = sorted(layout.span, key=layout.span.get)
     # ref_positions runs in text order, so each node keeps its last reference
     last = {node: pos for pos, node in layout.ref_positions}
     parent: dict[str, str | None] = {}
     enclosing: list[str] = []
-    for node in order:
+    for node in layout.span:  # in text order of the open parens
         while enclosing and layout.span[enclosing[-1]][1] < layout.span[node][0]:
             enclosing.pop()
         parent[node] = enclosing[-1] if enclosing else None
         enclosing.append(node)
-    for node in reversed(order):  # descendants before their ancestors
+    for node in reversed(layout.span):  # descendants before their ancestors
         up = parent[node]
         if up is not None and node in last:
             last[up] = max(last.get(up, -1), last[node])
     return [
         node
-        for node in order
+        for node in layout.span
         if parent[node] is not None and last.get(node, -1) <= layout.span[node][1]
     ]
 
@@ -182,33 +182,20 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
     Returns the tokens, the layout with the positions inside the span
     dropped and those after it shifted, and the edits: the one removal.
     """
-    start, end = layout.intro_rel_pos[node], layout.span[node][1]
+    start, end = layout.span[node][0] - 1, layout.span[node][1]
     removed = tuple(toks[start : end + 1])
     shift = len(removed) - 1
 
-    def inside(pos: int | None) -> bool:
-        return pos is not None and start <= pos <= end
+    def moved(pos: int) -> int:
+        return pos - shift if pos > end else pos
 
-    def moved(pos: int | None) -> int | None:
-        return pos - shift if pos is not None and pos > end else pos
-
-    def kept(table: dict) -> dict:
-        return {key: moved(pos) for key, pos in table.items() if not inside(pos)}
-
-    span = {
-        other: (moved(open_pos), moved(close_pos))
-        for other, (open_pos, close_pos) in layout.span.items()
-        if not inside(open_pos)
-    }
     cut = LinearLayout(
-        pointer_of={n: k for n, k in layout.pointer_of.items() if n in span},
-        concept_pos=kept(layout.concept_pos),
-        edge_rel_pos=kept(layout.edge_rel_pos),
-        attr_rel_pos=kept(layout.attr_rel_pos),
-        span=span,
-        intro_rel_pos=kept(layout.intro_rel_pos),
+        span={other: (moved(o), moved(c)) for other, (o, c) in layout.span.items()
+              if not start <= o <= end},
+        edge_rel_pos={index: moved(pos) for index, pos in layout.edge_rel_pos.items()
+                      if not start <= pos <= end},
         ref_positions=[(moved(pos), other) for pos, other in layout.ref_positions
-                       if not inside(pos)],
+                       if not start <= pos <= end],
     )
     out = toks[:start] + [tk.MASK] + toks[end + 1 :]
     return out, cut, (("subgraph", start, removed),)
@@ -249,7 +236,7 @@ def _compose(graph: AmrGraph, toks: list[str], layout: LinearLayout, steps, rng)
     removed = None
     for step in steps:
         out, next_layout, step_edits = step(toks, layout, rng)
-        node_of_concept = {pos: n for n, pos in layout.concept_pos.items()}
+        node_of_concept = {o + 2: n for n, (o, _) in layout.span.items()}
         edge_of_rel = {pos: i for i, pos in layout.edge_rel_pos.items()}
         for kind, pos, original in step_edits:
             if kind == "node":
@@ -273,12 +260,12 @@ def _compose(graph: AmrGraph, toks: list[str], layout: LinearLayout, steps, rng)
 def _removed_subgraph(graph: AmrGraph, layout: LinearLayout, start: int, length: int):
     """The graph whose spans open inside ``length`` tokens from ``start``."""
     end = start + length - 1
-    inside = {n for n, (o, _) in layout.span.items() if start <= o <= end}
+    inside = dict.fromkeys(n for n, (o, _) in layout.span.items() if start <= o <= end)
     return AmrGraph(
         nodes={n: c for n, c in graph.nodes.items() if n in inside},
         edges=tuple(e for e in graph.edges if e[0] in inside and e[2] in inside),
         attributes=tuple(a for a in graph.attributes if a[0] in inside),
-        root=min(inside, key=layout.span.get),
+        root=next(iter(inside)),  # the first span in pointer order
     )
 
 

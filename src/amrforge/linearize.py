@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tokens as tk
 from .amr import (
@@ -51,20 +51,19 @@ class RepairError(ValueError):
 class LinearLayout:
     """Token positions produced by one linearization.
 
-    Maps node ids and edge/attribute indices back into the token sequence,
-    which is what targeted corruption and record keeping need.  ``span``
-    covers a node's first visit from its open to its close paren,
-    inclusive; ``intro_rel_pos`` is the position of the relation token
-    introducing that span (None for the root).
+    ``span`` maps each node to its first visit, from its open to its close
+    paren inclusive, in pointer order: the ``k``-th key is the node whose
+    span opens ``k``-th, which is node ``<Zk>`` of a fresh linearization.
+    Its pointer follows at ``open + 1``, its concept at ``open + 2`` and,
+    below the root, its introducing relation precedes it at ``open - 1``.
+    ``edge_rel_pos`` maps edge indices to their relation tokens and
+    ``ref_positions`` lists the bare pointers, each with its node, in text
+    order.  Targeted corruption and rendering read nothing else.
     """
 
-    pointer_of: dict[str, int]
-    concept_pos: dict[str, int]
-    edge_rel_pos: dict[int, int]
-    attr_rel_pos: dict[int, int]
     span: dict[str, tuple[int, int]]
-    intro_rel_pos: dict[str, int | None]
-    ref_positions: list[tuple[int, str]] = field(default_factory=list)
+    edge_rel_pos: dict[int, int]
+    ref_positions: list[tuple[int, str]]
 
 
 def linearize(graph: AmrGraph) -> list[str]:
@@ -78,25 +77,15 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     attrs = graph.node_attributes()
 
     toks: list[str] = []
-    pointer_of: dict[str, int] = {}
-    concept_pos: dict[str, int] = {}
+    span: dict[str, tuple[int, int]] = {}  # keyed at the open paren
     edge_rel_pos: dict[int, int] = {}
-    attr_rel_pos: dict[int, int] = {}
-    span_open: dict[str, int] = {}
-    span: dict[str, tuple[int, int]] = {}
     ref_positions: list[tuple[int, str]] = []
 
     def open_span(node: str) -> None:
-        pointer_of[node] = len(pointer_of)
-        span_open[node] = len(toks)
-        toks.append(tk.OPEN)
-        toks.append(tk.pointer(pointer_of[node]))
-        concept_pos[node] = len(toks)
-        toks.append(graph.concept(node))
-        for index, rel, value in attrs[node]:
-            attr_rel_pos[index] = len(toks)
-            toks.append(rel)
-            toks.append(value)
+        span[node] = (len(toks), -1)  # closed when the walk leaves the node
+        toks.extend((tk.OPEN, tk.pointer(len(span) - 1), graph.concept(node)))
+        for _, rel, value in attrs[node]:
+            toks.extend((rel, value))
         stack.append((node, iter(out[node])))
 
     # Explicit stack of open nodes, each with its edges still to write.
@@ -110,33 +99,17 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
         for index, rel, target in edges:
             edge_rel_pos[index] = len(toks)
             toks.append(rel)
-            if target not in pointer_of:
+            if target not in span:
                 open_span(target)
                 break
             ref_positions.append((len(toks), target))
-            toks.append(tk.pointer(pointer_of[target]))
+            toks.append(toks[span[target][0] + 1])  # the target's pointer
         else:
             stack.pop()
-            span[node] = (span_open[node], len(toks))
+            span[node] = (span[node][0], len(toks))
             toks.append(tk.CLOSE)
 
-    # A non-root span is introduced by the edge relation written just
-    # before its open paren.
-    intro_rel_pos = {
-        node: None if node == graph.root else start - 1
-        for node, (start, _) in span.items()
-    }
-
-    layout = LinearLayout(
-        pointer_of=pointer_of,
-        concept_pos=concept_pos,
-        edge_rel_pos=edge_rel_pos,
-        attr_rel_pos=attr_rel_pos,
-        span=span,
-        intro_rel_pos=intro_rel_pos,
-        ref_positions=ref_positions,
-    )
-    return toks, layout
+    return toks, LinearLayout(span, edge_rel_pos, ref_positions)
 
 
 def delinearize(toks: list[str]) -> AmrGraph:

@@ -565,29 +565,16 @@ def fine_grained(
         _negation_multiset(graph1), _negation_multiset(graph2)
     )
 
-    reentrant2 = _reentrant_edges(graph2)
-    if reentrant2:
-        results["reentrancy"] = _scored_smatch(
-            _restricted(graph1, _reentrant_edges(graph1)),
-            _restricted(graph2, reentrant2),
+    # reentrancy before srl, so each draws from rng in the order it always has
+    for key, selected in (("reentrancy", _reentrant_edges), ("srl", _srl_edges)):
+        subset2 = selected(graph2)
+        results[key] = _scored_smatch(
+            _restricted(graph1, selected(graph1)),
+            _restricted(graph2, subset2),
             restarts,
             rng,
             base_seed,
-        )
-    else:
-        results["reentrancy"] = None
-
-    srl2 = _srl_edges(graph2)
-    if srl2:
-        results["srl"] = _scored_smatch(
-            _restricted(graph1, _srl_edges(graph1)),
-            _restricted(graph2, srl2),
-            restarts,
-            rng,
-            base_seed,
-        )
-    else:
-        results["srl"] = None
+        ) if subset2 else None
     return results
 
 

@@ -261,13 +261,11 @@ def _render(graph: AmrGraph, renumber: bool) -> str:
     each node named ``zk`` after its pointer ``<Zk>``, which is what
     ``graph_to_penman(delinearize(linearize(graph)))`` writes."""
     parts, layout = linearize_with_layout(graph)
-    name = {
-        node: f"z{pointer}" if renumber else node
-        for node, pointer in layout.pointer_of.items()
-    }
-    for node, position in layout.concept_pos.items():
-        parts[position - 2] = f"({name[node]}"
-        parts[position - 1] = "/"
+    # the k-th span is the one the pointer <Zk> opens
+    name = {node: f"z{k}" if renumber else node for k, node in enumerate(layout.span)}
+    for node, (start, _) in layout.span.items():
+        parts[start] = f"({name[node]}"
+        parts[start + 1] = "/"
     for position, node in layout.ref_positions:
         parts[position] = name[node]
     pieces = parts[:1]

@@ -203,6 +203,22 @@ def test_not_isomorphic_on_concept_mismatch():
     assert not is_isomorphic(one, two)
 
 
+@pytest.mark.parametrize("one, two", [
+    # a node more
+    ("(a / x :r (b / y))", "(a / x :r (b / y) :s (c / z))"),
+    # an edge more between the same nodes
+    ("(a / x :r (b / y))", "(a / x :r (b / y) :s b)"),
+    # an attribute more
+    ("(a / x :r (b / y))", '(a / x :r (b / y) :mod "z")'),
+    # the same concepts and relations, rooted at the other node
+    ("(a / x :r (b / y))", "(b / y :r (a / x))"),
+])
+def test_not_isomorphic_on_counts_or_root(one, two):
+    first, second = parse_penman(one).graph, parse_penman(two).graph
+    assert not is_isomorphic(first, second)
+    assert not is_isomorphic(second, first)
+
+
 def test_modal_graph_isomorphic_to_shuffled_copy(golden):
     mapping = {"z0": "q7", "z1": "q3", "z2": "q9", "z3": "q1"}
     renamed = rename_nodes(golden, mapping)

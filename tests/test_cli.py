@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +62,7 @@ def test_constant_with_spaces_has_no_token_line(command, tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert run([command, str(path), "-o", str(out)]) == 1
     assert "'\"New York\"'" in capsys.readouterr().err
-    assert out.read_text(encoding="utf-8") == ""
+    assert not out.exists()
 
 
 def test_linearize_delinearize_pipe_is_isomorphic(corpus, tmp_path, capsys):
@@ -417,6 +418,68 @@ def test_delinearize_strict_error_writes_no_file(tmp_path):
     out = tmp_path / "out.amr"
     assert run(["delinearize", str(lines), "-o", str(out)]) == 1
     assert not out.exists()
+
+
+# the first document has a token line, the second fails while it is made
+TWO_DOCUMENTS = '(b / boy)\n\n(c / city :name (n / name :op1 "New York"))\n'
+FAILING_AFTER_A_LINE = [["linearize"], ["corrupt", "--seed", "1"]]
+
+
+@pytest.mark.parametrize("command", FAILING_AFTER_A_LINE)
+def test_error_after_a_line_leaves_no_file(command, tmp_path):
+    path = tmp_path / "two.amr"
+    path.write_text(TWO_DOCUMENTS, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert run([*command, str(path), "-o", str(out)]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["two.amr"]  # no temporary file
+
+
+@pytest.mark.parametrize("command", FAILING_AFTER_A_LINE)
+def test_error_after_a_line_keeps_an_existing_file(command, tmp_path):
+    path = tmp_path / "two.amr"
+    path.write_text(TWO_DOCUMENTS, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    assert run([*command, str(path), "-o", str(out)]) == 1
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.txt", "two.amr"]
+
+
+def test_output_replaces_a_file_through_its_link_and_keeps_its_mode(corpus, tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o600)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(["linearize", str(corpus), "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").splitlines()[0] == GOLDEN_SEQUENCE
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path)) == ["corpus.amr", "link.txt", "target.txt"]
+
+
+def test_output_in_a_missing_directory_is_named_in_the_error(corpus, tmp_path,
+                                                             capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert run(["linearize", str(corpus), "-o", str(out)]) == 1
+    error = capsys.readouterr().err
+    assert repr(str(out)) in error and ".tmp" not in error
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_fifo_is_written_in_place(corpus, tmp_path):
+    fifo = tmp_path / "lines"
+    os.mkfifo(fifo)
+    # a reader must hold the pipe open, or opening it to write would block
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["linearize", str(corpus), "-o", str(fifo)]) == 0
+        received = os.read(reader, 1 << 16).decode("utf-8")
+    finally:
+        os.close(reader)
+    assert received.splitlines()[0] == GOLDEN_SEQUENCE
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["corpus.amr", "lines"]
 
 
 @pytest.mark.parametrize("argv", [

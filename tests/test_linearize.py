@@ -19,7 +19,9 @@ from amrforge import (
 )
 from amrforge.linearize import _walk, linearize_with_layout
 from amrforge.synth import random_graph
-from amrforge.tokens import from_text, is_pointer, is_relation, pointer_index, to_text
+from amrforge.tokens import (
+    from_text, is_pointer, is_relation, pointer, pointer_index, to_text,
+)
 
 from conftest import GOLDEN_SEQUENCE
 
@@ -262,15 +264,17 @@ def test_repair_output_always_delinearizes_and_is_idempotent():
 
 def test_layout_positions(golden):
     toks, layout = linearize_with_layout(golden)
-    assert toks[layout.concept_pos["z1"]] == "go"
-    assert layout.pointer_of == {"z0": 0, "z1": 1, "z2": 2, "z3": 3}
+    # keys in pointer order: the k-th span opens with <Zk>
+    assert list(layout.span) == ["z0", "z1", "z2", "z3"]
+    for k, (open_pos, _) in enumerate(layout.span.values()):
+        assert toks[open_pos + 1] == pointer(k)
     open_pos, close_pos = layout.span["z1"]
     assert toks[open_pos] == "(" and toks[close_pos] == ")"
-    assert toks[layout.intro_rel_pos["z1"]] == ":domain"
-    assert layout.intro_rel_pos["z0"] is None
-    assert sorted(layout.span) == ["z0", "z1", "z2", "z3"]
+    assert toks[open_pos + 2] == "go"
+    assert toks[open_pos - 1] == ":domain"
+    assert layout.span["z0"] == (0, len(toks) - 1)
     assert len(layout.edge_rel_pos) == 3
-    assert layout.attr_rel_pos == {}
+    assert layout.ref_positions == []
 
 
 def test_repair_preserves_back_reference_when_closing():
