@@ -60,10 +60,10 @@ class AmrGraph:
     ``z0, z1, ...`` when synthesized.
 
     ``nodes`` is a read-only view of a private copy, so a graph cannot
-    change once built, and :func:`validate` keeps a passing result on the
-    instance: checking a valid graph again costs nothing.  The mark is not
-    a field, so equality ignores it and ``dataclasses.replace`` starts the
-    new graph unmarked.
+    change once built.  :func:`validate` keeps a passing result on the
+    instance, and :func:`~amrforge.linearize.linearize_with_layout` its
+    walk.  Neither is a field, so equality ignores them, and a graph made
+    by ``dataclasses.replace`` or by unpickling starts without them.
     """
 
     nodes: Mapping[str, str]
@@ -72,6 +72,7 @@ class AmrGraph:
     root: str = ""
 
     _valid = False  # set on an instance by validate or _trusted
+    _linear = None  # set on an instance by linearize_with_layout
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
@@ -82,7 +83,7 @@ class AmrGraph:
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled (smatch --jobs sends graphs to
-        # worker processes); rebuild from a plain dict, unmarked
+        # worker processes); rebuild from a plain dict, unmarked, unwalked
         return AmrGraph, (dict(self.nodes), self.edges, self.attributes, self.root)
 
     def concept(self, node: str) -> str:
@@ -475,6 +476,10 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
         }
 
     for _ in range(len(first.nodes) + 1):
+        # A refined colour keeps its previous colour in its key, so once
+        # the two histograms differ they differ after every later round
+        if Counter(colors1.values()) != Counter(colors2.values()):
+            break
         before = len(set(colors1.values()) | set(colors2.values()))
         colors1 = refine(colors1, *adjacency1)
         colors2 = refine(colors2, *adjacency2)

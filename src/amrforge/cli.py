@@ -1,8 +1,9 @@
 """Command-line interface binding ingestion, transformation, corpus
 building and evaluation into reproducible pipelines.
 
-Every command takes the same three steps: read its whole input, run one
-function per document, and write the resulting lines.  The randomized
+Every command reads a document, runs one function on it and writes the
+resulting lines before it reads the next; smatch, bleu and vocab, which
+write one result per corpus, take in their whole input first.  The randomized
 commands (corrupt, build-tasks, smatch) resolve one seed (flag, then the
 AMRFORGE_SEED environment variable, then 0), echo it on standard error,
 and derive all per-document randomness from it, so identical invocations
@@ -20,7 +21,7 @@ import os
 import shutil
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from collections.abc import Iterator
 
 from . import tokens as tk
 from .amr import AmrGraph, InvalidGraphError, compute_stats
@@ -61,38 +62,32 @@ class CliError(ValueError):
     pass
 
 
-@contextmanager
-def _open_in(path: str):
-    # utf-8-sig drops a leading byte-order mark, as some editors write one
-    if path == "-":
-        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
-        try:
-            yield handle
-        finally:
-            handle.detach()  # leave stdin itself open
-    else:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            yield handle
-
-
-def _read(path: str, strict: bool) -> list[tuple[PenmanDocument, AmrGraph]]:
-    """Every document of a corpus, each with the graph to use.
+def _read(path: str, strict: bool) -> Iterator[tuple[PenmanDocument, AmrGraph]]:
+    """Each document of a corpus with the graph to use, read as it is
+    consumed: the input stays open until the last one is taken.
 
     A strict read raises on the first unusable document.  In a lenient
     read, diagnostics mean an invalid graph, or a syntax error that
     already put the fallback in the graph's place: either way the
     fallback is the graph to use.
     """
-    with _open_in(path) as handle:
-        documents = list(read_corpus(handle, strict=strict))
-    return [(d, empty_graph() if d.diagnostics else d.graph) for d in documents]
+    for d in read_corpus(_read_lines(path), strict=strict):
+        yield d, empty_graph() if d.diagnostics else d.graph
 
 
-def _read_lines(path: str) -> list[str]:
-    # a text file's lines end at "\n" only, where str.splitlines would
-    # also break at form feeds, U+0085 or U+2028
-    with _open_in(path) as handle:
-        return list(handle)
+def _read_lines(path: str) -> Iterator[str]:
+    # read as it is consumed; a line ends at "\n" only, where str.splitlines
+    # would also break at form feeds, U+0085 or U+2028.  utf-8-sig drops a
+    # leading byte-order mark, as some editors write one
+    if path == "-":
+        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+        try:
+            yield from handle
+        finally:
+            handle.detach()  # leave stdin itself open
+    else:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            yield from handle
 
 
 def _write(path: str, lines) -> None:
@@ -294,18 +289,23 @@ def main() -> None:
 
 
 def _cmd_validate(args) -> int:
-    documents = _read(args.input, strict=False)
-    _write(args.output, (
-        _json({
-            "index": index,
-            "id": document.metadata.get("id"),
-            "diagnostics": [
-                {"code": d.code, "message": d.message} for d in document.diagnostics
-            ],
-        })
-        for index, (document, _) in enumerate(documents)
-    ))
-    return 1 if any(document.diagnostics for document, _ in documents) else 0
+    flagged = 0
+
+    def rows():
+        nonlocal flagged
+        for index, (document, _) in enumerate(_read(args.input, strict=False)):
+            flagged += bool(document.diagnostics)
+            yield _json({
+                "index": index,
+                "id": document.metadata.get("id"),
+                "diagnostics": [
+                    {"code": d.code, "message": d.message}
+                    for d in document.diagnostics
+                ],
+            })
+
+    _write(args.output, rows())
+    return 1 if flagged else 0
 
 
 def _stats_rows(documents):
@@ -355,13 +355,8 @@ def _penman_of_line(line: str, strict: bool) -> str:
 
 
 def _cmd_delinearize(args) -> int:
-    # a token line is read when it is walked, so every line is walked
-    # before the output opens, and a strict error writes nothing
-    texts = [
-        _penman_of_line(line.strip(), args.strict)
-        for line in _read_lines(args.input)
-        if line.strip()
-    ]
+    lines = (line.strip() for line in _read_lines(args.input))
+    texts = (_penman_of_line(line, args.strict) for line in lines if line)
     # a blank line between documents
     _write(args.output, (("\n" if i else "") + text for i, text in enumerate(texts)))
     return 0
@@ -391,12 +386,11 @@ def _parse_task_set(names: str):
 
 def _cmd_build_tasks(args) -> int:
     seed = _seed(args)
-    documents = _read(args.input, args.strict)
     tags = _parse_task_set(args.tasks)
-    pairs = [
+    pairs = (
         (_document_text(document, index), graph)
-        for index, (document, graph) in enumerate(documents)
-    ]
+        for index, (document, graph) in enumerate(_read(args.input, args.strict))
+    )
     schedule = MaskSchedule(total_steps=args.total_steps)
     samples = build_corpus(pairs, schedule, _config_from(args, seed), tags)
     _write(args.output, map(sample_to_json, samples))
@@ -429,8 +423,9 @@ def _smatch_pair(payload):
 
 def _cmd_smatch(args) -> int:
     seed = _seed(args)
-    gold = _read(args.gold, args.strict)
-    predicted = _read(args.predicted, args.strict)
+    # whole corpora: the pair counts must agree, and cap the workers
+    gold = list(_read(args.gold, args.strict))
+    predicted = list(_read(args.predicted, args.strict))
     if len(gold) != len(predicted):
         raise CliError(f"gold has {len(gold)} documents, predicted has {len(predicted)}")
     payloads = [

@@ -225,11 +225,7 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
     Every step's edits are named in graph terms (masked node ids, edge
     indices and the removed sub-graph) through the layout it ran on.
     """
-    return _compose(graph, *linearize_with_layout(graph), steps, rng)
-
-
-def _compose(graph: AmrGraph, toks: list[str], layout: LinearLayout, steps, rng):
-    """:func:`compose` from the graph's linearization ``(toks, layout)``."""
+    toks, layout = linearize_with_layout(graph)
     edits: list[Edit] = []
     node_ids: set[str] = set()
     edge_indices: set[int] = set()

@@ -58,7 +58,8 @@ class LinearLayout:
     below the root, its introducing relation precedes it at ``open - 1``.
     ``edge_rel_pos`` maps edge indices to their relation tokens and
     ``ref_positions`` lists the bare pointers, each with its node, in text
-    order.  Targeted corruption and rendering read nothing else.
+    order.  Targeted corruption and rendering read nothing else, and write
+    nothing: a graph hands one layout to every caller.
     """
 
     span: dict[str, tuple[int, int]]
@@ -71,7 +72,14 @@ def linearize(graph: AmrGraph) -> list[str]:
 
 
 def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
-    """Depth-first linearization plus the token-position layout."""
+    """Depth-first linearization plus the token-position layout.
+
+    The graph keeps its first walk, so a later call costs one copy: each
+    call returns a fresh token list and the shared, read-only layout.
+    """
+    if graph._linear is not None:
+        toks, layout = graph._linear
+        return list(toks), layout
     require_valid(graph)
     out = graph.out_edges()
     attrs = graph.node_attributes()
@@ -109,7 +117,9 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
             span[node] = (span[node][0], len(toks))
             toks.append(tk.CLOSE)
 
-    return toks, LinearLayout(span, edge_rel_pos, ref_positions)
+    layout = LinearLayout(span, edge_rel_pos, ref_positions)
+    object.__setattr__(graph, "_linear", (toks, layout))
+    return list(toks), layout
 
 
 def delinearize(toks: list[str]) -> AmrGraph:

@@ -20,17 +20,17 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from . import tokens as tk
-from .amr import AmrGraph, InvalidGraphError
+from .amr import AmrGraph, InvalidGraphError, require_valid
 from .corrupt import (
     CorruptionConfig,
     CorruptionRecord,
-    _compose,
+    compose,
     derive_rng,
     mask_text,
     node_edge_step,
     subgraph_step,
 )
-from .linearize import LinearLayout, linearize_with_layout
+from .linearize import linearize
 
 
 class TaskTag(Enum):
@@ -136,16 +136,6 @@ def build_sample(
     corrupted.  An empty segment is rendered as the single ``[mask]``
     token between its markers.
     """
-    return _build_sample(tag, text, graph, None, step, schedule, config, rng)
-
-
-def _build_sample(
-    tag: TaskTag, text: list[str] | None, graph: AmrGraph | None,
-    linear: tuple[list[str], LinearLayout] | None, step: int,
-    schedule: MaskSchedule, config: CorruptionConfig, rng: random.Random,
-) -> TaskSample:
-    """:func:`build_sample` given the graph's linearization, or None to
-    linearize it here when the task uses the graph."""
     text_mode, graph_mode, target = _LAYOUT[tag]
     needs_text = text_mode != "empty" or target == "text"
     needs_graph = graph_mode != "empty" or target == "graph"
@@ -153,8 +143,6 @@ def _build_sample(
         raise TaskError(f"task {tag.value} requires a non-empty text")
     if needs_graph and graph is None:
         raise TaskError(f"task {tag.value} requires a graph")
-    if needs_graph and linear is None:
-        linear = linearize_with_layout(graph)
 
     dynamic_rate = schedule_rate(step, schedule) if tag in DYNAMIC_TAGS else None
 
@@ -169,7 +157,7 @@ def _build_sample(
 
     graph_record: CorruptionRecord | None = None
     if graph_mode == "plain":
-        graph_part = linear[0]
+        graph_part = linearize(graph)
     elif graph_mode == "empty":
         graph_part = [tk.MASK]
     else:
@@ -177,9 +165,8 @@ def _build_sample(
             node_rate = edge_rate = dynamic_rate
         else:
             node_rate, edge_rate = config.node_rate, config.edge_rate
-        graph_part, graph_record = _compose(
+        graph_part, graph_record = compose(
             graph,
-            *linear,
             [
                 subgraph_step(config.subgraph_rate),
                 node_edge_step(node_rate, edge_rate),
@@ -197,7 +184,7 @@ def _build_sample(
     if target == "text":
         sample_output = [tk.TEXT_START] + list(text) + [tk.TEXT_END]
     else:
-        sample_output = [tk.GRAPH_START] + linear[0] + [tk.GRAPH_END]
+        sample_output = [tk.GRAPH_START] + linearize(graph) + [tk.GRAPH_END]
 
     return TaskSample(
         tag=tag,
@@ -220,22 +207,21 @@ def build_corpus(
     schedule's final step.  Each pair draws from its own generator
     (corpus seed XOR pair index), so distinct pairs could be built in
     parallel without changing the output.  Each graph is validated and
-    linearized once, and that linearization serves all of its samples.
+    walked once: it keeps its linearization for all of its samples.
     """
     selected = sorted(set(tasks), key=_TAG_ORDER.__getitem__)
     if not selected:
         raise ValueError("no tasks selected")
     for index, (text, graph) in enumerate(pairs):
-        linear = None
         if graph is not None:
             try:
-                linear = linearize_with_layout(graph)
+                require_valid(graph)
             except InvalidGraphError as error:
                 raise ValueError(f"pair {index}: {error}") from None
         rng = derive_rng(config.seed, index)
         step = min(index, schedule.total_steps)
         for tag in selected:
-            yield _build_sample(tag, text, graph, linear, step, schedule, config, rng)
+            yield build_sample(tag, text, graph, step, schedule, config, rng)
 
 
 def sample_to_json(sample: TaskSample) -> str:

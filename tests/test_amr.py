@@ -18,6 +18,7 @@ from amrforge import (
     validate,
 )
 from amrforge.amr import (
+    _joint_colors,
     _search_bijection,
     depth_bucket,
     reentrancy_bucket,
@@ -273,6 +274,16 @@ def test_isomorphism_search_deeper_than_the_recursion_limit():
     chain = _chain(1500)
     assert is_isomorphic(chain, chain)
     assert not is_isomorphic(chain, _chain(1500, {750: "d"}))
+
+
+def test_colour_refinement_stops_once_the_histograms_differ():
+    # The concepts already tell the chains apart, so no refinement round
+    # runs: the colours are the initial ones, one per depth plus one for
+    # the changed node.  Refining on would take one round per step of the
+    # chain before the difference reached its ends.
+    colors1, colors2 = _joint_colors(_chain(1500), _chain(1500, {750: "d"}))
+    assert colors1 == {f"n{i}": i for i in range(1500)}
+    assert colors2 == {**colors1, "n750": 1500}
 
 
 def test_bijection_search_backtracks_like_brute_force():

@@ -6,12 +6,13 @@ import random
 import stat
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import amrforge
-from amrforge import graph_to_penman, is_isomorphic, read_corpus, synth
+from amrforge import AmrGraph, graph_to_penman, is_isomorphic, read_corpus, synth
 from amrforge.cli import run
 
 from conftest import CONTRAST_TEXT, GOLDEN_SEQUENCE
@@ -504,3 +505,54 @@ def test_validate_reports_every_document_despite_a_syntax_error(tmp_path, capsys
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [row["id"] for row in rows] == ["a", "b", "c"]
     assert [bool(row["diagnostics"]) for row in rows] == [False, True, False]
+
+
+@pytest.mark.parametrize("command, module, function", [
+    ("linearize", "cli", "linearize"),
+    ("build-tasks", "tasks", "build_sample"),
+])
+def test_commands_hold_one_document_at_a_time(command, module, function, tmp_path,
+                                              monkeypatch):
+    rng = random.Random(23)
+    corpus = tmp_path / "corpus.amr"
+    with open(corpus, "w", encoding="utf-8") as out:
+        for _ in range(20):
+            out.write(f"# ::tok {' '.join(synth.random_sentence(rng))}\n")
+            out.write(graph_to_penman(synth.random_graph(rng, 3, 12)) + "\n\n")
+    target = getattr(amrforge, module)
+    original = getattr(target, function)
+    refs, alive = [], []
+
+    def spy(*args):
+        refs.append(weakref.ref(next(a for a in args if isinstance(a, AmrGraph))))
+        alive.append(len({id(g) for g in (ref() for ref in refs) if g is not None}))
+        return original(*args)
+
+    monkeypatch.setattr(target, function, spy)
+    assert run([command, str(corpus), "-o", str(tmp_path / "out")]) == 0
+    # the document at hand, and at most one that a step has yet to drop;
+    # a command that reads its whole input first keeps all 20 alive
+    assert len(refs) >= 20 and max(alive) <= 2
+
+
+def test_lines_before_a_strict_read_error_reach_stdout(monkeypatch, capsys):
+    payload = b"(b / boy)\n\n(broken / x :mod\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    assert run(["linearize", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "( <Z0> boy )\n"
+    assert "document 1" in captured.err
+
+
+def test_failing_mid_stream_closes_the_input(tmp_path):
+    path = tmp_path / "two.amr"
+    path.write_text(TWO_DOCUMENTS, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(amrforge.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "amrforge.cli", "linearize", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == b"( <Z0> boy )\n"
+    assert done.stderr.decode().startswith("amrforge: error:")
+    assert "ResourceWarning" not in done.stderr.decode()

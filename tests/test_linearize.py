@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,9 @@ from amrforge import (
     repair,
     validate,
 )
+from amrforge.corrupt import CorruptionConfig, corrupt_graph
 from amrforge.linearize import _walk, linearize_with_layout
+from amrforge.penman import graph_to_penman
 from amrforge.synth import random_graph
 from amrforge.tokens import (
     from_text, is_pointer, is_relation, pointer, pointer_index, to_text,
@@ -327,3 +330,28 @@ def test_walked_graphs_are_valid_without_the_mark():
             walked += 1
             assert validate(replace(graph)) == [], toks
     assert walked > 800
+
+
+def test_each_linearization_is_a_fresh_list(contrast):
+    first = linearize(contrast)
+    second = linearize(contrast)
+    assert first == second and first is not second
+    first[:] = ["changed"]
+    assert linearize_with_layout(contrast)[0] == second
+
+
+def test_kept_linearization_survives_corruption_and_rendering(contrast):
+    fresh = linearize_with_layout(replace(contrast))
+    linearize_with_layout(contrast)
+    _, record = corrupt_graph(contrast, CorruptionConfig(subgraph_rate=1.0),
+                              random.Random(3))
+    assert record.removed_subgraph is not None  # a span was cut from a copy
+    graph_to_penman(contrast)
+    assert linearize_with_layout(contrast) == fresh
+
+
+def test_copies_of_a_graph_start_without_its_linearization(contrast):
+    linearize(contrast)
+    for copy in (replace(contrast), pickle.loads(pickle.dumps(contrast))):
+        assert copy._linear is None
+        assert copy == contrast
