@@ -146,7 +146,7 @@ def _seed(args) -> int:
     return seed
 
 
-def _jobs(text: str) -> int:
+def _positive(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg, help=f"{arg} file, or - for stdin")
         p.add_argument("-o", "--output", default="-",
                        help="output file, or - for stdout")
-        p.add_argument("--jobs", type=_jobs, default=1,
+        p.add_argument("--jobs", type=_positive, default=1,
                        help="parallel workers where supported (smatch); "
                        "output order is always input order")
         if seed:
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     smatch_cmd = command("smatch", _cmd_smatch,
                          "score predicted graphs against gold",
                          inputs=("gold", "predicted"), strict=False, seed=True)
-    smatch_cmd.add_argument("--restarts", type=int, default=4)
+    smatch_cmd.add_argument("--restarts", type=_positive, default=4)
     smatch_cmd.add_argument("--fine", action="store_true",
                             help="also report fine-grained sub-metrics")
 

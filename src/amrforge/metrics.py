@@ -14,9 +14,17 @@ variable matches at each target, one for what the relations between two
 adjacent variables match at each target pair.  The mappings the search
 visits are injective, which makes this split of the matched count exact
 (see :class:`_MatchContext`), so a move's gain is a sum of a few table
-entries.  The greedy step scores only moves whose new side can match
-something, walked in the same order as the full move list, so it picks
-the same move; plateau steps scan the full list.
+entries.
+
+One climb keeps one :class:`_Position` and updates it in place.  A move
+sets the images of one or two variables (a reassignment and the holder
+it evicts, or a swapped pair); only their linked neighbours' reach
+changes, so only moves that read what changed are rescored.  Each step
+takes the first move with the largest gain in the order of the full move
+list (every reassignment, then every swap), and a plateau step takes the
+first unvisited move of gain 0 in that order.  Keeping that tie order
+keeps every score and mapping the same as a search that rescored the
+whole list after each step.
 """
 
 from __future__ import annotations
@@ -208,12 +216,39 @@ def _split_triples(triples: TripleSet, index: dict[str, int]):
 
 
 class _Position:
-    """One mapping of a climb, with what is needed to score its moves.
+    """One mapping of a climb, kept up to date as the climb moves.
 
     ``reach[v]`` gives, for every right variable where left variable ``v``
     could match something, the matches it would have there with all other
     variables held in place; ``current[v]`` is what it matches where it
-    stands.  A reassignment's or swap's gain then costs a few lookups.
+    stands, and ``watchers[j]`` is the set of variables with ``j`` in their
+    reach.  A reassignment's or swap's gain then costs a few lookups.
+
+    The position also keeps the moves worth taking: ``gains[v]`` and
+    ``targets[v]`` are ``v``'s first-best positive reassignment (gain 0
+    and target ``None`` if it has none), and ``swaps`` maps each pair
+    ``(v, w)``, ``v < w``, whose swap has a positive gain to that gain;
+    ``partners[v]`` lists the variables ``v`` has such a pair with.  Only
+    moves whose new side can match something can gain: a reassignment
+    into ``v``'s reach, or a swap of ``v`` with the holder of something in
+    its reach, with a watcher of its image or with a linked neighbour.
+    Any other move gives up what the moved variables match and gains
+    nothing.
+
+    :meth:`apply` sets the images of the one or two moved variables.  The
+    ``reach`` of their linked neighbours changes by one table row each, so
+    ``current`` changes only for the moved variables and those neighbours,
+    the *touched* set.  A reassignment's gain reads its variable's reach,
+    image and current, and the holder of its target and that holder's
+    current, so only the *dirty* variables are rescored: the touched ones
+    and the watchers of their images and of the moved variables' old
+    images.  A swap's gain reads only the reach, current and image of its
+    two variables, so only the swaps that involve a touched variable are
+    dropped and rescored.
+
+    :meth:`best_move` breaks ties as a scan of the full move list would,
+    so the climb takes the same steps, and ends with the same score and
+    mapping, as a search that rescored every move after every step.
     """
 
     def __init__(self, context: _MatchContext, images: list[int | None]):
@@ -221,7 +256,8 @@ class _Position:
         self.images = images
         self.holder = {j: v for v, j in enumerate(images) if j is not None}
         self.reach: list[dict[int, int]] = []
-        for unary, links in zip(context.unary, context.links):
+        self.watchers: list[set[int]] = [set() for _ in context.vars2]
+        for v, (unary, links) in enumerate(zip(context.unary, context.links)):
             reach = dict(unary)
             for w, table in links.items():
                 row = table.get(images[w])
@@ -229,78 +265,202 @@ class _Position:
                     for j, weight in row.items():
                         reach[j] = reach.get(j, 0) + weight
             self.reach.append(reach)
+            for j in reach:
+                self.watchers[j].add(v)
         self.current = [reach.get(j, 0) for reach, j in zip(self.reach, images)]
+        self.gains = [0] * len(images)
+        self.targets: list[int | None] = [None] * len(images)
+        self.swaps: dict[tuple[int, int], int] = {}
+        self.partners: list[set[int]] = [set() for _ in images]
+        everyone = set(range(len(images)))
+        self._rescore(everyone, everyone)
 
-    def _link(self, v: int, w: int, at_v, at_w) -> int:
-        table = self.context.links[v].get(w)
-        if table is None:
-            return 0
-        return table.get(at_w, _NO_MATCHES).get(at_v, 0)
-
-    def reassign(self, v: int, j: int | None):
-        """Gain and changes of moving ``v`` to ``j``, evicting ``j``'s holder."""
-        gain = self.reach[v].get(j, 0) - self.current[v]
-        owner = self.holder.get(j)
-        if owner is None:
-            return gain, ((v, j),)
-        gain -= self.current[owner] - self._link(v, owner, self.images[v], j)
-        return gain, ((v, j), (owner, None))
-
-    def swap(self, v: int, w: int):
-        """Gain and changes of exchanging the images of ``v`` and ``w``."""
-        at_v, at_w = self.images[v], self.images[w]
-        gain = (
-            self.reach[v].get(at_w, 0)
-            + self.reach[w].get(at_v, 0)
-            + self._link(v, w, at_w, at_v)
-            + self._link(v, w, at_v, at_w)
-            - self.current[v]
-            - self.current[w]
+    def apply(self, changes) -> None:
+        """Move each ``(v, j)`` of ``changes`` and rescore what that touched."""
+        images, holder, reach, watchers = (
+            self.images, self.holder, self.reach, self.watchers
         )
-        return gain, ((v, at_w), (w, at_v))
+        links = self.context.links
+        moved = [(v, images[v], j) for v, j in changes]
+        for v, old, _ in moved:
+            if old is not None and holder.get(old) == v:
+                del holder[old]
+        for v, _, new in moved:
+            images[v] = new
+            if new is not None:
+                holder[new] = v
+        touched = set()
+        for v, old, new in moved:
+            touched.add(v)
+            for w in links[v]:
+                touched.add(w)
+                table, reach_w = links[w][v], reach[w]
+                row = table.get(old)
+                if row:
+                    for j, weight in row.items():
+                        left = reach_w[j] - weight
+                        if left:
+                            reach_w[j] = left
+                        else:
+                            del reach_w[j]
+                            watchers[j].discard(w)
+                row = table.get(new)
+                if row:
+                    for j, weight in row.items():
+                        if j in reach_w:
+                            reach_w[j] += weight
+                        else:
+                            reach_w[j] = weight
+                            watchers[j].add(w)
+        current = self.current
+        dirty = set(touched)
+        for t in touched:
+            at = images[t]
+            if at is None:
+                current[t] = 0
+            else:
+                current[t] = reach[t].get(at, 0)
+                dirty |= watchers[at]
+        for _, old, _ in moved:
+            if old is not None:
+                dirty |= watchers[old]
+        self._rescore(dirty, touched)
 
-    def moves(self):
-        """Every reassignment, then every swap, with its gain, in search order."""
-        images = self.images
-        targets = [*range(len(self.context.vars2)), None]
-        for v, at in enumerate(images):
-            for j in targets:
-                if j != at:
-                    yield self.reassign(v, j)
-        for v, w in itertools.combinations(range(len(images)), 2):
-            if images[v] != images[w]:
-                yield self.swap(v, w)
+    def _rescore(self, dirty: set[int], touched: set[int]) -> None:
+        images, holder, reach, current = (
+            self.images, self.holder, self.reach, self.current
+        )
+        links = self.context.links
+        gains, targets = self.gains, self.targets
+        for v in dirty:
+            at, now, links_v = images[v], current[v], links[v]
+            best_gain, best = 0, None
+            for j, weight in reach[v].items():
+                gain = weight - now
+                if j == at or gain < best_gain:
+                    continue  # evicting a holder never adds to the gain
+                owner = holder.get(j)
+                if owner is not None:
+                    table = links_v.get(owner)
+                    gain -= current[owner] - (
+                        table.get(j, _NO_MATCHES).get(at, 0) if table else 0
+                    )
+                # first-best in target order, as a scan in that order finds it
+                if gain > best_gain or (gain == best_gain > 0 and j < best):
+                    best_gain, best = gain, j
+            gains[v], targets[v] = best_gain, best
+
+        swaps, partners = self.swaps, self.partners
+        for t in touched:
+            for p in partners[t]:
+                del swaps[(t, p) if t < p else (p, t)]
+                partners[p].discard(t)
+            partners[t].clear()
+        for t in touched:
+            at_t, reach_t, links_t = images[t], reach[t], links[t]
+            for p in self._swap_candidates(t):
+                at_p = images[p]
+                if p == t or at_p == at_t or (p < t and p in touched):
+                    continue  # not a move, or scored from p's side
+                gain = (
+                    reach_t.get(at_p, 0) + reach[p].get(at_t, 0)
+                    - current[t] - current[p]
+                )
+                table = links_t.get(p)
+                if table:
+                    gain += table.get(at_t, _NO_MATCHES).get(at_p, 0) + table.get(
+                        at_p, _NO_MATCHES
+                    ).get(at_t, 0)
+                if gain > 0:
+                    swaps[(t, p) if t < p else (p, t)] = gain
+                    partners[t].add(p)
+                    partners[p].add(t)
+
+    def _swap_candidates(self, v: int) -> set[int]:
+        """The variables a swap with ``v`` can gain from: the holders of its
+        reach, the watchers of its image and its linked neighbours."""
+        holder = self.holder
+        others = {holder[j] for j in self.reach[v] if j in holder}
+        others.update(self.context.links[v])
+        if self.images[v] is not None:
+            others |= self.watchers[self.images[v]]
+        return others
 
     def best_move(self):
         """The first move in search order with the largest positive gain.
 
-        Only moves whose new side can match something are scored: a
-        variable's reach, and swaps with the holders of its reach or with
-        its neighbours.  Any other move gives up what the moved variables
-        match and gains nothing, so its gain is at most 0 and it cannot be
-        the strictly best.  Reach is walked in right-variable order, so the
-        first-best move is the one the full order would pick.
+        Search order is every reassignment, by variable and then target,
+        then every swap, by pair.  The first-best reassignment is the
+        first variable's with the largest kept gain; a swap replaces it
+        only if strictly better, and among equal swaps the first pair
+        wins.  Ties therefore break as a scan of the full order breaks them.
         """
-        images, holder = self.images, self.holder
-        best_gain, best = 0, None
-        swaps = set()
-        for v, reach in enumerate(self.reach):
-            for j in sorted(reach):
-                owner = holder.get(j)
-                if owner == v:
-                    continue
-                gain, changes = self.reassign(v, j)
-                if gain > best_gain:
-                    best_gain, best = gain, changes
-                if owner is not None:
-                    swaps.add((v, owner) if v < owner else (owner, v))
-            swaps.update((v, w) for w in self.context.links[v] if w > v)
-        for v, w in sorted(swaps):
-            if images[v] != images[w]:
-                gain, changes = self.swap(v, w)
-                if gain > best_gain:
-                    best_gain, best = gain, changes
+        gains = self.gains
+        best_gain, best = max(gains, default=0), None
+        if best_gain > 0:
+            v = gains.index(best_gain)
+            j = self.targets[v]
+            owner = self.holder.get(j)
+            best = ((v, j),) if owner is None else ((v, j), (owner, None))
+        if self.swaps:
+            top = max(self.swaps.values())
+            if top > best_gain:
+                v, w = min(pair for pair, gain in self.swaps.items() if gain == top)
+                best_gain = top
+                best = ((v, self.images[w]), (w, self.images[v]))
         return best_gain, best
+
+    def sideways(self, visited):
+        """The first move in search order that gains 0 and whose mapping is
+        not in ``visited``, or ``None``.
+
+        A variable that matches something loses it by any move that offers
+        it nothing in return, so for such a variable only the targets in
+        its reach and the swaps it could gain from are scored; every move
+        left out has a negative gain.
+        """
+        images, holder, reach, current = (
+            self.images, self.holder, self.reach, self.current
+        )
+        links = self.context.links
+        targets = [*range(len(self.context.vars2)), None]
+        for v, at in enumerate(images):
+            reach_v, now, links_v = reach[v], current[v], links[v]
+            for j in sorted(reach_v) if now else targets:
+                if j == at:
+                    continue
+                gain = reach_v.get(j, 0) - now
+                owner = holder.get(j)
+                if owner is None:
+                    changes = ((v, j),)
+                else:
+                    table = links_v.get(owner)
+                    gain -= current[owner] - (
+                        table.get(j, _NO_MATCHES).get(at, 0) if table else 0
+                    )
+                    changes = ((v, j), (owner, None))
+                if gain == 0 and tuple(_applied(images, changes)) not in visited:
+                    return changes
+        for v, at_v in enumerate(images):
+            reach_v, now, links_v = reach[v], current[v], links[v]
+            if now:
+                others = sorted(w for w in self._swap_candidates(v) if w > v)
+            else:
+                others = range(v + 1, len(images))
+            for w in others:
+                at_w = images[w]
+                if at_v == at_w:
+                    continue
+                gain = reach_v.get(at_w, 0) + reach[w].get(at_v, 0) - now - current[w]
+                table = links_v.get(w)
+                if table:
+                    gain += table.get(at_v, _NO_MATCHES).get(at_w, 0) + table.get(
+                        at_w, _NO_MATCHES
+                    ).get(at_v, 0)
+                changes = ((v, at_w), (w, at_v))
+                if gain == 0 and tuple(_applied(images, changes)) not in visited:
+                    return changes
+        return None
 
 
 def _applied(images, changes) -> list[int | None]:
@@ -368,7 +528,7 @@ _SIDEWAYS_BUDGET = 8  # plateau steps allowed per climb before giving up
 
 
 def _climb_once(context, images):
-    position = _Position(context, images)
+    position = _Position(context, list(images))
     score = context.count(images)
     sideways = _SIDEWAYS_BUDGET
     visited = {tuple(images)}
@@ -376,17 +536,14 @@ def _climb_once(context, images):
         gain, changes = position.best_move()
         if changes is None and sideways > 0:
             # Stuck on a plateau: take an unvisited equal-score step, a few times.
-            for gain, candidate in position.moves():
-                if gain == 0 and tuple(_applied(images, candidate)) not in visited:
-                    changes = candidate
-                    sideways -= 1
-                    break
+            changes = position.sideways(visited)
+            if changes is not None:
+                sideways -= 1
         if changes is None:
-            return score, images
-        images = _applied(images, changes)
-        visited.add(tuple(images))
+            return score, position.images
+        position.apply(changes)
+        visited.add(tuple(position.images))
         score += gain
-        position = _Position(context, images)
 
 
 def _scored_smatch(

@@ -363,6 +363,22 @@ def test_jobs_below_one_is_a_usage_error(command, jobs, corpus, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+@pytest.mark.parametrize("empty", [True, False])
+def test_restarts_below_one_is_a_usage_error(restarts, empty, corpus, tmp_path,
+                                              capsys):
+    if empty:
+        corpus = tmp_path / "empty.amr"
+        corpus.write_text("", encoding="utf-8")
+    out = tmp_path / "scores.json"
+    assert run(["smatch", str(corpus), str(corpus), "--restarts", restarts,
+                "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    # rejected before either corpus is read, so no seed is echoed
+    assert "--restarts" in captured.err and "amrforge: seed" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class _RecordingPool:
     sizes: list = []
 

@@ -1,5 +1,6 @@
-"""Smatch results pinned to a golden fixture, and move gains checked
-against a plain triple-overlap count.
+"""Smatch results pinned to a golden fixture, move gains checked against
+a plain triple-overlap count, and the climb's kept tables checked against
+a freshly built position after every step.
 
 ``data/smatch_golden.json`` holds 30 gold/prediction pairs of 5-30 nodes.
 Each prediction is its gold graph after seeded node, edge and sub-graph
@@ -9,8 +10,9 @@ each pair the fixture stores the seeded ``fine_grained`` results
 earlier ``Counter``-based move scoring, so the table-based search must
 reproduce them exactly.  Three more pairs pin the order in which
 ``fine_grained`` draws from its generator: scoring ``srl`` before
-``reentrancy`` changes their ``srl`` counts.  Regenerate it only when a
-change of results is intended:
+``reentrancy`` changes their ``srl`` counts.  Two more, of 80-120-node
+gold graphs, pin long climbs that take sideways steps.  Regenerate it
+only when a change of results is intended:
 
     PYTHONPATH=src python tests/test_smatch_equivalence.py --write
 """
@@ -18,6 +20,7 @@ change of results is intended:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 import re
@@ -30,7 +33,18 @@ import pytest
 from amrforge import AmrGraph, fine_grained, smatch, synth, to_triples
 from amrforge.corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from amrforge.linearize import delinearize, repair
-from amrforge.metrics import TripleSet, _MatchContext, _no_wsd, _Position, _unlabeled
+from amrforge.metrics import (
+    _SIDEWAYS_BUDGET,
+    TripleSet,
+    _applied,
+    _climb_once,
+    _greedy_seed,
+    _MatchContext,
+    _name_seed,
+    _no_wsd,
+    _Position,
+    _unlabeled,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "smatch_golden.json"
 FIXTURE_SEED = 2203
@@ -47,6 +61,9 @@ RELATIONS = (":ARG0", ":ARG1", ":mod", ":op1", ":name")
 # found by scoring 400 such pairs both ways
 DRAW_ORDER_SEED = 4409
 DRAW_ORDER_PAIRS = (1, 227, 316)
+# document-sized pairs: long climbs, many of them ending in sideways steps
+DOCUMENT_SEED = 1212
+DOCUMENT_PAIRS = (1, 3)
 
 
 def _fixture_pairs(count: int = PAIRS):
@@ -76,6 +93,21 @@ def _draw_order_pairs():
         )
         noisy, _ = corrupt_graph(gold, noise, derive_rng(DRAW_ORDER_SEED, index))
         yield delinearize(repair(noisy)), gold, 5, index
+
+
+def _document_pairs():
+    noise = CorruptionConfig(node_rate=0.1, edge_rate=0.1, subgraph_rate=0.0)
+    for index in DOCUMENT_PAIRS:
+        rng = random.Random(DOCUMENT_SEED * 1000 + index)
+        gold = synth.random_graph(
+            rng, 80, 120, max_reentrancies=12, attribute_prob=0.2,
+            relations=RELATIONS,
+        )
+        noisy, _ = corrupt_graph(gold, noise, derive_rng(DOCUMENT_SEED, index))
+        predicted = _relabel(
+            delinearize(repair(noisy)), derive_rng(DOCUMENT_SEED + 1, index)
+        )
+        yield predicted, gold, 4, index
 
 
 def _relabel(graph: AmrGraph, rng: random.Random, rate: float = 0.2) -> AmrGraph:
@@ -139,7 +171,9 @@ def _scores_json(scores) -> dict:
 
 def _write_fixture() -> None:
     cases = []
-    for left, right, restarts, seed in (*_fixture_pairs(), *_draw_order_pairs()):
+    for left, right, restarts, seed in (
+        *_fixture_pairs(), *_draw_order_pairs(), *_document_pairs()
+    ):
         cases.append({
             "left": _graph_json(left),
             "right": _graph_json(right),
@@ -158,7 +192,9 @@ def _golden_cases():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))["cases"]
 
 
-@pytest.mark.parametrize("index", range(PAIRS + len(DRAW_ORDER_PAIRS)))
+@pytest.mark.parametrize(
+    "index", range(PAIRS + len(DRAW_ORDER_PAIRS) + len(DOCUMENT_PAIRS))
+)
 def test_seeded_results_match_golden_fixture(index):
     case = _golden_cases()[index]
     left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
@@ -187,6 +223,67 @@ def _reference_count(left: TripleSet, right: TripleSet, mapping) -> int:
     )
 
 
+def _link(position: _Position, v: int, w: int, at_v, at_w) -> int:
+    table = position.context.links[v].get(w)
+    if table is None:
+        return 0
+    return table.get(at_w, {}).get(at_v, 0)
+
+
+def _reassign(position: _Position, v: int, j: int | None):
+    """Gain and changes of moving ``v`` to ``j``, evicting ``j``'s holder."""
+    gain = position.reach[v].get(j, 0) - position.current[v]
+    owner = position.holder.get(j)
+    if owner is None:
+        return gain, ((v, j),)
+    gain -= position.current[owner] - _link(position, v, owner, position.images[v], j)
+    return gain, ((v, j), (owner, None))
+
+
+def _swap(position: _Position, v: int, w: int):
+    """Gain and changes of exchanging the images of ``v`` and ``w``."""
+    at_v, at_w = position.images[v], position.images[w]
+    gain = (
+        position.reach[v].get(at_w, 0)
+        + position.reach[w].get(at_v, 0)
+        + _link(position, v, w, at_w, at_v)
+        + _link(position, v, w, at_v, at_w)
+        - position.current[v]
+        - position.current[w]
+    )
+    return gain, ((v, at_w), (w, at_v))
+
+
+def _moves(position: _Position):
+    """Every reassignment, then every swap, with its gain, in search order:
+    the reference enumeration the kept tables are checked against."""
+    images = position.images
+    targets = [*range(len(position.context.vars2)), None]
+    for v, at in enumerate(images):
+        for j in targets:
+            if j != at:
+                yield _reassign(position, v, j)
+    for v, w in itertools.combinations(range(len(images)), 2):
+        if images[v] != images[w]:
+            yield _swap(position, v, w)
+
+
+def _first_best(moves):
+    best_gain, best = 0, None
+    for gain, changes in moves:
+        if gain > best_gain:
+            best_gain, best = gain, changes
+    return best_gain, best
+
+
+def _random_images(context: _MatchContext, rng) -> list[int | None]:
+    """An injective mapping, with a few unmapped variables."""
+    targets = list(range(len(context.vars2)))
+    targets += [None] * (max(len(context.vars1) - len(targets), 0) + rng.randint(0, 2))
+    rng.shuffle(targets)
+    return targets[: len(context.vars1)]
+
+
 def _check_move_gains(left: TripleSet, right: TripleSet, rng, mappings: int = 3):
     context = _MatchContext(left, right)
     vars1, vars2 = context.vars1, context.vars2
@@ -200,7 +297,7 @@ def _check_move_gains(left: TripleSet, right: TripleSet, rng, mappings: int = 3)
         assert context.count(images) == before
         position = _Position(context, images)
         best_gain, best = 0, None
-        for gain, changes in position.moves():
+        for gain, changes in _moves(position):
             after = dict(mapping)
             for v, j in changes:
                 after[vars1[v]] = None if j is None else vars2[j]
@@ -261,6 +358,100 @@ def test_best_move_includes_swaps_that_only_reverse_an_edge():
     position = _Position(context, context.images({"a": "x", "b": "y"}))
     assert position.best_move() == (1, ((0, 0), (1, 1)))
     _check_move_gains(left, right, random.Random(1))
+
+
+def _tables(position: _Position):
+    return (
+        position.images, position.holder, position.reach, position.current,
+        position.watchers, position.gains, position.targets, position.swaps,
+        position.partners,
+    )
+
+
+def _check_climbs(left: TripleSet, right: TripleSet, rng, climbs: int = 2) -> int:
+    """Drive climbs from the seeded and some random mappings by hand.
+    After every step, improving or sideways, the kept tables must equal a
+    fresh position's, and the chosen move the reference enumeration's.
+    Returns the number of sideways steps taken."""
+    context = _MatchContext(left, right)
+    starts = [_name_seed(context), _greedy_seed(context)]
+    starts += [_random_images(context, rng) for _ in range(climbs)]
+    taken = 0
+    for start in starts:
+        position = _Position(context, list(start))
+        score, visited = context.count(start), {tuple(start)}
+        sideways = _SIDEWAYS_BUDGET
+        while True:
+            assert _tables(position) == _tables(_Position(context, list(position.images)))
+            gain, changes = position.best_move()
+            assert (gain, changes) == _first_best(_moves(position))
+            if changes is None and sideways > 0:
+                changes = next((
+                    candidate for step, candidate in _moves(position)
+                    if step == 0
+                    and tuple(_applied(position.images, candidate)) not in visited
+                ), None)
+                assert position.sideways(visited) == changes
+                if changes is not None:
+                    sideways -= 1
+                    taken += 1
+            if changes is None:
+                break
+            position.apply(changes)
+            visited.add(tuple(position.images))
+            score += gain
+        assert score == context.count(position.images)
+        assert _climb_once(context, start) == (score, position.images)
+    return taken
+
+
+def _small_triples(rng) -> TripleSet:
+    concepts = ("want-01", "want-02", "boy", "girl", "name", "and")
+    return to_triples(synth.random_graph(
+        rng, 1, 9, max_reentrancies=3, attribute_prob=0.4,
+        concepts=concepts, relations=RELATIONS,
+    ))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kept_tables_equal_a_fresh_position_after_every_step(seed):
+    rng = random.Random(seed)
+    left, right = _small_triples(rng), _small_triples(rng)
+    for variant in (lambda t: t, _unlabeled, _no_wsd):
+        _check_climbs(variant(left), variant(right), rng)
+
+
+def test_kept_tables_with_duplicate_labels_and_self_loops():
+    left = TripleSet(
+        instances=(("a", "instance", "want-01"), ("b", "instance", "boy"),
+                   ("c", "instance", "boy")),
+        attributes=(("a", "TOP", "want-01"), ("b", ":polarity", "-")),
+        relations=(("a", ":ARG0", "b"), ("a", ":ARG1", "b"), ("b", ":ARG0", "a"),
+                   ("c", ":mod", "c"), ("a", ":ARG1", "c")),
+    )
+    right = TripleSet(
+        instances=(("x", "instance", "want-01"), ("y", "instance", "boy"),
+                   ("z", "instance", "girl")),
+        attributes=(("x", "TOP", "want-01"), ("y", ":quant", "-")),
+        relations=(("x", ":ARG0", "y"), ("y", ":mod", "y"), ("x", ":ARG1", "z"),
+                   ("z", ":ARG0", "x")),
+    )
+    rng = random.Random(0)
+    for variant in (lambda t: t, _unlabeled):
+        _check_climbs(variant(left), variant(right), rng, climbs=6)
+
+
+def test_kept_tables_along_the_golden_climbs():
+    # 5-30-node pairs climb longer than the small seeded ones, and many of
+    # their climbs end on plateaus, so sideways steps are checked too
+    taken = 0
+    for index, case in enumerate(_golden_cases()[: PAIRS + len(DRAW_ORDER_PAIRS)]):
+        left = to_triples(_graph_from_json(case["left"]))
+        right = to_triples(_graph_from_json(case["right"]))
+        rng = random.Random(index)
+        for variant in (lambda t: t, _unlabeled, _no_wsd):
+            taken += _check_climbs(variant(left), variant(right), rng, climbs=1)
+    assert taken > 0
 
 
 if __name__ == "__main__":
