@@ -24,9 +24,9 @@ from collections import Counter
 from collections.abc import Iterator
 
 from . import tokens as tk
-from .amr import AmrGraph, InvalidGraphError, compute_stats
+from .amr import AmrGraph, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
-from .linearize import StructureError, _walk, delinearize, linearize
+from .linearize import _walk, linearize
 from .metrics import (
     FINE_GRAINED_KEYS,
     aggregate,
@@ -34,21 +34,12 @@ from .metrics import (
     fine_grained,
     smatch,
 )
-from .penman import (
-    CorpusError,
-    PenmanDocument,
-    PenmanSyntaxError,
-    _render,
-    empty_graph,
-    graph_to_penman,
-    read_corpus,
-)
+from .penman import PenmanDocument, _render, empty_graph, read_corpus
 from .tasks import (
     ALL_TAGS,
     FINETUNING_TAGS,
     PRETRAINING_TAGS,
     MaskSchedule,
-    TaskError,
     build_corpus,
     parse_tag,
     sample_to_json,
@@ -82,7 +73,10 @@ def _read_lines(path: str) -> Iterator[str]:
     if path == "-":
         handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
         try:
-            yield from handle
+            # a loop, not yield from: a generator closed early would close
+            # the wrapper it delegates to, and stdin's buffer with it
+            for line in handle:
+                yield line
         finally:
             handle.detach()  # leave stdin itself open
     else:
@@ -270,16 +264,7 @@ def run(argv=None) -> int:
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
         atexit.register(sys.stdout.close)
         return 0
-    except (
-        CliError,
-        CorpusError,
-        InvalidGraphError,
-        PenmanSyntaxError,
-        StructureError,
-        TaskError,
-        ValueError,
-        OSError,
-    ) as error:
+    except (ValueError, OSError) as error:  # every amrforge error is a ValueError
         print(f"amrforge: error: {error}", file=sys.stderr)
         return 1
 
@@ -342,16 +327,13 @@ def _cmd_linearize(args) -> int:
 
 
 def _penman_of_line(line: str, strict: bool) -> str:
-    toks = tk.from_text(line)
-    if strict:
-        return graph_to_penman(delinearize(toks))
-    # one walk per line: what delinearize(repair(toks)) would build
-    graph, fault = _walk(toks)
-    if graph is None:
-        return graph_to_penman(empty_graph())
-    # a repaired sequence is re-linearized, which renumbers its pointers
-    # in walk order
-    return _render(graph, renumber=fault is not None)
+    # one walk per line; lenient, it builds what delinearize(repair(toks))
+    # would, and a repaired sequence is re-linearized, which renumbers its
+    # pointers in walk order
+    graph, fault = _walk(tk.from_text(line))
+    if strict and fault is not None:
+        raise fault
+    return _render(graph or empty_graph(), renumber=fault is not None)
 
 
 def _cmd_delinearize(args) -> int:

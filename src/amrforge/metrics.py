@@ -222,7 +222,9 @@ class _Position:
     could match something, the matches it would have there with all other
     variables held in place; ``current[v]`` is what it matches where it
     stands, and ``watchers[j]`` is the set of variables with ``j`` in their
-    reach.  A reassignment's or swap's gain then costs a few lookups.
+    reach.  A reassignment's gain then costs a few lookups, and so does a
+    swap's; :meth:`_reassign_gain` and :meth:`_swap_gain` are the only
+    place that arithmetic lives.
 
     The position also keeps the moves worth taking: ``gains[v]`` and
     ``targets[v]`` are ``v``'s first-best positive reassignment (gain 0
@@ -327,27 +329,19 @@ class _Position:
         self._rescore(dirty, touched)
 
     def _rescore(self, dirty: set[int], touched: set[int]) -> None:
-        images, holder, reach, current = (
-            self.images, self.holder, self.reach, self.current
-        )
-        links = self.context.links
+        images, reach, current = self.images, self.reach, self.current
         gains, targets = self.gains, self.targets
         for v in dirty:
-            at, now, links_v = images[v], current[v], links[v]
+            at, now = images[v], current[v]
             best_gain, best = 0, None
             for j, weight in reach[v].items():
-                gain = weight - now
-                if j == at or gain < best_gain:
-                    continue  # evicting a holder never adds to the gain
-                owner = holder.get(j)
-                if owner is not None:
-                    table = links_v.get(owner)
-                    gain -= current[owner] - (
-                        table.get(j, _NO_MATCHES).get(at, 0) if table else 0
-                    )
-                # first-best in target order, as a scan in that order finds it
-                if gain > best_gain or (gain == best_gain > 0 and j < best):
-                    best_gain, best = gain, j
+                most = weight - now  # evicting a holder never adds to the gain
+                # first-best in target order, as a scan in that order finds it;
+                # a move that could not win even at its most is not scored
+                if j != at and (most > best_gain or most == best_gain > 0 and j < best):
+                    gain, _ = self._reassign_gain(v, j)
+                    if gain > best_gain or gain == best_gain > 0 and j < best:
+                        best_gain, best = gain, j
             gains[v], targets[v] = best_gain, best
 
         swaps, partners = self.swaps, self.partners
@@ -357,24 +351,36 @@ class _Position:
                 partners[p].discard(t)
             partners[t].clear()
         for t in touched:
-            at_t, reach_t, links_t = images[t], reach[t], links[t]
+            at_t = images[t]
             for p in self._swap_candidates(t):
-                at_p = images[p]
-                if p == t or at_p == at_t or (p < t and p in touched):
+                if p == t or images[p] == at_t or (p < t and p in touched):
                     continue  # not a move, or scored from p's side
-                gain = (
-                    reach_t.get(at_p, 0) + reach[p].get(at_t, 0)
-                    - current[t] - current[p]
-                )
-                table = links_t.get(p)
-                if table:
-                    gain += table.get(at_t, _NO_MATCHES).get(at_p, 0) + table.get(
-                        at_p, _NO_MATCHES
-                    ).get(at_t, 0)
+                gain = self._swap_gain(t, p)
                 if gain > 0:
                     swaps[(t, p) if t < p else (p, t)] = gain
                     partners[t].add(p)
                     partners[p].add(t)
+
+    def _reassign_gain(self, v: int, j: int | None) -> tuple[int, int | None]:
+        """The gain of moving ``v`` to ``j``, and the holder it evicts."""
+        current = self.current
+        gain = self.reach[v].get(j, 0) - current[v]
+        owner = self.holder.get(j)
+        if owner is not None:
+            table = self.context.links[v].get(owner, _NO_MATCHES)
+            gain -= current[owner] - table.get(j, _NO_MATCHES).get(self.images[v], 0)
+        return gain, owner
+
+    def _swap_gain(self, v: int, w: int) -> int:
+        """The gain of exchanging the images of ``v`` and ``w``."""
+        images, reach, current = self.images, self.reach, self.current
+        at_v, at_w = images[v], images[w]
+        gain = reach[v].get(at_w, 0) + reach[w].get(at_v, 0) - current[v] - current[w]
+        table = self.context.links[v].get(w)
+        if table:
+            gain += table.get(at_v, _NO_MATCHES).get(at_w, 0)
+            gain += table.get(at_w, _NO_MATCHES).get(at_v, 0)
+        return gain
 
     def _swap_candidates(self, v: int) -> set[int]:
         """The variables a swap with ``v`` can gain from: the holders of its
@@ -400,8 +406,7 @@ class _Position:
         if best_gain > 0:
             v = gains.index(best_gain)
             j = self.targets[v]
-            owner = self.holder.get(j)
-            best = ((v, j),) if owner is None else ((v, j), (owner, None))
+            best = _reassignment(v, j, self.holder.get(j))
         if self.swaps:
             top = max(self.swaps.values())
             if top > best_gain:
@@ -419,31 +424,18 @@ class _Position:
         its reach and the swaps it could gain from are scored; every move
         left out has a negative gain.
         """
-        images, holder, reach, current = (
-            self.images, self.holder, self.reach, self.current
-        )
-        links = self.context.links
+        images, reach, current = self.images, self.reach, self.current
         targets = [*range(len(self.context.vars2)), None]
         for v, at in enumerate(images):
-            reach_v, now, links_v = reach[v], current[v], links[v]
-            for j in sorted(reach_v) if now else targets:
+            for j in sorted(reach[v]) if current[v] else targets:
                 if j == at:
                     continue
-                gain = reach_v.get(j, 0) - now
-                owner = holder.get(j)
-                if owner is None:
-                    changes = ((v, j),)
-                else:
-                    table = links_v.get(owner)
-                    gain -= current[owner] - (
-                        table.get(j, _NO_MATCHES).get(at, 0) if table else 0
-                    )
-                    changes = ((v, j), (owner, None))
+                gain, owner = self._reassign_gain(v, j)
+                changes = _reassignment(v, j, owner)
                 if gain == 0 and tuple(_applied(images, changes)) not in visited:
                     return changes
         for v, at_v in enumerate(images):
-            reach_v, now, links_v = reach[v], current[v], links[v]
-            if now:
+            if current[v]:
                 others = sorted(w for w in self._swap_candidates(v) if w > v)
             else:
                 others = range(v + 1, len(images))
@@ -451,16 +443,17 @@ class _Position:
                 at_w = images[w]
                 if at_v == at_w:
                     continue
-                gain = reach_v.get(at_w, 0) + reach[w].get(at_v, 0) - now - current[w]
-                table = links_v.get(w)
-                if table:
-                    gain += table.get(at_v, _NO_MATCHES).get(at_w, 0) + table.get(
-                        at_w, _NO_MATCHES
-                    ).get(at_v, 0)
                 changes = ((v, at_w), (w, at_v))
-                if gain == 0 and tuple(_applied(images, changes)) not in visited:
+                if self._swap_gain(v, w) == 0 and (
+                    tuple(_applied(images, changes)) not in visited
+                ):
                     return changes
         return None
+
+
+def _reassignment(v: int, j: int | None, owner: int | None):
+    """The changes that move ``v`` to ``j`` and unmap its holder ``owner``."""
+    return ((v, j),) if owner is None else ((v, j), (owner, None))
 
 
 def _applied(images, changes) -> list[int | None]:
@@ -500,30 +493,6 @@ def _random_seed(context: _MatchContext, rng) -> list[int | None]:
     return targets[:size]
 
 
-def _hill_climb(
-    context: _MatchContext,
-    restarts: int,
-    rng: random.Random,
-    extra_seeds=(),
-):
-    seeds = [_name_seed(context), _greedy_seed(context)]
-    seeds.extend(context.images(seed) for seed in extra_seeds)
-
-    climbs = max(restarts, len(seeds))
-    best_score = -1
-    best_images: list[int | None] = [None] * len(context.vars1)
-    for attempt in range(climbs):
-        if attempt < len(seeds):
-            images = seeds[attempt]
-        else:
-            images = _random_seed(context, rng)
-        score, images = _climb_once(context, images)
-        if score > best_score:
-            best_score = score
-            best_images = images
-    return best_score, context.mapping(best_images)
-
-
 _SIDEWAYS_BUDGET = 8  # plateau steps allowed per climb before giving up
 
 
@@ -549,17 +518,21 @@ def _climb_once(context, images):
 def _scored_smatch(
     left: TripleSet, right: TripleSet, restarts: int, rng, extra_seeds=()
 ) -> SmatchResult:
+    """The best climb from the name, greedy and ``extra_seeds`` mappings,
+    then from random ones up to ``restarts`` climbs."""
     context = _MatchContext(left, right)
-    matched, mapping = _hill_climb(context, restarts, rng, extra_seeds)
-    return _result(matched, left.total, right.total, mapping)
-
-
-def _base_smatch(graph1: AmrGraph, graph2: AmrGraph, restarts: int, seed: int):
-    """Each graph validated once, as triples, and their Smatch result."""
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    left, right = to_triples(graph1), to_triples(graph2)
-    return left, right, _scored_smatch(left, right, restarts, random.Random(seed))
+    seeds = [_name_seed(context), _greedy_seed(context)]
+    seeds.extend(context.images(seed) for seed in extra_seeds)
+    best_score, best_images = -1, [None] * len(context.vars1)
+    for attempt in range(max(restarts, len(seeds))):
+        if attempt < len(seeds):
+            images = seeds[attempt]
+        else:
+            images = _random_seed(context, rng)
+        score, images = _climb_once(context, images)
+        if score > best_score:
+            best_score, best_images = score, images
+    return _result(best_score, left.total, right.total, context.mapping(best_images))
 
 
 def smatch(
@@ -573,7 +546,10 @@ def smatch(
     largest gain in matched triples.  Precision is measured against
     ``graph1`` (the prediction side), recall against ``graph2``.
     """
-    return _base_smatch(graph1, graph2, restarts, seed)[2]
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    left, right = to_triples(graph1), to_triples(graph2)
+    return _scored_smatch(left, right, restarts, random.Random(seed))
 
 
 def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
@@ -638,13 +614,9 @@ def _srl_edges(graph: AmrGraph):
     return tuple(e for e in graph.edges if _SRL_RE.match(e[1]))
 
 
-def _restricted(graph: AmrGraph, edges) -> TripleSet:
+def _restricted(triples: TripleSet, edges) -> TripleSet:
     # Instance triples anchor the mapping; attributes and TOP are dropped.
-    return TripleSet(
-        instances=tuple((n, INSTANCE, c) for n, c in graph.nodes.items()),
-        attributes=(),
-        relations=tuple(edges),
-    )
+    return TripleSet(instances=triples.instances, attributes=(), relations=tuple(edges))
 
 
 def _multiset_f(left: Counter, right: Counter) -> SmatchResult | None:
@@ -700,7 +672,8 @@ def fine_grained(
     guarantees that removing edge labels or senses never lowers the score
     below the base Smatch.
     """
-    left, right, base = _base_smatch(graph1, graph2, restarts, seed)
+    base = smatch(graph1, graph2, restarts, seed)
+    left, right = to_triples(graph1), to_triples(graph2)
     rng = random.Random(seed)
     base_seed = (base.mapping,)
 
@@ -726,8 +699,8 @@ def fine_grained(
     for key, selected in (("reentrancy", _reentrant_edges), ("srl", _srl_edges)):
         subset2 = selected(graph2)
         results[key] = _scored_smatch(
-            _restricted(graph1, selected(graph1)),
-            _restricted(graph2, subset2),
+            _restricted(left, selected(graph1)),
+            _restricted(right, subset2),
             restarts,
             rng,
             base_seed,

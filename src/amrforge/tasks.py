@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -24,11 +24,9 @@ from .amr import AmrGraph, InvalidGraphError, require_valid
 from .corrupt import (
     CorruptionConfig,
     CorruptionRecord,
-    compose,
+    corrupt_graph,
     derive_rng,
     mask_text,
-    node_edge_step,
-    subgraph_step,
 )
 from .linearize import linearize
 
@@ -162,17 +160,8 @@ def build_sample(
         graph_part = [tk.MASK]
     else:
         if tag is TaskTag.T_MG2G:
-            node_rate = edge_rate = dynamic_rate
-        else:
-            node_rate, edge_rate = config.node_rate, config.edge_rate
-        graph_part, graph_record = compose(
-            graph,
-            [
-                subgraph_step(config.subgraph_rate),
-                node_edge_step(node_rate, edge_rate),
-            ],
-            rng,
-        )
+            config = replace(config, node_rate=dynamic_rate, edge_rate=dynamic_rate)
+        graph_part, graph_record = corrupt_graph(graph, config, rng)
 
     sample_input = (
         [tk.TEXT_START]

@@ -241,6 +241,28 @@ def test_delinearize_strict_fails_on_malformed(tmp_path):
     assert run(["delinearize", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command, text, seed, message", [
+    # a strict syntax error and an invalid graph, both in a strict read
+    ("linearize", "(a / boy :ARG0\n", None, "document 0: unbalanced '('"),
+    ("linearize", "(a / boy :ARG0 a)\n", None, "document 0: invalid graph: cycle"),
+    ("delinearize", "( <Z0> boy :ARG0\n", None, "missing close-paren (token 4)"),
+    ("build-tasks", "# ::snt \n(a / boy)\n", None, "requires a non-empty text"),
+    ("corrupt", "(a / boy)\n", "x", "AMRFORGE_SEED must be an integer"),
+    ("linearize", None, None, "No such file or directory"),
+], ids=["syntax", "invalid-graph", "structure", "task", "seed", "missing-file"])
+def test_each_error_kind_exits_one_with_one_error_line(command, text, seed, message,
+                                                       tmp_path, monkeypatch, capsys):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    if seed is not None:
+        monkeypatch.setenv("AMRFORGE_SEED", seed)
+    assert run([command, str(path)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("amrforge: error: ")]
+    assert len(errors) == 1 and message in errors[0]
+
+
 def test_closed_stdout_ends_quietly(corpus, monkeypatch, capsys):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -572,3 +594,15 @@ def test_failing_mid_stream_closes_the_input(tmp_path):
     assert done.stdout == b"( <Z0> boy )\n"
     assert done.stderr.decode().startswith("amrforge: error:")
     assert "ResourceWarning" not in done.stderr.decode()
+
+
+def test_strict_delinearize_error_on_stdin_is_one_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(amrforge.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "amrforge.cli", "delinearize", "-"],
+        input=b"( <Z0> boy )\n( <Z0> boy :ARG0\n", capture_output=True, env=env,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == b"(z0 / boy)\n"
+    assert done.stderr == b"amrforge: error: missing close-paren (token 4)\n"

@@ -1,8 +1,10 @@
+import inspect
 import math
 import random
 
 import pytest
 
+import amrforge.metrics
 from amrforge import (
     AmrGraph,
     InvalidGraphError,
@@ -145,6 +147,22 @@ def test_fine_grained_identical():
                 "ner", "negation", "reentrancy", "srl"):
         assert scores[key] is not None, key
         assert scores[key].f1 == 1.0, key
+
+
+def test_fine_grained_scores_its_base_through_smatch(monkeypatch):
+    left, right = _graph(WANT_BOY), _graph(WANT_GIRL)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return smatch(*args, **kwargs)
+
+    monkeypatch.setattr(amrforge.metrics, "smatch", spy)
+    scores = fine_grained(left, right, restarts=3, seed=7)
+    assert len(calls) == 1
+    bound = inspect.signature(smatch).bind(*calls[0][0], **calls[0][1])
+    assert bound.arguments == {"graph1": left, "graph2": right, "restarts": 3, "seed": 7}
+    assert scores["smatch"] == smatch(left, right, restarts=3, seed=7)
 
 
 def test_fine_grained_absent_metrics_on_plain_pair():
