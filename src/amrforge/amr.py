@@ -143,18 +143,92 @@ def _trusted(graph: AmrGraph) -> AmrGraph:
 
 
 def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
+    """Decide validity in one linear pass; explain only a failure.
+
+    The pass peels the graph from the root, tests the triples for
+    duplicates with one set each, and checks each distinct symbol once.
+    Only a graph that fails it is walked again, by :func:`_explain`.
+    """
     nodes = graph.nodes
     if not nodes:
         return [Diagnostic("missing-root", "graph has no nodes")]
+    # child lists in edge order, duplicates kept: the one adjacency that
+    # the peel, connectivity, reachability and the cycle search all read
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    in_degree = dict.fromkeys(nodes, 0)
+    endpoints_known = True
+    for s, _, t in graph.edges:
+        if s in children and t in children:
+            children[s].append(t)
+            in_degree[t] += 1
+        else:
+            endpoints_known = False
+    peeled = _peels_from_root(graph.root, children, in_degree)
+    if (
+        peeled
+        and endpoints_known
+        and all(s in nodes for s, _, _ in graph.attributes)
+        and _unique(graph.edges)
+        and _unique(graph.attributes)
+        and _plain_symbols(graph)
+    ):
+        return []
+    return _explain(graph, children, peeled)
+
+
+def _unique(triples: tuple) -> bool:
+    return len(set(triples)) == len(triples)
+
+
+def _peels_from_root(
+    root: str, children: dict[str, list[str]], in_degree: dict[str, int]
+) -> bool:
+    """True iff a topological peel started from the root alone takes
+    every node; ``in_degree`` is used up.
+
+    A node is taken once all its parents are, so a node on a cycle never
+    is, nor a node the root does not reach.  In a DAG whose only source
+    is the root every node is taken.  So the peel takes every node exactly
+    when the graph is connected, reachable from the root and acyclic.
+    """
+    if in_degree.get(root) != 0:  # a missing root, or an edge into it
+        return False
+    taken = [root]
+    for node in taken:
+        for child in children[node]:
+            in_degree[child] -= 1
+            if not in_degree[child]:
+                taken.append(child)
+    return len(taken) == len(children)
+
+
+def _plain_symbols(graph: AmrGraph) -> bool:
+    """The rules of :func:`_check_symbols`, with one check per node id
+    and per distinct concept, constant and relation."""
+    values = set(graph.nodes.values())
+    values.update(v for _, _, v in graph.attributes)
+    relations = {r for _, r, _ in graph.edges}
+    relations.update(r for _, r, _ in graph.attributes)
+    return (
+        all(map(_NODE_ID_RE.fullmatch, graph.nodes))
+        and all(map(_VALUE_RE.fullmatch, values))
+        and all(map(_RELATION_RE.fullmatch, relations))
+    )
+
+
+def _explain(
+    graph: AmrGraph, children: dict[str, list[str]], peeled: bool
+) -> list[Diagnostic]:
+    """One diagnostic per violation, in a fixed order: root, endpoints,
+    duplicates, symbols, connectivity, reachability, cycles.  Each
+    per-violation walk runs only if its cheap check fails."""
+    diags: list[Diagnostic] = []
+    nodes = graph.nodes
     if graph.root not in nodes:
         diags.append(
             Diagnostic("missing-root", f"root {graph.root!r} is not a node")
         )
 
-    # child lists in edge order, duplicates kept: the one adjacency that
-    # connectivity, reachability and the cycle search all read
-    children: dict[str, list[str]] = {n: [] for n in nodes}
     for s, r, t in graph.edges:
         unknown = [v for v in (s, t) if v not in nodes]
         if unknown:
@@ -164,8 +238,6 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
                     f"edge ({s}, {r}, {t}) references unknown node(s) {unknown}",
                 )
             )
-        else:
-            children[s].append(t)
     for s, r, v in graph.attributes:
         if s not in nodes:
             diags.append(
@@ -175,21 +247,27 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
                 )
             )
 
-    for triple, count in Counter(graph.edges).items():
-        if count > 1:
-            diags.append(
-                Diagnostic("duplicate-edge", f"edge {triple} appears {count} times")
-            )
-    for triple, count in Counter(graph.attributes).items():
-        if count > 1:
-            diags.append(
-                Diagnostic(
-                    "duplicate-attribute", f"attribute {triple} appears {count} times"
+    if not _unique(graph.edges):
+        for triple, count in Counter(graph.edges).items():
+            if count > 1:
+                diags.append(
+                    Diagnostic("duplicate-edge", f"edge {triple} appears {count} times")
                 )
-            )
+    if not _unique(graph.attributes):
+        for triple, count in Counter(graph.attributes).items():
+            if count > 1:
+                diags.append(
+                    Diagnostic(
+                        "duplicate-attribute",
+                        f"attribute {triple} appears {count} times",
+                    )
+                )
 
-    diags.extend(_check_symbols(graph))
+    if not _plain_symbols(graph):
+        diags.extend(_check_symbols(graph))
 
+    if peeled:  # connected, reachable from the root and acyclic
+        return diags
     if graph.root in nodes:
         undirected = {n: set(targets) for n, targets in children.items()}
         for s, targets in children.items():

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--tasks", default="all",
                        help="comma-separated task names, or all (the six "
                        "pre-training tasks) / finetune / everything")
-    build.add_argument("--T", dest="total_steps", type=int, default=100000,
+    build.add_argument("--T", dest="total_steps", type=_positive, default=100000,
                        help="total steps of the dynamic masking schedule")
     for p in (corrupt, build):
         p.add_argument("--node-rate", type=float, default=0.15)
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     vocab.add_argument("--base", default=None,
                        help="file with base tokens, one per line "
                        "(default: the two parentheses)")
-    vocab.add_argument("--max-pointers", type=int, default=512)
+    vocab.add_argument("--max-pointers", type=_positive, default=512)
 
     smatch_cmd = command("smatch", _cmd_smatch,
                          "score predicted graphs against gold",

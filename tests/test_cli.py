@@ -401,6 +401,21 @@ def test_restarts_below_one_is_a_usage_error(restarts, empty, corpus, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize("command, flag", [("build-tasks", "--T"),
+                                           ("vocab", "--max-pointers")])
+def test_counts_below_one_are_usage_errors(command, flag, value, tmp_path,
+                                           capsys):
+    # the corpus does not exist: the flag is rejected before any read
+    out = tmp_path / "out.txt"
+    assert run([command, str(tmp_path / "missing.amr"), flag, value,
+                "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "must be a positive integer" in captured.err
+    assert "amrforge: seed" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class _RecordingPool:
     sizes: list = []
 

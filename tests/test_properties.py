@@ -3,7 +3,8 @@
 ``restore_tokens`` must give back the exact clean sequence, every masked
 node must read ``[mask]`` where its concept was, and a removed sub-graph
 must itself be a valid graph.  The span table of a linearization layout
-must describe its tokens, before and after a sub-graph cut.
+must describe its tokens, before and after a sub-graph cut.  ``validate``
+must accept exactly the graphs that a definition-by-DFS reference accepts.
 """
 
 import random
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from amrforge import (
+    AmrGraph,
     CorruptionConfig,
     compose,
     corrupt_graph,
@@ -143,3 +145,114 @@ def test_span_table_before_and_after_a_cut(graph, seed):
     _check_span_table(*seen[0])
     if record.removed_subgraph is not None:
         assert set(seen[0][1].span).isdisjoint(record.removed_subgraph.nodes)
+
+
+# Symbol pools for drawn graphs: mostly usable, a few not (delimiters,
+# a leading colon, a pointer-shaped concept, an unclosed quote)
+GOOD_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
+BAD_IDS = ("x y", ":i", "p(q", "")
+GOOD_VALUES = ("boy", "go-02", '"New York"', "-", "3")
+BAD_VALUES = ("go/02", "<Z1>", ":x", '"open', "a b")
+GOOD_RELATIONS = (":r", ":s")
+BAD_RELATIONS = ("r", ":a b", ":")
+
+
+@st.composite
+def edge_graphs(draw):
+    """Up to 8 nodes, often joined by a tree, plus arbitrary extra edges
+    and attributes: self-loops, 2-cycles, duplicates and unknown
+    endpoints.  In one graph of four, a symbol may be unusable."""
+    spoiled = draw(st.integers(0, 3)) == 0
+
+    def symbol(good, bad):
+        pool = bad if spoiled and draw(st.integers(0, 7)) == 0 else good
+        return draw(st.sampled_from(pool))
+
+    count = draw(st.integers(min_value=0, max_value=8))
+    ids = list(dict.fromkeys(symbol(GOOD_IDS, BAD_IDS) for _ in range(count)))
+    nodes = {n: symbol(GOOD_VALUES, BAD_VALUES) for n in ids}
+    edges = []
+    if draw(st.integers(0, 3)):  # a tree over the nodes, in drawn order
+        for i in range(1, len(ids)):
+            parent = ids[draw(st.integers(0, i - 1))]
+            edges.append((parent, symbol(GOOD_RELATIONS, BAD_RELATIONS), ids[i]))
+    endpoints = st.sampled_from(ids + ["ghost"]) if ids else st.just("ghost")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(("forward", "forward", "any", "duplicate")))
+        if kind == "duplicate" and edges:
+            extra = draw(st.sampled_from(edges))
+        elif kind == "forward" and len(ids) > 1:  # keeps the drawn order acyclic
+            i = draw(st.integers(0, len(ids) - 2))
+            extra = (ids[i], symbol(GOOD_RELATIONS, BAD_RELATIONS),
+                     ids[draw(st.integers(i + 1, len(ids) - 1))])
+        else:
+            extra = (draw(endpoints), symbol(GOOD_RELATIONS, BAD_RELATIONS),
+                     draw(endpoints))
+        edges.insert(draw(st.integers(0, len(edges))), extra)
+    attributes = [
+        (draw(endpoints), symbol(GOOD_RELATIONS, BAD_RELATIONS),
+         symbol(GOOD_VALUES, BAD_VALUES))
+        for _ in range(draw(st.integers(min_value=0, max_value=2)))
+    ]
+    if attributes and not draw(st.integers(0, 3)):
+        attributes.insert(0, attributes[-1])
+    if ids and draw(st.integers(0, 3)):
+        root = ids[0]
+    else:
+        root = draw(st.sampled_from(ids + ["missing"]))
+    return AmrGraph(nodes=nodes, edges=edges, attributes=attributes, root=root)
+
+
+def _plain(symbol):
+    return bool(symbol) and not any(c.isspace() or c in '()/"' for c in symbol)
+
+
+def _usable_value(value):
+    if len(value) >= 2 and value[0] == value[-1] == '"':
+        return '"' not in value[1:-1] and "\n" not in value
+    pointer_shaped = (value.startswith("<Z") and value.endswith(">")
+                      and value[2:-1].isdecimal())
+    return _plain(value) and not value.startswith(":") and not pointer_shaped
+
+
+def _reference_valid(graph):
+    """Validity by definition: plain DFS reachability, no node reaching
+    itself, and the endpoint, duplicate and symbol rules."""
+    nodes, edges, attributes = graph.nodes, graph.edges, graph.attributes
+    if graph.root not in nodes:
+        return False
+    if any(s not in nodes or t not in nodes for s, _, t in edges):
+        return False
+    if any(s not in nodes for s, _, _ in attributes):
+        return False
+    if len(set(edges)) < len(edges) or len(set(attributes)) < len(attributes):
+        return False
+    if not all(_plain(n) and not n.startswith(":") for n in nodes):
+        return False
+    values = list(nodes.values()) + [v for _, _, v in attributes]
+    if not all(_usable_value(v) for v in values):
+        return False
+    relations = [r for _, r, _ in edges] + [r for _, r, _ in attributes]
+    if not all(r.startswith(":") and _plain(r[1:]) for r in relations):
+        return False
+
+    def reached_from(start):  # by a path of one edge or more
+        seen, stack = set(), [start]
+        while stack:
+            node = stack.pop()
+            for s, _, t in edges:
+                if s == node and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    from_root = reached_from(graph.root) | {graph.root}
+    return (all(n in from_root for n in nodes)
+            and not any(n in reached_from(n) for n in nodes))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_graphs())
+def test_validate_agrees_with_the_reference_definition(graph):
+    diagnostics = validate(graph)
+    assert (diagnostics == []) == _reference_valid(graph), diagnostics
