@@ -15,6 +15,7 @@ import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import filterfalse
 from types import MappingProxyType
 
 Edge = tuple[str, str, str]
@@ -143,95 +144,34 @@ def _trusted(graph: AmrGraph) -> AmrGraph:
 
 
 def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
-    """Decide validity in one linear pass; explain only a failure.
+    """One diagnostic per violation, in a fixed order: root, endpoints,
+    duplicates, symbols, connectivity, reachability, cycles.
 
-    The pass peels the graph from the root, tests the triples for
-    duplicates with one set each, and checks each distinct symbol once.
-    Only a graph that fails it is walked again, by :func:`_explain`.
+    Each kind of violation is decided by one linear check, and the walk
+    that explains it runs only when that check fails: the duplicate
+    counts when a set of the triples is smaller than the triples, and the
+    connectivity, reachability and cycle walks when a topological peel
+    from the root does not take every node.
     """
     nodes = graph.nodes
     if not nodes:
         return [Diagnostic("missing-root", "graph has no nodes")]
-    # child lists in edge order, duplicates kept: the one adjacency that
-    # the peel, connectivity, reachability and the cycle search all read
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    in_degree = dict.fromkeys(nodes, 0)
-    endpoints_known = True
-    for s, _, t in graph.edges:
-        if s in children and t in children:
-            children[s].append(t)
-            in_degree[t] += 1
-        else:
-            endpoints_known = False
-    peeled = _peels_from_root(graph.root, children, in_degree)
-    if (
-        peeled
-        and endpoints_known
-        and all(s in nodes for s, _, _ in graph.attributes)
-        and _unique(graph.edges)
-        and _unique(graph.attributes)
-        and _plain_symbols(graph)
-    ):
-        return []
-    return _explain(graph, children, peeled)
-
-
-def _unique(triples: tuple) -> bool:
-    return len(set(triples)) == len(triples)
-
-
-def _peels_from_root(
-    root: str, children: dict[str, list[str]], in_degree: dict[str, int]
-) -> bool:
-    """True iff a topological peel started from the root alone takes
-    every node; ``in_degree`` is used up.
-
-    A node is taken once all its parents are, so a node on a cycle never
-    is, nor a node the root does not reach.  In a DAG whose only source
-    is the root every node is taken.  So the peel takes every node exactly
-    when the graph is connected, reachable from the root and acyclic.
-    """
-    if in_degree.get(root) != 0:  # a missing root, or an edge into it
-        return False
-    taken = [root]
-    for node in taken:
-        for child in children[node]:
-            in_degree[child] -= 1
-            if not in_degree[child]:
-                taken.append(child)
-    return len(taken) == len(children)
-
-
-def _plain_symbols(graph: AmrGraph) -> bool:
-    """The rules of :func:`_check_symbols`, with one check per node id
-    and per distinct concept, constant and relation."""
-    values = set(graph.nodes.values())
-    values.update(v for _, _, v in graph.attributes)
-    relations = {r for _, r, _ in graph.edges}
-    relations.update(r for _, r, _ in graph.attributes)
-    return (
-        all(map(_NODE_ID_RE.fullmatch, graph.nodes))
-        and all(map(_VALUE_RE.fullmatch, values))
-        and all(map(_RELATION_RE.fullmatch, relations))
-    )
-
-
-def _explain(
-    graph: AmrGraph, children: dict[str, list[str]], peeled: bool
-) -> list[Diagnostic]:
-    """One diagnostic per violation, in a fixed order: root, endpoints,
-    duplicates, symbols, connectivity, reachability, cycles.  Each
-    per-violation walk runs only if its cheap check fails."""
     diags: list[Diagnostic] = []
-    nodes = graph.nodes
     if graph.root not in nodes:
         diags.append(
             Diagnostic("missing-root", f"root {graph.root!r} is not a node")
         )
 
+    # child lists in edge order, duplicates kept: the one adjacency that
+    # the peel, connectivity, reachability and the cycle search all read
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    in_degree = dict.fromkeys(nodes, 0)
     for s, r, t in graph.edges:
-        unknown = [v for v in (s, t) if v not in nodes]
-        if unknown:
+        if s in children and t in children:
+            children[s].append(t)
+            in_degree[t] += 1
+        else:
+            unknown = [v for v in (s, t) if v not in nodes]
             diags.append(
                 Diagnostic(
                     "dangling-edge",
@@ -247,27 +187,17 @@ def _explain(
                 )
             )
 
-    if not _unique(graph.edges):
-        for triple, count in Counter(graph.edges).items():
-            if count > 1:
-                diags.append(
-                    Diagnostic("duplicate-edge", f"edge {triple} appears {count} times")
-                )
-    if not _unique(graph.attributes):
-        for triple, count in Counter(graph.attributes).items():
-            if count > 1:
-                diags.append(
-                    Diagnostic(
-                        "duplicate-attribute",
-                        f"attribute {triple} appears {count} times",
-                    )
-                )
+    for kind, triples in (("edge", graph.edges), ("attribute", graph.attributes)):
+        if len(set(triples)) != len(triples):
+            for triple, count in Counter(triples).items():
+                if count > 1:
+                    message = f"{kind} {triple} appears {count} times"
+                    diags.append(Diagnostic(f"duplicate-{kind}", message))
 
-    if not _plain_symbols(graph):
-        diags.extend(_check_symbols(graph))
+    diags.extend(_check_symbols(graph))
 
-    if peeled:  # connected, reachable from the root and acyclic
-        return diags
+    if _peels_from_root(graph.root, children, in_degree):
+        return diags  # connected, reachable from the root and acyclic
     if graph.root in nodes:
         undirected = {n: set(targets) for n, targets in children.items()}
         for s, targets in children.items():
@@ -300,6 +230,28 @@ def _explain(
     return diags
 
 
+def _peels_from_root(
+    root: str, children: dict[str, list[str]], in_degree: dict[str, int]
+) -> bool:
+    """True iff a topological peel started from the root alone takes
+    every node; ``in_degree`` is used up.
+
+    A node is taken once all its parents are, so a node on a cycle never
+    is, nor a node the root does not reach.  In a DAG whose only source
+    is the root every node is taken.  So the peel takes every node exactly
+    when the graph is connected, reachable from the root and acyclic.
+    """
+    if in_degree.get(root) != 0:  # a missing root, or an edge into it
+        return False
+    taken = [root]
+    for node in taken:
+        for child in children[node]:
+            in_degree[child] -= 1
+            if not in_degree[child]:
+                taken.append(child)
+    return len(taken) == len(children)
+
+
 # A plain symbol has none of the characters that delimit tokens in the
 # PENMAN grammar or the token text form, which splits at every character
 # that str.isspace accepts, since a symbol containing them cannot survive
@@ -318,29 +270,38 @@ def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
     A node id or concept containing delimiter characters, a concept shaped
     like a pointer token, a relation without its leading colon, or an
     unquoted constant with delimiters would all serialize into text that
-    no longer parses back to the same graph, so they are invalid.
+    no longer parses back to the same graph, so they are invalid.  Each
+    node id and each distinct concept, constant and relation is matched
+    once; the uses of a bad one are listed only when there is one.
     """
+    values = set(graph.nodes.values())
+    values.update(v for _, _, v in graph.attributes)
+    relations = {r for _, r, _ in graph.edges}
+    relations.update(r for _, r, _ in graph.attributes)
+    bad_ids = set(filterfalse(_NODE_ID_RE.fullmatch, graph.nodes))
+    bad_values = set(filterfalse(_VALUE_RE.fullmatch, values))
+    bad_relations = set(filterfalse(_RELATION_RE.fullmatch, relations))
+    if not (bad_ids or bad_values or bad_relations):
+        return []
     diags: list[Diagnostic] = []
     for node, concept in graph.nodes.items():
-        if not _NODE_ID_RE.fullmatch(node):
+        if node in bad_ids:
             diags.append(Diagnostic("bad-symbol", f"unusable node id {node!r}"))
-        if not _VALUE_RE.fullmatch(concept):
+        if concept in bad_values:
             diags.append(
                 Diagnostic(
                     "bad-symbol", f"unusable concept {concept!r} on node {node!r}"
                 )
             )
-    relations = [(s, r) for s, r, _ in graph.edges]
-    relations += [(s, r) for s, r, _ in graph.attributes]
-    for source, rel in relations:
-        if not _RELATION_RE.fullmatch(rel):
+    for source, rel, _ in graph.edges + graph.attributes:
+        if rel in bad_relations:
             diags.append(
                 Diagnostic(
                     "bad-symbol", f"unusable relation {rel!r} on node {source!r}"
                 )
             )
     for source, rel, value in graph.attributes:
-        if not _VALUE_RE.fullmatch(value):
+        if value in bad_values:
             diags.append(
                 Diagnostic(
                     "bad-symbol",

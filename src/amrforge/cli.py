@@ -66,12 +66,16 @@ def _read(path: str, strict: bool) -> Iterator[tuple[PenmanDocument, AmrGraph]]:
         yield d, empty_graph() if d.diagnostics else d.graph
 
 
-def _read_lines(path: str) -> Iterator[str]:
-    # read as it is consumed; a line ends at "\n" only, where str.splitlines
-    # would also break at form feeds, U+0085 or U+2028.  utf-8-sig drops a
-    # leading byte-order mark, as some editors write one
+def _read_lines(path: str, *, newline: str | None = None) -> Iterator[str]:
+    # read as it is consumed.  A line ends at "\n", "\r\n" or a lone "\r",
+    # read as "\n"; with newline="\n" (bleu's sentences) at "\n" only.  It
+    # never ends where str.splitlines would also break, at form feeds,
+    # U+0085 or U+2028.  utf-8-sig drops a leading byte-order mark, as some
+    # editors write one
     if path == "-":
-        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+        handle = io.TextIOWrapper(
+            sys.stdin.buffer, encoding="utf-8-sig", newline=newline
+        )
         try:
             # a loop, not yield from: a generator closed early would close
             # the wrapper it delegates to, and stdin's buffer with it
@@ -80,7 +84,7 @@ def _read_lines(path: str) -> Iterator[str]:
         finally:
             handle.detach()  # leave stdin itself open
     else:
-        with open(path, "r", encoding="utf-8-sig") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as handle:
             yield from handle
 
 
@@ -430,8 +434,8 @@ def _cmd_smatch(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    references = [line.split() for line in _read_lines(args.reference)]
-    hypotheses = [line.split() for line in _read_lines(args.hypothesis)]
+    references = [line.split() for line in _read_lines(args.reference, newline="\n")]
+    hypotheses = [line.split() for line in _read_lines(args.hypothesis, newline="\n")]
     details = corpus_bleu_details(hypotheses, references)
     _write(args.output, [_json({
         "bleu": round(details.score, 6),

@@ -17,6 +17,7 @@ from amrforge import (
     rename_nodes,
     validate,
 )
+from amrforge import amr
 from amrforge.amr import (
     _joint_colors,
     _search_bijection,
@@ -467,3 +468,29 @@ def test_copies_and_invalid_graphs_are_not_marked(diagnose_calls):
     assert validate(broken)
     assert validate(broken)
     assert len(diagnose_calls) == 4
+
+
+def test_each_walk_runs_only_when_its_linear_check_fails(monkeypatch):
+    # calls are counted, not timed: a valid graph needs no duplicate count
+    # and no structural walk, and a duplicate edge needs only the count
+    graph = random_graph(random.Random(59), 300, 300, max_reentrancies=30)
+    parents = defaultdict(set)
+    for s, _, t in graph.edges:
+        parents[t].add(s)
+    assert any(len(sources) > 1 for sources in parents.values())
+    calls = {name: [] for name in ("_closure", "_find_cycles", "Counter")}
+    for name, seen in calls.items():
+        def counted(*args, real=getattr(amr, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+        monkeypatch.setattr(amr, name, counted)
+
+    assert validate(graph) == []
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_closure": 0, "_find_cycles": 0, "Counter": 0}
+
+    duplicate = AmrGraph(nodes={"a": "x", "b": "y"},
+                         edges=(("a", ":ARG0", "b"),) * 2, root="a")
+    assert [d.code for d in validate(duplicate)] == ["duplicate-edge"]
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_closure": 0, "_find_cycles": 0, "Counter": 1}

@@ -352,7 +352,8 @@ def test_smatch_report_key_set(corpus, capsys):
 
 def test_bleu_lines_end_at_newline_only(tmp_path, capsys):
     ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
-    ref.write_text("the boy\x85went home\nhe ran fast\x0cnow\n", encoding="utf-8")
+    ref.write_text("the boy\x85went home\nhe\rran fast\x0cnow\n", encoding="utf-8",
+                   newline="")
     hyp.write_text("the boy went home\nhe ran fast now\n", encoding="utf-8")
     assert run(["bleu", str(ref), str(hyp)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -621,3 +622,35 @@ def test_strict_delinearize_error_on_stdin_is_one_line():
     assert done.returncode == 1
     assert done.stdout == b"(z0 / boy)\n"
     assert done.stderr == b"amrforge: error: missing close-paren (token 4)\n"
+
+
+# run in a fresh interpreter without site-packages (-S) or the environment
+# (-I): every module an import or a command loads must be the standard
+# library's or amrforge's own
+STDLIB_ONLY = """
+import importlib, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import amrforge
+for module in pkgutil.iter_modules(amrforge.__path__, "amrforge."):
+    importlib.import_module(module.name)
+from amrforge import cli
+assert cli.run(["validate", sys.argv[2]]) == 0
+foreign = sorted(
+    name for name in sys.modules
+    if name not in ("__main__", "__mp_main__")  # the script, and its alias
+    and name.partition(".")[0] not in sys.stdlib_module_names | {"amrforge"}
+)
+assert not foreign, foreign
+"""
+
+
+def test_amrforge_needs_only_the_standard_library(tmp_path):
+    path = tmp_path / "one.amr"
+    path.write_text("(b / boy)\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STDLIB_ONLY,
+         str(Path(amrforge.__file__).parents[1]), str(path)],
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout)["diagnostics"] == []
