@@ -12,7 +12,6 @@ from .amr import (
     InvalidGraphError,
     compute_stats,
     is_isomorphic,
-    rename_nodes,
     validate,
 )
 from .corrupt import (

@@ -87,9 +87,6 @@ class AmrGraph:
         # worker processes); rebuild from a plain dict, unmarked, unwalked
         return AmrGraph, (dict(self.nodes), self.edges, self.attributes, self.root)
 
-    def concept(self, node: str) -> str:
-        return self.nodes[node]
-
     def out_edges(self) -> dict[str, list[tuple[int, str, str]]]:
         """Outgoing ``(edge_index, relation, target)`` per node, in stored order."""
         table: dict[str, list[tuple[int, str, str]]] = {n: [] for n in self.nodes}
@@ -423,21 +420,6 @@ def reentrancy_bucket(reentrancies: int) -> str:
     if reentrancies <= 3:
         return REENTRANCY_BUCKETS[1]
     return REENTRANCY_BUCKETS[2]
-
-
-def rename_nodes(graph: AmrGraph, mapping: dict[str, str]) -> AmrGraph:
-    """Rebuild the graph with node ids renamed through ``mapping``."""
-    missing = [n for n in graph.nodes if n not in mapping]
-    if missing:
-        raise ValueError(f"mapping does not cover nodes {missing}")
-    if len(set(mapping[n] for n in graph.nodes)) != len(graph.nodes):
-        raise ValueError("mapping is not injective")
-    return AmrGraph(
-        nodes={mapping[n]: c for n, c in graph.nodes.items()},
-        edges=tuple((mapping[s], r, mapping[t]) for s, r, t in graph.edges),
-        attributes=tuple((mapping[s], r, v) for s, r, v in graph.attributes),
-        root=mapping[graph.root],
-    )
 
 
 def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:

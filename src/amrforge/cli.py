@@ -44,7 +44,7 @@ from .tasks import (
     parse_tag,
     sample_to_json,
 )
-from .vocab import build_vocabulary, collect_symbols, save_vocabulary
+from .vocab import _sidecar_text, build_vocabulary, collect_symbols
 
 ENV_SEED = "AMRFORGE_SEED"
 
@@ -393,10 +393,10 @@ def _cmd_vocab(args) -> int:
     else:
         base = [tk.OPEN, tk.CLOSE]
     vocabulary = build_vocabulary(base, inventory, max_pointers=args.max_pointers)
-    if args.output == "-":
-        _write("-", vocabulary.token_of)
-    else:
-        save_vocabulary(vocabulary, args.output)  # with its partition sidecar
+    # sidecar first: a failed write leaves the token file absent or unchanged
+    if args.output != "-":
+        _write(args.output + ".partitions.json", [_sidecar_text(vocabulary)])
+    _write(args.output, vocabulary.token_of)
     return 0
 
 

@@ -60,12 +60,6 @@ class CorruptionRecord:
     removed_subgraph: AmrGraph | None = None
     masked_text_positions: frozenset[int] = frozenset()
 
-    def is_empty(self) -> bool:
-        return not self.edits
-
-    def mask_count(self) -> int:
-        return len(self.edits)
-
 
 def restore_tokens(corrupted: list[str], record: CorruptionRecord) -> list[str]:
     """Undo a corruption: the exact original token sequence."""

@@ -91,7 +91,7 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
 
     def open_span(node: str) -> None:
         span[node] = (len(toks), -1)  # closed when the walk leaves the node
-        toks.extend((tk.OPEN, tk.pointer(len(span) - 1), graph.concept(node)))
+        toks.extend((tk.OPEN, tk.pointer(len(span) - 1), graph.nodes[node]))
         for _, rel, value in attrs[node]:
             toks.extend((rel, value))
         stack.append((node, iter(out[node])))

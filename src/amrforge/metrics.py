@@ -40,6 +40,7 @@ from .amr import AmrGraph, require_valid
 
 _SENSE_RE = re.compile(r"-\d{2,}$")
 _SRL_RE = re.compile(r":ARG\d", re.IGNORECASE)
+_BLEU_ORDER = 4
 
 TOP_RELATION = "TOP"
 INSTANCE = "instance"
@@ -559,7 +560,7 @@ def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
     most eight variables.
     """
     left, right = to_triples(graph1), to_triples(graph2)
-    n1, n2 = len(graph1.nodes), len(graph2.nodes)
+    n1, n2 = len(left.instances), len(right.instances)
     if min(n1, n2) > 8:
         raise ValueError("oracle requires one side with at most 8 variables")
     context = _MatchContext(left, right)
@@ -605,13 +606,13 @@ def _no_wsd(triples: TripleSet) -> TripleSet:
     )
 
 
-def _reentrant_edges(graph: AmrGraph):
-    in_degree = Counter(t for _, _, t in graph.edges)
-    return tuple(e for e in graph.edges if in_degree[e[2]] > 1)
+def _reentrant_edges(triples: TripleSet):
+    in_degree = Counter(t for _, _, t in triples.relations)
+    return tuple(e for e in triples.relations if in_degree[e[2]] > 1)
 
 
-def _srl_edges(graph: AmrGraph):
-    return tuple(e for e in graph.edges if _SRL_RE.match(e[1]))
+def _srl_edges(triples: TripleSet):
+    return tuple(e for e in triples.relations if _SRL_RE.match(e[1]))
 
 
 def _restricted(triples: TripleSet, edges) -> TripleSet:
@@ -626,35 +627,37 @@ def _multiset_f(left: Counter, right: Counter) -> SmatchResult | None:
     return _result(matched, sum(left.values()), sum(right.values()), {})
 
 
-def _concept_multiset(graph: AmrGraph) -> Counter:
-    return Counter(graph.nodes.values())
+def _concept_multiset(triples: TripleSet) -> Counter:
+    return Counter(c for _, _, c in triples.instances)
 
 
-def _wiki_multiset(graph: AmrGraph) -> Counter:
-    return Counter(v for _, r, v in graph.attributes if r == ":wiki")
+def _wiki_multiset(triples: TripleSet) -> Counter:
+    return Counter(v for _, r, v in triples.attributes if r == ":wiki")
 
 
-def _negation_multiset(graph: AmrGraph) -> Counter:
+def _negation_multiset(triples: TripleSet) -> Counter:
+    concepts = {v: c for v, _, c in triples.instances}
     marks = Counter()
-    for s, r, v in graph.attributes:
+    for s, r, v in triples.attributes:
         if r == ":polarity":
-            marks[(graph.nodes[s], v)] += 1
-    for s, r, t in graph.edges:
+            marks[(concepts[s], v)] += 1
+    for s, r, t in triples.relations:
         if r == ":polarity":
-            marks[(graph.nodes[s], graph.nodes[t])] += 1
+            marks[(concepts[s], concepts[t])] += 1
     return marks
 
 
-def _name_multiset(graph: AmrGraph) -> Counter:
+def _name_multiset(triples: TripleSet) -> Counter:
+    concepts = {v: c for v, _, c in triples.instances}
     attrs_by_node: dict[str, list] = {}
-    for s, r, v in graph.attributes:
+    for s, r, v in triples.attributes:
         attrs_by_node.setdefault(s, []).append((r, v))
     names = Counter()
-    for s, r, t in graph.edges:
+    for s, r, t in triples.relations:
         if r == ":name":
             signature = (
-                graph.nodes[s],
-                graph.nodes[t],
+                concepts[s],
+                concepts[t],
                 tuple(sorted(attrs_by_node.get(t, []))),
             )
             names[signature] += 1
@@ -684,22 +687,21 @@ def fine_grained(
     results["no_wsd"] = _scored_smatch(
         _no_wsd(left), _no_wsd(right), restarts, rng, base_seed
     )
-    results["concepts"] = _multiset_f(
-        _concept_multiset(graph1), _concept_multiset(graph2)
-    )
-    results["wikification"] = _multiset_f(
-        _wiki_multiset(graph1), _wiki_multiset(graph2)
-    )
-    results["ner"] = _multiset_f(_name_multiset(graph1), _name_multiset(graph2))
-    results["negation"] = _multiset_f(
-        _negation_multiset(graph1), _negation_multiset(graph2)
-    )
+    # The TOP triple among the attributes counts in no multiset: its relation
+    # is never :wiki or :polarity, and no :name edge ends at the root.
+    for key, multiset in (
+        ("concepts", _concept_multiset),
+        ("wikification", _wiki_multiset),
+        ("ner", _name_multiset),
+        ("negation", _negation_multiset),
+    ):
+        results[key] = _multiset_f(multiset(left), multiset(right))
 
     # reentrancy before srl, so each draws from rng in the order it always has
     for key, selected in (("reentrancy", _reentrant_edges), ("srl", _srl_edges)):
-        subset2 = selected(graph2)
+        subset2 = selected(right)
         results[key] = _scored_smatch(
-            _restricted(left, selected(graph1)),
+            _restricted(left, selected(left)),
             _restricted(right, subset2),
             restarts,
             rng,
@@ -747,9 +749,9 @@ class BleuResult:
 
 
 def corpus_bleu_details(
-    hypotheses: list[list[str]], references: list[list[str]], max_order: int = 4
+    hypotheses: list[list[str]], references: list[list[str]]
 ) -> BleuResult:
-    """Corpus-level BLEU with uniform n-gram weights and no smoothing.
+    """Corpus-level BLEU up to 4-grams with uniform weights and no smoothing.
 
     Tokens are compared as given; modified n-gram counts are clipped per
     pair and pooled over the corpus before the geometric mean, and the
@@ -762,14 +764,14 @@ def corpus_bleu_details(
     if not hypotheses:
         raise ValueError("at least one hypothesis/reference pair is required")
 
-    numerators = [0] * max_order
-    denominators = [0] * max_order
+    numerators = [0] * _BLEU_ORDER
+    denominators = [0] * _BLEU_ORDER
     hyp_length = 0
     ref_length = 0
     for hyp, ref in zip(hypotheses, references):
         hyp_length += len(hyp)
         ref_length += len(ref)
-        for order in range(1, max_order + 1):
+        for order in range(1, _BLEU_ORDER + 1):
             hyp_ngrams = Counter(_ngrams(hyp, order))
             ref_ngrams = Counter(_ngrams(ref, order))
             clipped = sum(
@@ -779,10 +781,7 @@ def corpus_bleu_details(
             numerators[order - 1] += clipped
             denominators[order - 1] += max(len(hyp) - order + 1, 0)
 
-    precisions = tuple(
-        numerators[i] / denominators[i] if denominators[i] else 0.0
-        for i in range(max_order)
-    )
+    precisions = tuple(n / d if d else 0.0 for n, d in zip(numerators, denominators))
     if hyp_length == 0:
         brevity_penalty = 0.0
     elif hyp_length > ref_length:
@@ -792,7 +791,7 @@ def corpus_bleu_details(
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        log_mean = sum(math.log(p) for p in precisions) / max_order
+        log_mean = sum(math.log(p) for p in precisions) / _BLEU_ORDER
         score = brevity_penalty * math.exp(log_mean)
     return BleuResult(
         score=score,

@@ -296,7 +296,8 @@ def read_corpus(stream, strict: bool = True):
     elif isinstance(stream, io.BufferedIOBase) or (
         hasattr(stream, "mode") and "b" in getattr(stream, "mode", "")
     ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
+        # only "\n" ends a line, as for bytes and str, so spans count a CR
+        stream = io.TextIOWrapper(stream, encoding="utf-8", newline="\n")
 
     index = 0
     offset = 0

@@ -67,8 +67,8 @@ PRETRAINING_TAGS = (
 FINETUNING_TAGS = (TaskTag.ET_G2T, TaskTag.T_EG2G)
 ALL_TAGS = PRETRAINING_TAGS + FINETUNING_TAGS
 
-# Only these two tasks follow the dynamic schedule; the doubly-masked
-# tasks keep the static rates.
+# Only these two tasks follow the dynamic schedule, on their one masked
+# side; the doubly-masked tasks keep the static rates.
 DYNAMIC_TAGS = frozenset((TaskTag.MT_G2T, TaskTag.T_MG2G))
 
 _TAG_ORDER = {tag: i for i, tag in enumerate(ALL_TAGS)}
@@ -150,7 +150,7 @@ def build_sample(
     elif text_mode == "empty":
         text_part = [tk.MASK]
     else:
-        rate = dynamic_rate if tag is TaskTag.MT_G2T else config.text_rate
+        rate = config.text_rate if dynamic_rate is None else dynamic_rate
         text_part, text_record = mask_text(list(text), rate, rng)
 
     graph_record: CorruptionRecord | None = None
@@ -159,7 +159,7 @@ def build_sample(
     elif graph_mode == "empty":
         graph_part = [tk.MASK]
     else:
-        if tag is TaskTag.T_MG2G:
+        if dynamic_rate is not None:
             config = replace(config, node_rate=dynamic_rate, edge_rate=dynamic_rate)
         graph_part, graph_record = corrupt_graph(graph, config, rng)
 

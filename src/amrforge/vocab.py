@@ -155,14 +155,18 @@ def save_vocabulary(vocabulary: Vocabulary, path) -> None:
     path = Path(path)
     path.write_text("\n".join(vocabulary.token_of) + "\n", encoding="utf-8",
                     newline="")
+    Path(str(path) + ".partitions.json").write_text(
+        _sidecar_text(vocabulary) + "\n", encoding="utf-8"
+    )
+
+
+def _sidecar_text(vocabulary: Vocabulary) -> str:
+    """The partition sidecar's JSON, without its final newline."""
     sidecar = {
         "max_pointers": vocabulary.max_pointers,
         "partitions": vocabulary.partitions,
     }
-    Path(str(path) + ".partitions.json").write_text(
-        json.dumps(sidecar, ensure_ascii=False, indent=0, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    return json.dumps(sidecar, ensure_ascii=False, indent=0, sort_keys=True)
 
 
 def load_vocabulary(path) -> Vocabulary:

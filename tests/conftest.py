@@ -10,6 +10,21 @@ GOLDEN_SEQUENCE = (
 )
 
 
+def rename_nodes(graph: AmrGraph, mapping: dict[str, str]) -> AmrGraph:
+    """Rebuild the graph with node ids renamed through ``mapping``."""
+    missing = [n for n in graph.nodes if n not in mapping]
+    if missing:
+        raise ValueError(f"mapping does not cover nodes {missing}")
+    if len(set(mapping[n] for n in graph.nodes)) != len(graph.nodes):
+        raise ValueError("mapping is not injective")
+    return AmrGraph(
+        nodes={mapping[n]: c for n, c in graph.nodes.items()},
+        edges=tuple((mapping[s], r, mapping[t]) for s, r, t in graph.edges),
+        attributes=tuple((mapping[s], r, v) for s, r, v in graph.attributes),
+        root=mapping[graph.root],
+    )
+
+
 def modal_graph() -> AmrGraph:
     """possible -> go -> boy, possible -> negative (a 4-node tree)."""
     return AmrGraph(

@@ -89,7 +89,7 @@ def test_corruption_statistics():
             node_fraction += len(record.masked_node_ids) / len(graph.nodes)
             edge_fraction += len(record.masked_edge_indices) / len(graph.edges)
             _, sub_record = mask_subgraph(graph, config, rng)
-            subgraph_hits += 0 if sub_record.is_empty() else 1
+            subgraph_hits += 1 if sub_record.edits else 0
         assert abs(node_fraction / runs - 0.15) < 0.01
         assert abs(edge_fraction / runs - 0.15) < 0.01
         assert abs(subgraph_hits / runs - 0.35) < 0.02

@@ -14,7 +14,6 @@ from amrforge import (
     delinearize,
     is_isomorphic,
     parse_penman,
-    rename_nodes,
     validate,
 )
 from amrforge import amr
@@ -27,6 +26,8 @@ from amrforge.amr import (
     size_bucket,
 )
 from amrforge.synth import random_graph
+
+from conftest import rename_nodes
 
 
 def test_single_node_is_valid():

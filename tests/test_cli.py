@@ -102,6 +102,21 @@ def test_stats_rows_and_summary(corpus, capsys):
     assert rows[-1]["summary"]["size"]["1-10"] == 2
 
 
+def test_stats_lenient_skips_unusable_documents(tmp_path, capsys):
+    path = tmp_path / "mixed.amr"
+    path.write_text(
+        "(b / boy)\n\n(broken / x :mod\n\n"
+        "(a / x :ARG0 (b / y :ARG1 a))\n\n(g / girl)\n",
+        encoding="utf-8",
+    )
+    assert run(["stats", str(path), "--lenient"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["index"] for row in rows[:-1]] == [0, 3]
+    summary = rows[-1]["summary"]
+    assert summary["size"] == {"1-10": 2}
+    assert sum(summary["reentrancies"].values()) == 2
+
+
 def test_build_tasks_cardinality_and_determinism(corpus, tmp_path):
     out1, out2, out3 = (tmp_path / f"t{i}.jsonl" for i in range(3))
     base = ["build-tasks", str(corpus), "--tasks", "all", "--T", "100000"]
@@ -206,6 +221,27 @@ def test_vocab_writes_table_and_sidecar(corpus, tmp_path):
     sidecar = json.loads((tmp_path / "vocab.txt.partitions.json").read_text())
     assert sidecar["max_pointers"] == 512
     assert sidecar["partitions"]["possible"] == "base"
+
+
+def test_vocab_failed_sidecar_leaves_the_token_file_unchanged(corpus, tmp_path):
+    out = tmp_path / "vocab.txt"
+    out.write_text("old\n", encoding="utf-8")
+    sidecar = tmp_path / "vocab.txt.partitions.json"
+    sidecar.mkdir()  # the sidecar cannot be written
+    assert run(["vocab", str(corpus), "-o", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(os.listdir(tmp_path)) == [
+        "corpus.amr", "vocab.txt", "vocab.txt.partitions.json"]
+    # once it can, both files hold save_vocabulary's bytes
+    sidecar.rmdir()
+    assert run(["vocab", str(corpus), "-o", str(out)]) == 0
+    with open(corpus, encoding="utf-8") as handle:
+        documents = list(read_corpus(handle))
+    saved = tmp_path / "saved.txt"
+    amrforge.save_vocabulary(amrforge.build_vocabulary(
+        ["(", ")"], amrforge.collect_symbols(documents)), saved)
+    assert out.read_bytes() == saved.read_bytes()
+    assert sidecar.read_bytes() == Path(f"{saved}.partitions.json").read_bytes()
 
 
 def test_vocab_base_file_with_byte_order_mark(corpus, tmp_path, capsys):

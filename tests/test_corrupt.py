@@ -43,7 +43,7 @@ def test_zero_rates_are_identity(golden):
     config = CorruptionConfig(node_rate=0.0, edge_rate=0.0)
     toks, record = mask_nodes_edges(golden, config, random.Random(0))
     assert toks == linearize(golden)
-    assert record.is_empty()
+    assert not record.edits
 
 
 def test_masking_concept_and_relation_tokens(golden):
@@ -83,7 +83,7 @@ def test_mask_count_exactness():
         n, e = len(graph.nodes), len(graph.edges)
         expected = _half_up(0.15 * n) + _half_up(0.15 * e)
         assert toks.count(MASK) == expected
-        assert record.mask_count() == expected
+        assert len(record.edits) == expected
         assert len(record.masked_node_ids) == _half_up(0.15 * n)
         assert len(record.masked_edge_indices) == _half_up(0.15 * e)
 
@@ -131,7 +131,7 @@ def test_mask_subgraph_on_single_node_is_identity():
     toks, record = mask_subgraph(graph, CorruptionConfig(subgraph_rate=1.0),
                                  random.Random(0))
     assert toks == linearize(graph)
-    assert record.is_empty()
+    assert not record.edits
 
 
 def test_mask_subgraph_output_is_structurally_sound():
@@ -151,7 +151,7 @@ def test_mask_subgraph_output_is_structurally_sound():
                 (defined if toks[i - 1] == "(" else referenced).add(pointer)
         assert depth == 0
         assert referenced <= defined  # no orphaned references
-        if not record.is_empty():
+        if record.edits:
             masked += 1
             assert record.removed_subgraph is not None
             assert len(record.removed_subgraph.nodes) >= 1
@@ -167,7 +167,7 @@ def test_mask_subgraph_selection_frequency():
     graph = random_graph(random.Random(2), 20, 20, max_reentrancies=2)
     for _ in range(trials):
         _, record = mask_subgraph(graph, config, rng)
-        selected += 0 if record.is_empty() else 1
+        selected += 1 if record.edits else 0
     assert abs(selected / trials - 0.35) < 0.025
 
 
@@ -175,7 +175,7 @@ def test_mask_text_identity_and_saturation():
     toks = ["the", "boy", "wants", "to", "go"]
     rng = random.Random(0)
     out, record = mask_text(toks, 0.0, rng)
-    assert out == toks and record.is_empty()
+    assert out == toks and not record.edits
     out, record = mask_text(toks, 1.0, rng)
     assert out == [MASK] * 5
     assert record.masked_text_positions == frozenset(range(5))
@@ -197,7 +197,7 @@ def test_mask_text_rejects_markers():
 def test_compose_empty_is_identity(golden):
     toks, record = compose(golden, [], random.Random(0))
     assert toks == linearize(golden)
-    assert record.is_empty()
+    assert not record.edits
 
 
 def test_compose_zero_rates_identity(golden):
@@ -207,7 +207,7 @@ def test_compose_zero_rates_identity(golden):
         random.Random(0),
     )
     assert toks == linearize(golden)
-    assert record.is_empty()
+    assert not record.edits
 
 
 def test_compose_subgraph_then_node_edge_is_deterministic(golden):

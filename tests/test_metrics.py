@@ -254,6 +254,22 @@ def test_bleu_brevity_penalty():
     assert math.isclose(details.score, math.exp(1 - 6 / 5))
 
 
+def test_bleu_longer_hypothesis_has_no_brevity_penalty():
+    details = corpus_bleu_details(
+        [["a", "b", "c", "d", "e", "f", "g"]], [["a", "b", "c", "d", "e"]]
+    )
+    assert details.precisions == (5 / 7, 4 / 6, 3 / 5, 2 / 4)
+    assert details.brevity_penalty == 1.0
+    assert details.score == (1 / 7) ** 0.25
+
+
+def test_bleu_empty_hypotheses_score_zero():
+    details = corpus_bleu_details([[], []], [["a", "b"], ["c"]])
+    assert details.hypothesis_length == 0
+    assert details.brevity_penalty == 0.0
+    assert details.score == 0.0
+
+
 def test_bleu_corpus_pooling():
     hyps = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]
     refs = [["a", "b", "c", "d"], ["e", "f", "g", "h"]]

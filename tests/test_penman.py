@@ -174,6 +174,20 @@ def test_source_spans_count_the_byte_order_mark():
         ]
 
 
+def test_crlf_spans_agree_across_input_kinds():
+    payload = "\ufeff(a / b)\r\n\r\n(c / d)\r\n".encode("utf-8")
+    reads = [
+        list(read_corpus(stream))
+        for stream in (payload, io.BytesIO(payload), payload.decode("utf-8"))
+    ]
+    for documents in reads:
+        assert documents == reads[0]
+        spans = [document.source_span for document in documents]
+        assert [payload[start:end] for start, end in spans] == [
+            b"(a / b)\r\n", b"(c / d)\r\n",
+        ]
+
+
 def test_serialize_rejects_invalid_graph():
     broken = AmrGraph(nodes={"a": "x", "b": "y"}, root="a")
     with pytest.raises(InvalidGraphError):

@@ -24,8 +24,10 @@ from pathlib import Path
 
 from amrforge import (
     AmrGraph, InvalidGraphError, PenmanDocument, graph_to_penman, parse_penman,
-    rename_nodes, serialize_penman, synth,
+    serialize_penman, synth,
 )
+
+from conftest import rename_nodes
 
 FIXTURE = Path(__file__).parent / "data" / "penman_golden.json"
 FIXTURE_SEED = 5501

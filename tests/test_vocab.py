@@ -13,6 +13,7 @@ from amrforge import (
     encode,
     linearize,
     load_vocabulary,
+    parse_penman,
     save_vocabulary,
 )
 
@@ -28,6 +29,12 @@ def test_collect_symbols_on_modal_graph():
     assert sorted(inventory.relations) == [":arg0", ":domain", ":polarity"]
     assert sorted(inventory.concepts) == ["boy", "go", "negative", "possible"]
     assert all(count == 1 for count in inventory.relations.values())
+
+
+def test_collect_symbols_counts_attribute_relations():
+    inventory = collect_symbols([parse_penman("(p / possible :polarity -)")])
+    assert inventory.relations == {":polarity": 1}
+    assert inventory.concepts == {"possible": 1}
 
 
 def test_collect_symbols_empty_corpus():
