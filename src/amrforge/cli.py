@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import io
 import json
 import multiprocessing
@@ -89,36 +90,47 @@ def _read_lines(path: str, *, newline: str | None = None) -> Iterator[str]:
 
 
 def _write(path: str, lines) -> None:
-    """Print each line to stdout (``-``) or to the file at ``path``.
+    _write_all([(path, lines)])
+
+
+def _write_all(outputs) -> None:
+    """Print each ``(path, lines)`` output to stdout (``-``) or to a file.
 
     On stdout an error leaves the lines printed before it.  A regular file
-    is written beside its path and moved into place after the last line,
-    so an error leaves it absent or unchanged.  Anything else at ``path``,
-    such as a FIFO or ``/dev/null``, is written in place.
+    is written beside its path and moved into place after the last line of
+    every output, so an error leaves each one absent or unchanged.
+    Anything else at a path, such as a FIFO or ``/dev/null``, is written in
+    place.
     """
-    if path == "-":
-        _print_all(lines, sys.stdout)
-        return
-    real = os.path.realpath(path)  # a symlinked output keeps its link
-    if os.path.exists(real) and not os.path.isfile(real):
-        with open(real, "w", encoding="utf-8") as out:
-            _print_all(lines, out)
-        return
-    temporary = f"{real}.{os.getpid()}.tmp"
-    # "x" gives a new file the umask's mode, and never opens an existing one
+    staged: list[tuple[str, str]] = []  # (temporary, real path)
     try:
-        out = open(temporary, "x", encoding="utf-8")
-    except FileNotFoundError as error:
-        error.filename = path  # a missing directory: name the output
-        raise
-    try:
-        with out:
-            if os.path.exists(real):
-                shutil.copymode(real, temporary)
-            _print_all(lines, out)
-        os.replace(temporary, real)
+        for path, lines in outputs:
+            if path == "-":
+                _print_all(lines, sys.stdout)
+                continue
+            real = os.path.realpath(path)  # a symlinked output keeps its link
+            if os.path.exists(real) and not os.path.isfile(real):
+                with open(real, "w", encoding="utf-8") as out:
+                    _print_all(lines, out)
+                continue
+            temporary = f"{real}.{os.getpid()}.tmp"
+            # "x" gives a new file the umask's mode, and opens no old one
+            try:
+                out = open(temporary, "x", encoding="utf-8")
+            except FileNotFoundError as error:
+                error.filename = path  # a missing directory: name the output
+                raise
+            staged.append((temporary, real))
+            with out:
+                if os.path.exists(real):
+                    shutil.copymode(real, temporary)
+                _print_all(lines, out)
+        for temporary, real in staged:
+            os.replace(temporary, real)
     except BaseException:
-        os.remove(temporary)
+        for temporary, _ in staged:
+            with contextlib.suppress(FileNotFoundError):  # already moved
+                os.remove(temporary)
         raise
 
 
@@ -393,10 +405,10 @@ def _cmd_vocab(args) -> int:
     else:
         base = [tk.OPEN, tk.CLOSE]
     vocabulary = build_vocabulary(base, inventory, max_pointers=args.max_pointers)
-    # sidecar first: a failed write leaves the token file absent or unchanged
-    if args.output != "-":
-        _write(args.output + ".partitions.json", [_sidecar_text(vocabulary)])
-    _write(args.output, vocabulary.token_of)
+    outputs = [(args.output, vocabulary.token_of)]
+    if args.output != "-":  # together: a failed write leaves both as they were
+        outputs.append((args.output + ".partitions.json", [_sidecar_text(vocabulary)]))
+    _write_all(outputs)
     return 0
 
 

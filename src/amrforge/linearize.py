@@ -8,7 +8,10 @@ bare pointer.  :func:`delinearize` is the exact inverse up to node
 renaming, and :func:`repair` coerces near-valid model output into a
 sequence :func:`delinearize` accepts.
 
-Both read tokens through one walker, which never stops early.  At each
+Both read tokens through one walker, which never stops early.  It
+classifies each distinct token once per sequence, by its leading characters
+(``(``, ``)``, ``:`` and more, ``<Z``), matching a symbol against its
+pattern then, so each token of the walk costs one lookup.  At each
 grammar rule a token breaks, it records a :class:`StructureError`, keeps
 only the first one (rules are checked in a fixed order per token, so that
 is the fault a strict reader would stop at), applies the fix
@@ -21,7 +24,6 @@ back-references.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -81,6 +83,7 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
         toks, layout = graph._linear
         return list(toks), layout
     require_valid(graph)
+    concepts = graph.nodes
     out = graph.out_edges()
     attrs = graph.node_attributes()
 
@@ -89,33 +92,34 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     edge_rel_pos: dict[int, int] = {}
     ref_positions: list[tuple[int, str]] = []
 
-    def open_span(node: str) -> None:
-        span[node] = (len(toks), -1)  # closed when the walk leaves the node
-        toks.extend((tk.OPEN, tk.pointer(len(span) - 1), graph.nodes[node]))
-        for _, rel, value in attrs[node]:
-            toks.extend((rel, value))
-        stack.append((node, iter(out[node])))
-
     # Explicit stack of open nodes, each with its edges still to write.
     # Whether a target expands or is a bare pointer is decided when its
     # edge is written, i.e. in textual order, so every node is defined at
     # its first occurrence in the depth-first walk.
     stack: list[tuple[str, Iterator[tuple[int, str, str]]]] = []
-    open_span(graph.root)
-    while stack:
-        node, edges = stack[-1]
-        for index, rel, target in edges:
-            edge_rel_pos[index] = len(toks)
-            toks.append(rel)
-            if target not in span:
-                open_span(target)
-                break
-            ref_positions.append((len(toks), target))
-            toks.append(toks[span[target][0] + 1])  # the target's pointer
-        else:
-            stack.pop()
-            span[node] = (span[node][0], len(toks))
-            toks.append(tk.CLOSE)
+    opening: str | None = graph.root
+    while opening is not None:
+        span[opening] = (len(toks), -1)  # closed when the walk leaves the node
+        toks += (tk.OPEN, tk.pointer(len(span) - 1), concepts[opening])
+        for _, rel, value in attrs[opening]:
+            toks += (rel, value)
+        stack.append((opening, iter(out[opening])))
+        opening = None
+        # write edges until one reaches a new node, closing finished nodes
+        while stack and opening is None:
+            node, edges = stack[-1]
+            for index, rel, target in edges:
+                edge_rel_pos[index] = len(toks)
+                toks.append(rel)
+                if target not in span:
+                    opening = target
+                    break
+                ref_positions.append((len(toks), target))
+                toks.append(toks[span[target][0] + 1])  # the target's pointer
+            else:
+                stack.pop()
+                span[node] = (span[node][0], len(toks))
+                toks.append(tk.CLOSE)
 
     layout = LinearLayout(span, edge_rel_pos, ref_positions)
     object.__setattr__(graph, "_linear", (toks, layout))
@@ -162,6 +166,23 @@ def repair(toks: list[str]) -> list[str]:
     return linearize(graph)
 
 
+# token kinds, named by the leading characters that mark them
+_OPEN, _CLOSE, _RELATION, _POINTER, _VALUE = "(", ")", ":", "<Z", ""
+
+
+def _classify(token: str) -> tuple[str, object]:
+    """A token's kind in :func:`_walk`, with its usability or node id."""
+    if (pointer := tk.pointer_index(token)) is not None:
+        return _POINTER, f"z{pointer}"
+    if token == tk.OPEN:
+        return _OPEN, None
+    if token == tk.CLOSE:
+        return _CLOSE, None
+    if tk.is_relation(token):
+        return _RELATION, _RELATION_RE.fullmatch(token) is not None
+    return _VALUE, _VALUE_RE.fullmatch(token) is not None
+
+
 def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     """Read a token sequence under the delinearize grammar, salvaging as
     :func:`repair` describes.
@@ -176,10 +197,9 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     """
     nodes: dict[str, str] = {}
     children: dict[str, list[str]] = {}
-    edges: list[Edge] = []
-    attributes: list[Attribute] = []
-    edge_seen: set[Edge] = set()
-    attr_seen: set[Attribute] = set()
+    # insertion-ordered sets: the triples in the order they were read
+    edges: dict[Edge, None] = {}
+    attributes: dict[Attribute, None] = {}
     root: str | None = None
     stack: list[str | None] = []  # None marks a span whose node was dropped
     pending: tuple[str, int] | None = None  # relation awaiting its target
@@ -194,7 +214,8 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
         nonlocal pending
         if pending is not None and stack and stack[-1] is not None:
             source, rel = stack[-1], pending[0]
-            if (source, rel, target) in edge_seen:
+            edge = (source, rel, target)
+            if edge in edges:
                 fail(f"duplicate edge ({source}, {rel}, {target})", position)
             elif target == source or (
                 # a node without children reaches nothing but itself
@@ -202,36 +223,40 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
             ):
                 fail(f"edge ({source}, {rel}, {target}) would close a cycle", position)
             else:
-                edges.append((source, rel, target))
-                edge_seen.add((source, rel, target))
+                edges[edge] = None
                 children[source].append(target)
         pending = None
 
+    kinds = {token: _classify(token) for token in set(toks)}
+    free = 0  # no node id below z{free} is free, since nodes only grow
     n = len(toks)
     if not n:
         fail("empty sequence", 0)
     i = 0
     while i < n:
         token = toks[i]
-        if token == tk.OPEN:
+        kind, detail = kinds[token]
+        if kind == _OPEN:
             if root is not None and not stack:
                 fail("unexpected content after the graph", i)
             if stack and pending is None:
                 fail("node without an introducing relation", i)
-            pointer = tk.pointer_index(toks[i + 1]) if i + 1 < n else None
-            at = i + 1 if pointer is None else i + 2  # where the concept belongs
-            concept = toks[at] if at < n and not tk.is_structural(toks[at]) else None
-            usable = concept is not None and _VALUE_RE.fullmatch(concept)
-            if pointer is None:
+            kind, detail = kinds[toks[i + 1]] if i + 1 < n else (None, None)
+            # at: where the concept belongs
+            node, at = (detail, i + 2) if kind == _POINTER else (None, i + 1)
+            kind, detail = kinds[toks[at]] if at < n else (None, None)
+            concept, usable = (toks[at], detail) if kind == _VALUE else (None, False)
+            if node is None:
                 fail("expected a pointer after '('", i + 1)
-                pointer = next(k for k in itertools.count() if f"z{k}" not in nodes)
+                while f"z{free}" in nodes:
+                    free += 1
+                node = f"z{free}"
             elif concept is None:
                 fail("missing concept after pointer", i + 2)
-            elif f"z{pointer}" in nodes:
+            elif node in nodes:
                 fail(f"pointer {toks[i + 1]} defined more than once", i + 1)
             elif not usable:
                 fail(f"unusable concept {concept!r}", at)
-            node = f"z{pointer}"
             if node not in nodes and usable:
                 nodes[node] = concept
                 children[node] = []
@@ -247,7 +272,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 stack.append(None)
             i = at + (concept is not None)
             continue
-        if token == tk.CLOSE:
+        if kind == _CLOSE:
             if pending is not None:
                 fail(f"relation {pending[0]!r} has no target", pending[1])
             pending = None
@@ -255,36 +280,34 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 stack.pop()
             else:
                 fail("unbalanced ')'", i)
-        elif tk.is_relation(token):
+        elif kind == _RELATION:
             if not stack:
                 fail("relation outside of a node", i)
             if pending is not None:
                 fail(f"relation {pending[0]!r} has no target", pending[1])
             pending = (token, i) if stack else None
-            if not _RELATION_RE.fullmatch(token):
+            if not detail:
                 fail(f"unusable relation {token!r}", i)
                 pending = None
-        elif (pointer := tk.pointer_index(token)) is not None:
-            node = f"z{pointer}"
-            if node not in nodes:
+        elif kind == _POINTER:
+            if detail not in nodes:
                 fail(f"pointer {token} used before definition", i)
                 pending = None
             else:
                 if not stack or pending is None:
                     fail(f"unexpected pointer {token}", i)
-                attach(node, i)
+                attach(detail, i)
         else:  # a plain token: an attribute constant
             if not stack or pending is None:
                 fail(f"unexpected token {token!r}", i)
-            elif not _VALUE_RE.fullmatch(token):
+            elif not detail:
                 fail(f"unusable constant {token!r}", i)
             elif stack[-1] is not None:
                 triple = (stack[-1], pending[0], token)
-                if triple in attr_seen:
+                if triple in attributes:
                     fail(f"duplicate attribute {triple}", i)
                 else:
-                    attributes.append(triple)
-                    attr_seen.add(triple)
+                    attributes[triple] = None
             pending = None
         i += 1
 
@@ -294,12 +317,13 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     # sequence without a node always comes with a fault.
     if root is None:
         return None, fault
-    keep = _closure({root}, children)
-    graph = _trusted(AmrGraph(
-        nodes={node: concept for node, concept in nodes.items() if node in keep},
+    if fault is not None:  # only a broken rule leaves a node unattached
         # keep is closed under children, so a kept source has a kept target
-        edges=tuple(edge for edge in edges if edge[0] in keep),
-        attributes=tuple(attr for attr in attributes if attr[0] in keep),
-        root=root,
+        keep = _closure({root}, children)
+        nodes = {node: concept for node, concept in nodes.items() if node in keep}
+        edges = {edge: None for edge in edges if edge[0] in keep}
+        attributes = {attr: None for attr in attributes if attr[0] in keep}
+    graph = _trusted(AmrGraph(
+        nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root,
     ))
     return graph, fault

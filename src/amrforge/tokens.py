@@ -7,8 +7,6 @@ spaces, such as ``"New York"``, are valid graphs and survive linearization
 in memory, but have no text form.
 """
 
-import re
-
 MASK = "[mask]"
 
 TEXT_START = "<s>"
@@ -23,16 +21,22 @@ CLOSE = ")"
 # the concept of the fallback graph that stands in for unusable input
 EMPTY_CONCEPT = "amr-empty"
 
-_POINTER_RE = re.compile(r"<Z(\d+)>")
-
 
 def pointer(index: int) -> str:
     return f"<Z{index}>"
 
 
 def pointer_index(token: str) -> int | None:
-    match = _POINTER_RE.fullmatch(token)
-    return int(match.group(1)) if match else None
+    """``k`` for a pointer token ``<Zk>``, else None.
+
+    ``k`` is one or more decimal digits of any script: ``str.isdecimal``
+    accepts exactly the Unicode Nd digits that the regex class ``\\d``
+    matches, so this agrees with every pattern that spells a pointer.
+    """
+    digits = token[2:-1]
+    if token.startswith("<Z") and token.endswith(">") and digits.isdecimal():
+        return int(digits)
+    return None
 
 
 def is_pointer(token: str) -> bool:
@@ -41,11 +45,6 @@ def is_pointer(token: str) -> bool:
 
 def is_relation(token: str) -> bool:
     return len(token) > 1 and token.startswith(":")
-
-
-def is_structural(token: str) -> bool:
-    """True for tokens that carry sequence structure rather than content."""
-    return token in (OPEN, CLOSE) or is_relation(token) or is_pointer(token)
 
 
 def to_text(tokens) -> str:

@@ -244,6 +244,20 @@ def test_vocab_failed_sidecar_leaves_the_token_file_unchanged(corpus, tmp_path):
     assert sidecar.read_bytes() == Path(f"{saved}.partitions.json").read_bytes()
 
 
+def test_vocab_failed_token_file_leaves_the_sidecar_unchanged(corpus, tmp_path):
+    out = tmp_path / "vocab.txt"
+    out.mkdir()  # the token file cannot be written
+    sidecar = tmp_path / "vocab.txt.partitions.json"
+    assert run(["vocab", str(corpus), "-o", str(out)]) == 1
+    assert sorted(os.listdir(tmp_path)) == ["corpus.amr", "vocab.txt"]
+    # an existing sidecar keeps its bytes
+    sidecar.write_text("old\n", encoding="utf-8")
+    assert run(["vocab", str(corpus), "-o", str(out)]) == 1
+    assert sidecar.read_text(encoding="utf-8") == "old\n"
+    assert sorted(os.listdir(tmp_path)) == [
+        "corpus.amr", "vocab.txt", "vocab.txt.partitions.json"]
+
+
 def test_vocab_base_file_with_byte_order_mark(corpus, tmp_path, capsys):
     base = tmp_path / "base.txt"
     base.write_bytes(b"\xef\xbb\xbf(\n)\n")

@@ -1,6 +1,8 @@
+import itertools
 import json
 import pickle
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,6 +180,33 @@ def test_delinearize_rejects_cycle_through_back_reference():
 def test_delinearize_rejects_empty():
     with pytest.raises(StructureError):
         delinearize([])
+
+
+def test_pointer_index_reads_the_pointer_pattern():
+    # every string of up to five characters over pointer parts, digits of
+    # other scripts, digit look-alikes that are not decimal, and whitespace
+    alphabet = "<Zz>09\u0663\u00b2\u2460 \n"
+    for length in range(6):
+        for chars in itertools.product(alphabet, repeat=length):
+            token = "".join(chars)
+            match = re.fullmatch(r"<Z(\d+)>", token)
+            expected = int(match.group(1)) if match else None
+            assert pointer_index(token) == expected, token
+
+
+def test_pointer_with_digits_of_another_script():
+    graph = delinearize(["(", "<Z\u0663>", "boy", ")"])  # ARABIC-INDIC DIGIT THREE
+    assert graph.nodes == {"z3": "boy"}
+    assert graph.root == "z3"
+
+
+def test_opens_without_pointers_take_the_next_free_ids():
+    line = ["(", "<Z0>", "a"] + [":ARG0", "(", "b"] * 20_000
+    graph = delinearize(repair(line))
+    assert graph.nodes == {"z0": "a"} | {f"z{k}": "b" for k in range(1, 20_001)}
+    with pytest.raises(StructureError) as info:
+        delinearize(line)
+    assert str(info.value) == "expected a pointer after '(' (token 5)"
 
 
 def test_repair_returns_valid_input_unchanged():
