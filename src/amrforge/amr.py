@@ -87,20 +87,16 @@ class AmrGraph:
         # worker processes); rebuild from a plain dict, unmarked, unwalked
         return AmrGraph, (dict(self.nodes), self.edges, self.attributes, self.root)
 
-    def out_edges(self) -> dict[str, list[tuple[int, str, str]]]:
-        """Outgoing ``(edge_index, relation, target)`` per node, in stored order."""
-        table: dict[str, list[tuple[int, str, str]]] = {n: [] for n in self.nodes}
-        for i, (s, r, t) in enumerate(self.edges):
-            if s in table:
-                table[s].append((i, r, t))
-        return table
 
-    def node_attributes(self) -> dict[str, list[tuple[int, str, str]]]:
-        table: dict[str, list[tuple[int, str, str]]] = {n: [] for n in self.nodes}
-        for i, (s, r, v) in enumerate(self.attributes):
-            if s in table:
-                table[s].append((i, r, v))
-        return table
+def _by_source(triples: Iterable[tuple[str, str, str]]):
+    """``(index, relation, other end)`` per source, in stored order.
+
+    Only a source with triples has a key, so readers use ``.get(node, ())``.
+    """
+    table: dict[str, list[tuple[int, str, str]]] = {}
+    for i, (source, relation, end) in enumerate(triples):
+        table.setdefault(source, []).append((i, relation, end))
+    return table
 
 
 @dataclass(frozen=True)
@@ -368,7 +364,7 @@ def compute_stats(graph: AmrGraph) -> GraphStats:
     """
     require_valid(graph)
     size = len(graph.nodes)
-    depth = max(_root_distances(graph).values())
+    depth = max(_root_distances(graph, _by_source(graph.edges)).values())
 
     in_degree = Counter(t for _, _, t in graph.edges)
     reentrancies = sum(1 for count in in_degree.values() if count > 1)
@@ -383,43 +379,35 @@ def compute_stats(graph: AmrGraph) -> GraphStats:
     )
 
 
-def _root_distances(graph: AmrGraph) -> dict[str, int]:
-    """Shortest directed distance from the root, per node it reaches."""
+def _root_distances(graph: AmrGraph, out) -> dict[str, int]:
+    """Shortest directed distance from the root, per node it reaches, along
+    the out-edge table ``out`` of :func:`_by_source`."""
     distance = {graph.root: 0}
     frontier = deque([graph.root])
-    out = graph.out_edges()
     while frontier:
         node = frontier.popleft()
-        for _, _, target in out[node]:
+        for _, _, target in out.get(node, ()):
             if target not in distance:
                 distance[target] = distance[node] + 1
                 frontier.append(target)
     return distance
 
 
+def _bucket(value: int, low: int, high: int, labels: tuple[str, str, str]) -> str:
+    """The first label up to ``low``, the second up to ``high``, then the third."""
+    return labels[(value > low) + (value > high)]
+
+
 def size_bucket(size: int) -> str:
-    if size <= 10:
-        return SIZE_BUCKETS[0]
-    if size <= 20:
-        return SIZE_BUCKETS[1]
-    return SIZE_BUCKETS[2]
+    return _bucket(size, 10, 20, SIZE_BUCKETS)
 
 
 def depth_bucket(depth: int) -> str:
-    # Depth 0 (single-node graph) falls into the lowest group.
-    if depth <= 3:
-        return DEPTH_BUCKETS[0]
-    if depth <= 6:
-        return DEPTH_BUCKETS[1]
-    return DEPTH_BUCKETS[2]
+    return _bucket(depth, 3, 6, DEPTH_BUCKETS)  # depth 0: a single node
 
 
 def reentrancy_bucket(reentrancies: int) -> str:
-    if reentrancies == 0:
-        return REENTRANCY_BUCKETS[0]
-    if reentrancies <= 3:
-        return REENTRANCY_BUCKETS[1]
-    return REENTRANCY_BUCKETS[2]
+    return _bucket(reentrancies, 0, 3, REENTRANCY_BUCKETS)
 
 
 def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
@@ -442,13 +430,10 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
 
 
 def _adjacency(graph: AmrGraph):
-    """Outgoing (relation, target) and incoming (relation, source) per node."""
-    out: dict[str, list] = {n: [] for n in graph.nodes}
-    inn: dict[str, list] = {n: [] for n in graph.nodes}
-    for s, r, t in graph.edges:
-        out[s].append((r, t))
-        inn[t].append((r, s))
-    return out, inn
+    """Outgoing ``(index, relation, target)`` and incoming ``(index,
+    relation, source)`` per node, as :func:`_by_source` tables."""
+    inverse = ((t, r, s) for s, r, t in graph.edges)
+    return _by_source(graph.edges), _by_source(inverse)
 
 
 def _joint_colors(first: AmrGraph, second: AmrGraph):
@@ -462,19 +447,19 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
         return value
 
     def initial(graph, out, inn):
-        attrs = graph.node_attributes()
+        attrs = _by_source(graph.attributes)
         # the distance already tells nodes of a chain apart, which would
         # otherwise take one refinement round per step of depth
-        distance = _root_distances(graph)
+        distance = _root_distances(graph, out)
         return {
             n: intern(
                 (
                     "node",
                     graph.nodes[n],
                     distance[n],
-                    len(out[n]),
-                    len(inn[n]),
-                    tuple(sorted((r, v) for _, r, v in attrs[n])),
+                    len(out.get(n, ())),
+                    len(inn.get(n, ())),
+                    tuple(sorted((r, v) for _, r, v in attrs.get(n, ()))),
                 )
             )
             for n in graph.nodes
@@ -489,8 +474,8 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
             n: intern(
                 (
                     colors[n],
-                    tuple(sorted((r, colors[t]) for r, t in out[n])),
-                    tuple(sorted((r, colors[s]) for r, s in inn[n])),
+                    tuple(sorted((r, colors[t]) for _, r, t in out.get(n, ()))),
+                    tuple(sorted((r, colors[s]) for _, r, s in inn.get(n, ()))),
                 )
             )
             for n in colors
@@ -534,11 +519,11 @@ def _search_bijection(first, second, colors1, colors2) -> bool:
     used: set[str] = set()
 
     def consistent(v1: str, v2: str) -> bool:
-        for r, t in out1[v1]:
+        for _, r, t in out1.get(v1, ()):
             image = mapping.get(t)
             if image is not None and (v2, r, image) not in edge_set2:
                 return False
-        for r, s in inn1[v1]:
+        for _, r, s in inn1.get(v1, ()):
             image = mapping.get(s)
             if image is not None and (image, r, v2) not in edge_set2:
                 return False

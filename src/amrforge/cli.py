@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -318,16 +319,8 @@ def _stats_rows(documents):
         buckets["size"][stats.size_bucket] += 1
         buckets["depth"][stats.depth_bucket] += 1
         buckets["reentrancies"][stats.reent_bucket] += 1
-        yield _json({
-            "index": index,
-            "id": document.metadata.get("id"),
-            "size": stats.size,
-            "depth": stats.depth,
-            "reentrancies": stats.reentrancies,
-            "size_bucket": stats.size_bucket,
-            "depth_bucket": stats.depth_bucket,
-            "reent_bucket": stats.reent_bucket,
-        })
+        yield _json({"index": index, "id": document.metadata.get("id")}
+                    | dataclasses.asdict(stats))
     yield _json({"summary": buckets})
 
 
@@ -353,8 +346,8 @@ def _penman_of_line(line: str, strict: bool) -> str:
 
 
 def _cmd_delinearize(args) -> int:
-    lines = (line.strip() for line in _read_lines(args.input))
-    texts = (_penman_of_line(line, args.strict) for line in lines if line)
+    # line k is document k: a blank line is the empty sequence
+    texts = (_penman_of_line(line, args.strict) for line in _read_lines(args.input))
     # a blank line between documents
     _write(args.output, (("\n" if i else "") + text for i, text in enumerate(texts)))
     return 0

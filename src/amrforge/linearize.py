@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from . import tokens as tk
 from .amr import (
-    _RELATION_RE, _VALUE_RE, AmrGraph, Attribute, Edge, _closure, _trusted,
-    require_valid,
+    _RELATION_RE, _VALUE_RE, AmrGraph, Attribute, Edge, _by_source, _closure,
+    _trusted, require_valid,
 )
 
 EMPTY_GRAPH_TOKENS = (tk.OPEN, tk.pointer(0), tk.EMPTY_CONCEPT, tk.CLOSE)
@@ -84,8 +84,8 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
         return list(toks), layout
     require_valid(graph)
     concepts = graph.nodes
-    out = graph.out_edges()
-    attrs = graph.node_attributes()
+    out = _by_source(graph.edges)
+    attrs = _by_source(graph.attributes)
 
     toks: list[str] = []
     span: dict[str, tuple[int, int]] = {}  # keyed at the open paren
@@ -101,9 +101,9 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     while opening is not None:
         span[opening] = (len(toks), -1)  # closed when the walk leaves the node
         toks += (tk.OPEN, tk.pointer(len(span) - 1), concepts[opening])
-        for _, rel, value in attrs[opening]:
+        for _, rel, value in attrs.get(opening, ()):
             toks += (rel, value)
-        stack.append((opening, iter(out[opening])))
+        stack.append((opening, iter(out.get(opening, ()))))
         opening = None
         # write edges until one reaches a new node, closing finished nodes
         while stack and opening is None:

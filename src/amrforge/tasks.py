@@ -23,7 +23,6 @@ from . import tokens as tk
 from .amr import AmrGraph, InvalidGraphError, require_valid
 from .corrupt import (
     CorruptionConfig,
-    CorruptionRecord,
     corrupt_graph,
     derive_rng,
     mask_text,
@@ -102,20 +101,11 @@ def schedule_rate(step: int, schedule: MaskSchedule) -> float:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    """Per-segment corruption records for one sample."""
-
-    text: CorruptionRecord | None = None
-    graph: CorruptionRecord | None = None
-
-
-@dataclass(frozen=True)
 class TaskSample:
     tag: TaskTag
     input: tuple[str, ...]
     output: tuple[str, ...]
     step: int
-    record: SampleRecord
 
 
 def build_sample(
@@ -144,16 +134,14 @@ def build_sample(
 
     dynamic_rate = schedule_rate(step, schedule) if tag in DYNAMIC_TAGS else None
 
-    text_record: CorruptionRecord | None = None
     if text_mode == "plain":
         text_part = list(text)
     elif text_mode == "empty":
         text_part = [tk.MASK]
     else:
         rate = config.text_rate if dynamic_rate is None else dynamic_rate
-        text_part, text_record = mask_text(list(text), rate, rng)
+        text_part, _ = mask_text(list(text), rate, rng)
 
-    graph_record: CorruptionRecord | None = None
     if graph_mode == "plain":
         graph_part = linearize(graph)
     elif graph_mode == "empty":
@@ -161,7 +149,7 @@ def build_sample(
     else:
         if dynamic_rate is not None:
             config = replace(config, node_rate=dynamic_rate, edge_rate=dynamic_rate)
-        graph_part, graph_record = corrupt_graph(graph, config, rng)
+        graph_part, _ = corrupt_graph(graph, config, rng)
 
     sample_input = (
         [tk.TEXT_START]
@@ -180,7 +168,6 @@ def build_sample(
         input=tuple(sample_input),
         output=tuple(sample_output),
         step=step,
-        record=SampleRecord(text=text_record, graph=graph_record),
     )
 
 

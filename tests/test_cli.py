@@ -102,6 +102,20 @@ def test_stats_rows_and_summary(corpus, capsys):
     assert rows[-1]["summary"]["size"]["1-10"] == 2
 
 
+def test_stats_output_bytes(corpus, capsys):
+    # recorded before GraphStats' fields were written out by asdict: the
+    # key order of a row is the order of the fields
+    assert run(["stats", str(corpus)]) == 0
+    assert capsys.readouterr().out == (
+        '{"index": 0, "id": "m1", "size": 4, "depth": 2, "reentrancies": 0, '
+        '"size_bucket": "1-10", "depth_bucket": "1-3", "reent_bucket": "0"}\n'
+        '{"index": 1, "id": "m2", "size": 7, "depth": 3, "reentrancies": 1, '
+        '"size_bucket": "1-10", "depth_bucket": "1-3", "reent_bucket": "1-3"}\n'
+        '{"summary": {"size": {"1-10": 2}, "depth": {"1-3": 2}, '
+        '"reentrancies": {"0": 1, "1-3": 1}}}\n'
+    )
+
+
 def test_stats_lenient_skips_unusable_documents(tmp_path, capsys):
     path = tmp_path / "mixed.amr"
     path.write_text(
@@ -283,6 +297,27 @@ def test_delinearize_lenient_drops_symbols_validate_rejects(tmp_path, capsys):
     assert run(["delinearize", str(path), "--lenient"]) == 0
     out = capsys.readouterr().out
     assert out == "(z0 / want-01)\n\n(z0 / amr-empty)\n"
+
+
+def test_delinearize_lenient_keeps_blank_lines(tmp_path, capsys):
+    # line k is document k: a blank line is the empty sequence, which
+    # reads as the fallback graph
+    path = tmp_path / "toks.txt"
+    path.write_text("( <Z0> boy )\n\n( <Z0> girl )\n", encoding="utf-8")
+    assert run(["delinearize", str(path), "--lenient"]) == 0
+    out = capsys.readouterr().out
+    assert [d.graph.nodes for d in read_corpus(out)] == [
+        {"z0": "boy"}, {"z0": "amr-empty"}, {"z0": "girl"}]
+
+
+def test_delinearize_strict_rejects_blank_line(tmp_path, capsys):
+    path = tmp_path / "toks.txt"
+    path.write_text("( <Z0> boy )\n \t\n( <Z0> girl )\n", encoding="utf-8")
+    out = tmp_path / "out.amr"
+    out.write_text("old\n", encoding="utf-8")
+    assert run(["delinearize", str(path), "-o", str(out)]) == 1
+    assert "empty sequence (token 0)" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "old\n"
 
 
 def test_delinearize_strict_fails_on_malformed(tmp_path):

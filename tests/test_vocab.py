@@ -73,6 +73,15 @@ def test_base_token_colliding_with_pointers_is_rejected():
         build_vocabulary(["<Z3>"], None)
 
 
+@pytest.mark.parametrize("base, max_pointers, message", [
+    ([], 512, "base vocabulary must not be empty"),
+    (["x"], 0, "max_pointers must be at least 1"),
+])
+def test_build_vocabulary_rejects_bad_arguments(base, max_pointers, message):
+    with pytest.raises(ValueError, match=message):
+        build_vocabulary(base, None, max_pointers=max_pointers)
+
+
 def test_encode_decode_round_trip_of_linearization():
     inventory = collect_symbols([_doc()])
     vocabulary = build_vocabulary(["(", ")"], inventory, max_pointers=16)
