@@ -423,10 +423,11 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
     """
     require_valid(first)
     require_valid(second)
-    colors1, colors2 = _joint_colors(first, second)
+    adjacency1, adjacency2 = _adjacency(first), _adjacency(second)
+    colors1, colors2 = _joint_colors(first, second, adjacency1, adjacency2)
     if _color_signature(first, colors1) != _color_signature(second, colors2):
         return False
-    return _search_bijection(first, second, colors1, colors2)
+    return _search_bijection(first, second, adjacency1, colors1, colors2)
 
 
 def _adjacency(graph: AmrGraph):
@@ -436,7 +437,7 @@ def _adjacency(graph: AmrGraph):
     return _by_source(graph.edges), _by_source(inverse)
 
 
-def _joint_colors(first: AmrGraph, second: AmrGraph):
+def _joint_colors(first: AmrGraph, second: AmrGraph, adjacency1, adjacency2):
     interned: dict = {}
 
     def intern(key):
@@ -465,7 +466,6 @@ def _joint_colors(first: AmrGraph, second: AmrGraph):
             for n in graph.nodes
         }
 
-    adjacency1, adjacency2 = _adjacency(first), _adjacency(second)
     colors1 = initial(first, *adjacency1)
     colors2 = initial(second, *adjacency2)
 
@@ -504,7 +504,7 @@ def _color_signature(graph: AmrGraph, colors):
     )
 
 
-def _search_bijection(first, second, colors1, colors2) -> bool:
+def _search_bijection(first, second, adjacency1, colors1, colors2) -> bool:
     by_color: dict[int, list[str]] = {}
     for n in second.nodes:
         by_color.setdefault(colors2[n], []).append(n)
@@ -512,7 +512,7 @@ def _search_bijection(first, second, colors1, colors2) -> bool:
     candidates = {n: by_color[colors1[n]] for n in first.nodes}
     order = sorted(first.nodes, key=lambda n: len(candidates[n]))
 
-    out1, inn1 = _adjacency(first)
+    out1, inn1 = adjacency1
     edge_set2 = set(second.edges)
 
     mapping: dict[str, str] = {}

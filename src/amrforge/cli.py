@@ -68,16 +68,14 @@ def _read(path: str, strict: bool) -> Iterator[tuple[PenmanDocument, AmrGraph]]:
         yield d, empty_graph() if d.diagnostics else d.graph
 
 
-def _read_lines(path: str, *, newline: str | None = None) -> Iterator[str]:
-    # read as it is consumed.  A line ends at "\n", "\r\n" or a lone "\r",
-    # read as "\n"; with newline="\n" (bleu's sentences) at "\n" only.  It
-    # never ends where str.splitlines would also break, at form feeds,
-    # U+0085 or U+2028.  utf-8-sig drops a leading byte-order mark, as some
-    # editors write one
+def _read_lines(path: str) -> Iterator[str]:
+    # read as it is consumed.  A line ends at "\n" only, as in read_corpus;
+    # a "\r" before it stays in the line and reads as whitespace.  It never
+    # ends where str.splitlines would also break, at a lone "\r", form
+    # feeds, U+0085 or U+2028.  utf-8-sig drops a leading byte-order mark,
+    # as some editors write one
     if path == "-":
-        handle = io.TextIOWrapper(
-            sys.stdin.buffer, encoding="utf-8-sig", newline=newline
-        )
+        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="\n")
         try:
             # a loop, not yield from: a generator closed early would close
             # the wrapper it delegates to, and stdin's buffer with it
@@ -86,7 +84,7 @@ def _read_lines(path: str, *, newline: str | None = None) -> Iterator[str]:
         finally:
             handle.detach()  # leave stdin itself open
     else:
-        with open(path, "r", encoding="utf-8-sig", newline=newline) as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="\n") as handle:
             yield from handle
 
 
@@ -249,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vocab = command("vocab", _cmd_vocab, "build the extended symbol vocabulary")
     vocab.add_argument("--base", default=None,
-                       help="file with base tokens, one per line "
-                       "(default: the two parentheses)")
+                       help="file with base tokens, one per line, or - for "
+                       "stdin (default: the two parentheses)")
     vocab.add_argument("--max-pointers", type=_positive, default=512)
 
     smatch_cmd = command("smatch", _cmd_smatch,
@@ -392,9 +390,8 @@ def _cmd_vocab(args) -> int:
     # each document's own graph counts, an invalid one included
     documents = _read(args.input, args.strict)
     inventory = collect_symbols(document for document, _ in documents)
-    if args.base:
-        with open(args.base, "r", encoding="utf-8-sig") as handle:
-            base = [line.rstrip("\n") for line in handle if line.strip()]
+    if args.base:  # a token holds no whitespace
+        base = [line.strip() for line in _read_lines(args.base) if line.strip()]
     else:
         base = [tk.OPEN, tk.CLOSE]
     vocabulary = build_vocabulary(base, inventory, max_pointers=args.max_pointers)
@@ -439,8 +436,8 @@ def _cmd_smatch(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    references = [line.split() for line in _read_lines(args.reference, newline="\n")]
-    hypotheses = [line.split() for line in _read_lines(args.hypothesis, newline="\n")]
+    references = [line.split() for line in _read_lines(args.reference)]
+    hypotheses = [line.split() for line in _read_lines(args.hypothesis)]
     details = corpus_bleu_details(hypotheses, references)
     _write(args.output, [_json({
         "bleu": round(details.score, 6),

@@ -97,7 +97,7 @@ def _split_metadata(text: str) -> tuple[dict[str, str], str, int]:
     for i, line in enumerate(lines):
         stripped = line.strip()
         if stripped.startswith("# ::"):
-            payload = line.lstrip()[4:]
+            payload = line.lstrip()[4:].removesuffix("\r")  # of a CRLF line
             key, _, value = payload.partition(" ")
             metadata[key] = value
             body_start = i + 1
@@ -289,14 +289,13 @@ def read_corpus(stream, strict: bool = True):
     A leading byte-order mark is skipped, and its bytes are counted in the
     source spans.
     """
+    # A line ends at "\n" only; a "\r" before it stays in the line, where it
+    # reads as whitespace, and in the spans.  The CLI reads by the same rule
     if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
+        stream = io.BytesIO(stream)
+    if isinstance(stream, str):
         stream = io.StringIO(stream)
-    elif isinstance(stream, io.BufferedIOBase) or (
-        hasattr(stream, "mode") and "b" in getattr(stream, "mode", "")
-    ):
-        # only "\n" ends a line, as for bytes and str, so spans count a CR
+    elif isinstance(stream, io.BufferedIOBase) or "b" in getattr(stream, "mode", ""):
         stream = io.TextIOWrapper(stream, encoding="utf-8", newline="\n")
 
     index = 0

@@ -149,8 +149,8 @@ def save_vocabulary(vocabulary: Vocabulary, path) -> None:
     """One token per line (line number = id) plus a JSON sidecar with the
     partition labels.
 
-    Only ``\n`` ends a line, untranslated: a quoted concept may hold a CR,
-    a form feed or U+2028, which universal newlines would split at.
+    Only ``\n`` ends a line, untranslated: universal newlines would split a
+    quoted concept at a CR, and ``str.splitlines`` at a form feed or U+2028.
     """
     path = Path(path)
     path.write_text("\n".join(vocabulary.token_of) + "\n", encoding="utf-8",

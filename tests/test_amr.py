@@ -18,6 +18,7 @@ from amrforge import (
 )
 from amrforge import amr
 from amrforge.amr import (
+    _adjacency,
     _joint_colors,
     _search_bijection,
     depth_bucket,
@@ -283,7 +284,9 @@ def test_colour_refinement_stops_once_the_histograms_differ():
     # runs: the colours are the initial ones, one per depth plus one for
     # the changed node.  Refining on would take one round per step of the
     # chain before the difference reached its ends.
-    colors1, colors2 = _joint_colors(_chain(1500), _chain(1500, {750: "d"}))
+    first, second = _chain(1500), _chain(1500, {750: "d"})
+    colors1, colors2 = _joint_colors(first, second, _adjacency(first),
+                                     _adjacency(second))
     assert colors1 == {f"n{i}": i for i in range(1500)}
     assert colors2 == {**colors1, "n750": 1500}
 
@@ -315,7 +318,25 @@ def test_bijection_search_backtracks_like_brute_force():
         )
         colors1 = dict.fromkeys(first.nodes, 0)
         colors2 = dict.fromkeys(second.nodes, 0)
-        assert _search_bijection(first, second, colors1, colors2) == expected
+        assert _search_bijection(first, second, _adjacency(first), colors1,
+                                 colors2) == expected
+
+
+def test_isomorphism_builds_each_table_once(monkeypatch):
+    # per graph: the out- and in-edge tables, shared by the colouring and
+    # the search, and the attribute table of the initial colours
+    rng = random.Random(7)
+    first = random_graph(rng, 50, 50, max_reentrancies=5, attribute_prob=0.2)
+    second = rename_nodes(first, {n: f"w{n}" for n in first.nodes})
+    calls = []
+
+    def counted(triples, real=amr._by_source):
+        calls.append(triples)
+        return real(triples)
+
+    monkeypatch.setattr(amr, "_by_source", counted)
+    assert is_isomorphic(first, second)
+    assert len(calls) == 6
 
 
 def test_attributes_affect_isomorphism():

@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import amrforge
-from amrforge import AmrGraph, graph_to_penman, is_isomorphic, read_corpus, synth
+from amrforge import (
+    AmrGraph,
+    graph_to_penman,
+    is_isomorphic,
+    linearize,
+    parse_penman,
+    read_corpus,
+    synth,
+)
 from amrforge.cli import run
 
 from conftest import CONTRAST_TEXT, GOLDEN_SEQUENCE
@@ -739,3 +747,92 @@ def test_amrforge_needs_only_the_standard_library(tmp_path):
     )
     assert done.returncode == 0, done.stderr.decode()
     assert json.loads(done.stdout)["diagnostics"] == []
+
+
+# One line rule for every input: a line ends at "\n", and a "\r" before it
+# is whitespace, in the CLI as in read_corpus
+
+
+def test_lone_carriage_return_does_not_end_a_token_line(monkeypatch, capsys):
+    payload = b"( <Z0> boy )\r( <Z0> girl )\n( <Z0> dog )\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    assert run(["delinearize", "--lenient", "-"]) == 0
+    documents = read_corpus(capsys.readouterr().out)
+    assert [d.graph.nodes for d in documents] == [{"z0": "boy"}, {"z0": "dog"}]
+
+
+def test_cli_reads_a_carriage_return_the_library_writes(tmp_path, capsys):
+    graph = parse_penman('(n / name :op1 "a\rb")').graph
+    path = tmp_path / "quoted.amr"
+    path.write_bytes(f"{graph_to_penman(graph)}\n".encode("utf-8"))
+    [document] = read_corpus(path.read_bytes())
+    assert document.graph.attributes == (("n", ":op1", '"a\rb"'),)
+    assert run(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == []
+    assert run(["smatch", str(path), str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["smatch"]["f1"] == 1.0
+
+
+def test_metadata_of_a_crlf_line_reads_alike_in_library_and_cli(tmp_path, capsys):
+    payload = b"# ::id a\r\n(a / b)\r\n"
+    path = tmp_path / "crlf.amr"
+    path.write_bytes(payload)
+    assert run(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["id"] == "a"
+    for stream in (payload, io.BytesIO(payload), payload.decode("utf-8")):
+        [document] = read_corpus(stream)
+        assert document.metadata == {"id": "a"}
+
+
+def test_vocab_base_lines_are_stripped(corpus, tmp_path, monkeypatch, capsys):
+    clean, padded = tmp_path / "clean.txt", tmp_path / "padded.txt"
+    clean.write_bytes(b"(\n)\n<pad>\n")
+    padded.write_bytes(b"  (  \r\n)\t\r\n \r\n\r\n <pad> \r\n")
+    assert run(["vocab", str(corpus), "--base", str(clean)]) == 0
+    expected = capsys.readouterr().out
+    assert expected.splitlines()[:3] == ["(", ")", "<pad>"]
+    assert run(["vocab", str(corpus), "--base", str(padded)]) == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(padded.read_bytes())))
+    assert run(["vocab", str(corpus), "--base", "-"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.fixture(scope="module")
+def lf_and_crlf(tmp_path_factory):
+    """A seeded synth corpus, a second one to score against it, and the
+    first one's token lines, each also with CRLF line ends."""
+    rng = random.Random(19)
+    root = tmp_path_factory.mktemp("line-ends")
+    texts = {}
+    for name in ("gold", "predicted"):
+        texts[name] = "".join(
+            f"# ::id {name}-{i}\n# ::snt {' '.join(synth.random_sentence(rng))}\n"
+            f"{graph_to_penman(synth.random_graph(rng, 5, 30, 3, 0.2))}\n\n"
+            for i in range(12)
+        )
+    texts["tokens"] = "".join(
+        f"{' '.join(linearize(d.graph))}\n" for d in read_corpus(texts["gold"])
+    )
+    paths = {}
+    for name, text in texts.items():
+        for ending in ("\n", "\r\n"):
+            path = root / f"{name}{len(ending)}.txt"
+            path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+            paths[name, ending] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "gold"], ["stats", "gold"], ["linearize", "gold"],
+    ["corrupt", "gold", "--seed", "3"], ["build-tasks", "gold", "--seed", "3"],
+    ["vocab", "gold"], ["smatch", "gold", "predicted", "--fine", "--seed", "3"],
+    ["delinearize", "tokens", "--lenient"],
+])
+def test_crlf_copy_gives_the_same_output(command, lf_and_crlf, capsys):
+    outputs = []
+    for ending in ("\n", "\r\n"):
+        argv = [lf_and_crlf.get((arg, ending), arg) for arg in command]
+        outputs.append((run(argv), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
