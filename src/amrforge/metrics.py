@@ -25,6 +25,13 @@ list (every reassignment, then every swap), and a plateau step takes the
 first unvisited move of gain 0 in that order.  Keeping that tie order
 keeps every score and mapping the same as a search that rescored the
 whole list after each step.
+
+No injective mapping matches more than each variable's best unary entry
+plus each linked pair's best pairwise entry: the context's ceiling, the
+root bound of exact solvers such as Smatch++.  The climbs after one that
+reaches it are skipped, but their random starts are still drawn, so a
+shared generator moves as before, and every result is the full search's:
+a later climb could only tie, and a tie keeps the earlier best.
 """
 
 from __future__ import annotations
@@ -133,6 +140,7 @@ class _MatchContext:
     Only nonzero entries are stored, so the keys double as the places
     where a variable can match anything.  The tables are built once per
     context; scoring a move then sums a few entries (see :class:`_Position`).
+    ``ceiling`` sums each variable's and each linked pair's largest entry.
     """
 
     def __init__(self, left: TripleSet, right: TripleSet):
@@ -174,6 +182,11 @@ class _MatchContext:
                     row[j] = row.get(j, 0) + weight
                     row = backward.setdefault(j, {})
                     row[k] = row.get(k, 0) + weight
+        self.ceiling = sum(max(weights.values(), default=0) for weights in self.unary)
+        self.ceiling += sum(  # a label with no carriers leaves a table empty
+            max((max(row.values()) for row in table.values()), default=0)
+            for v, links in enumerate(self.links) for w, table in links.items() if v < w
+        )
 
     def images(self, mapping: dict[str, str | None]) -> list[int | None]:
         index2 = self.index2
@@ -520,7 +533,9 @@ def _scored_smatch(
     left: TripleSet, right: TripleSet, restarts: int, rng, extra_seeds=()
 ) -> SmatchResult:
     """The best climb from the name, greedy and ``extra_seeds`` mappings,
-    then from random ones up to ``restarts`` climbs."""
+    then from random ones up to ``restarts`` climbs.  The climbs after
+    one that reaches ``context.ceiling`` are skipped; their random starts
+    are still drawn, so ``rng`` ends where the full search leaves it."""
     context = _MatchContext(left, right)
     seeds = [_name_seed(context), _greedy_seed(context)]
     seeds.extend(context.images(seed) for seed in extra_seeds)
@@ -530,6 +545,8 @@ def _scored_smatch(
             images = seeds[attempt]
         else:
             images = _random_seed(context, rng)
+        if best_score == context.ceiling:
+            continue  # certified: the start is still drawn, but not climbed
         score, images = _climb_once(context, images)
         if score > best_score:
             best_score, best_images = score, images

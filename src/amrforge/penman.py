@@ -280,7 +280,7 @@ _BOM = "\ufeff"  # the byte-order mark some editors write
 
 
 def read_corpus(stream, strict: bool = True):
-    """Yield :class:`PenmanDocument` objects from a corpus stream lazily.
+    r"""Yield :class:`PenmanDocument` objects from a corpus stream lazily.
 
     Documents are separated by one or more blank lines.  In strict mode
     the first malformed document aborts with its index; in lenient mode a
@@ -288,15 +288,20 @@ def read_corpus(stream, strict: bool = True):
     document with validation problems is kept, both carrying diagnostics.
     A leading byte-order mark is skipped, and its bytes are counted in the
     source spans.
+
+    A line ends at ``"\n"`` only.  A text stream comes split by the newline
+    mode it was opened in, where by default a lone ``"\r"`` (which a quoted
+    constant may hold) ends a line: open files ``"rb"`` or ``newline="\n"``.
     """
-    # A line ends at "\n" only; a "\r" before it stays in the line, where it
-    # reads as whitespace, and in the spans.  The CLI reads by the same rule
+    # a "\r" before "\n" stays in the line, where it reads as whitespace,
+    # and in the spans.  The CLI reads by the same rule.  A binary stream
+    # splits at b"\n" only; a wrapper would close the caller's stream
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     elif isinstance(stream, io.BufferedIOBase) or "b" in getattr(stream, "mode", ""):
-        stream = io.TextIOWrapper(stream, encoding="utf-8", newline="\n")
+        stream = (raw.decode("utf-8") for raw in stream)
 
     index = 0
     offset = 0

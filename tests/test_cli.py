@@ -773,6 +773,20 @@ def test_cli_reads_a_carriage_return_the_library_writes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["smatch"]["f1"] == 1.0
 
 
+def test_read_corpus_reads_an_opened_file_by_the_line_rule(tmp_path):
+    # a text stream arrives split by its newline mode, which by default
+    # also ends a line at a lone "\r": open in binary or with newline="\n"
+    graph = parse_penman('(n / name :op1 "a\rb")').graph
+    path = tmp_path / "quoted.amr"
+    path.write_bytes(f"{graph_to_penman(graph)}\n".encode("utf-8"))
+    for stream in (open(path, "rb"), open(path, encoding="utf-8", newline="\n")):
+        with stream:
+            [document] = read_corpus(stream, strict=False)
+            assert not stream.closed  # the caller's stream, closed by the caller
+        assert document.diagnostics == ()
+        assert document.graph.attributes == (("n", ":op1", '"a\rb"'),)
+
+
 def test_metadata_of_a_crlf_line_reads_alike_in_library_and_cli(tmp_path, capsys):
     payload = b"# ::id a\r\n(a / b)\r\n"
     path = tmp_path / "crlf.amr"

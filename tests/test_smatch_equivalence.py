@@ -15,6 +15,10 @@ gold graphs, pin long climbs that take sideways steps.  Regenerate it
 only when a change of results is intended:
 
     PYTHONPATH=src python tests/test_smatch_equivalence.py --write
+
+The search stops climbing once a climb reaches the context's ceiling;
+the ceiling is checked against the exhaustive oracle, and the results
+against a search that never stops early.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -30,7 +35,8 @@ from pathlib import Path
 
 import pytest
 
-from amrforge import AmrGraph, fine_grained, smatch, synth, to_triples
+import amrforge.metrics
+from amrforge import AmrGraph, fine_grained, smatch, smatch_oracle, synth, to_triples
 from amrforge.corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from amrforge.linearize import delinearize, repair
 from amrforge.metrics import (
@@ -203,6 +209,93 @@ def test_seeded_results_match_golden_fixture(index):
     assert _scores_json(scores) == case["fine_grained"]
     base = smatch(left, right, restarts=restarts, seed=seed)
     assert _result_json(base) == case["fine_grained"]["smatch"]
+
+
+def _counted(monkeypatch, name: str) -> list[int]:
+    """Count the calls of a ``metrics`` function, as ``calls[0]``."""
+    calls, inner = [0], getattr(amrforge.metrics, name)
+
+    def spy(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(amrforge.metrics, name, spy)
+    return calls
+
+
+def test_ceiling_bounds_every_mapping(monkeypatch):
+    # the oracle's count is the best over all injective mappings, so the
+    # ceiling must bound it, and a search that stops early must equal it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    climbs = _counted(monkeypatch, "_climb_once")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12),
+        st.sampled_from((1, 2, 4, 6)),
+    )
+    def check(seed, small, large, restarts):
+        rng = random.Random(seed)
+        left, right = (
+            synth.random_graph(
+                rng, 1, size, max_reentrancies=3, attribute_prob=0.3,
+                concepts=("want-01", "boy", "girl"), relations=RELATIONS[:3],
+            )
+            for size in rng.sample((small, large), 2)
+        )
+        exact = smatch_oracle(left, right)
+        assert exact.matched <= _MatchContext(to_triples(left), to_triples(right)).ceiling
+        climbs[0] = 0
+        found = smatch(left, right, restarts=restarts, seed=seed)
+        if climbs[0] < max(restarts, 2):
+            assert found.matched == exact.matched
+
+    check()
+
+
+def _eval_small_pairs(count: int = 40, seed: int = 5150):
+    """Gold graphs of 5-30 nodes and predictions with 40% of the concepts
+    masked, passed through ``repair``, as the eval-small benchmark has."""
+    rng = random.Random(seed)
+    noise = CorruptionConfig(node_rate=0.4, edge_rate=0.0, subgraph_rate=0.0)
+    for index in range(count):
+        size = 5 + index * 25 // (count - 1)
+        gold = synth.random_graph(
+            rng, size, size, max_reentrancies=size // 6, attribute_prob=0.1,
+            relations=synth.RELATIONS + (":name",),
+        )
+        noisy, _ = corrupt_graph(gold, noise, derive_rng(seed, index))
+        yield delinearize(repair(noisy)), gold, index
+
+
+class _Unbounded(_MatchContext):
+    def __init__(self, left, right):
+        super().__init__(left, right)
+        self.ceiling = math.inf
+
+
+def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
+    climbs = _counted(monkeypatch, "_climb_once")
+    draws = _counted(monkeypatch, "_random_seed")
+    pairs = list(_eval_small_pairs())
+
+    def run():
+        climbs[0] = draws[0] = 0
+        results = [
+            _scores_json(fine_grained(left, right, restarts=restarts, seed=index))
+            for left, right, index in pairs
+            for restarts in (1, 2, 4, 5)
+        ]
+        return results, climbs[0], draws[0]
+
+    stopping, stopped_climbs, stopped_draws = run()
+    monkeypatch.setattr(amrforge.metrics, "_MatchContext", _Unbounded)
+    full, full_climbs, full_draws = run()
+    assert stopping == full
+    # every random start is drawn, so a shared generator ends where it did
+    assert stopped_draws == full_draws > 0
+    assert stopped_climbs < full_climbs
 
 
 def _reference_count(left: TripleSet, right: TripleSet, mapping) -> int:
