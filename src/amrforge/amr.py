@@ -89,13 +89,13 @@ class AmrGraph:
 
 
 def _by_source(triples: Iterable[tuple[str, str, str]]):
-    """``(index, relation, other end)`` per source, in stored order.
+    """``(relation, other end)`` per source, in stored order.
 
     Only a source with triples has a key, so readers use ``.get(node, ())``.
     """
-    table: dict[str, list[tuple[int, str, str]]] = {}
-    for i, (source, relation, end) in enumerate(triples):
-        table.setdefault(source, []).append((i, relation, end))
+    table: dict[str, list[tuple[str, str]]] = {}
+    for source, relation, end in triples:
+        table.setdefault(source, []).append((relation, end))
     return table
 
 
@@ -386,7 +386,7 @@ def _root_distances(graph: AmrGraph, out) -> dict[str, int]:
     frontier = deque([graph.root])
     while frontier:
         node = frontier.popleft()
-        for _, _, target in out.get(node, ()):
+        for _, target in out.get(node, ()):
             if target not in distance:
                 distance[target] = distance[node] + 1
                 frontier.append(target)
@@ -431,8 +431,8 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
 
 
 def _adjacency(graph: AmrGraph):
-    """Outgoing ``(index, relation, target)`` and incoming ``(index,
-    relation, source)`` per node, as :func:`_by_source` tables."""
+    """Outgoing ``(relation, target)`` and incoming ``(relation, source)``
+    per node, as :func:`_by_source` tables."""
     inverse = ((t, r, s) for s, r, t in graph.edges)
     return _by_source(graph.edges), _by_source(inverse)
 
@@ -460,7 +460,7 @@ def _joint_colors(first: AmrGraph, second: AmrGraph, adjacency1, adjacency2):
                     distance[n],
                     len(out.get(n, ())),
                     len(inn.get(n, ())),
-                    tuple(sorted((r, v) for _, r, v in attrs.get(n, ()))),
+                    tuple(sorted(attrs.get(n, ()))),
                 )
             )
             for n in graph.nodes
@@ -474,8 +474,8 @@ def _joint_colors(first: AmrGraph, second: AmrGraph, adjacency1, adjacency2):
             n: intern(
                 (
                     colors[n],
-                    tuple(sorted((r, colors[t]) for _, r, t in out.get(n, ()))),
-                    tuple(sorted((r, colors[s]) for _, r, s in inn.get(n, ()))),
+                    tuple(sorted((r, colors[t]) for r, t in out.get(n, ()))),
+                    tuple(sorted((r, colors[s]) for r, s in inn.get(n, ()))),
                 )
             )
             for n in colors
@@ -519,11 +519,11 @@ def _search_bijection(first, second, adjacency1, colors1, colors2) -> bool:
     used: set[str] = set()
 
     def consistent(v1: str, v2: str) -> bool:
-        for _, r, t in out1.get(v1, ()):
+        for r, t in out1.get(v1, ()):
             image = mapping.get(t)
             if image is not None and (v2, r, image) not in edge_set2:
                 return False
-        for _, r, s in inn1.get(v1, ()):
+        for r, s in inn1.get(v1, ()):
             image = mapping.get(s)
             if image is not None and (image, r, v2) not in edge_set2:
                 return False

@@ -161,6 +161,13 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _rate(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0.0 <= (rate := float(text)) <= 1.0:
+            return rate
+    raise argparse.ArgumentTypeError(f"must be a number within [0, 1], got {text!r}")
+
+
 def _config_from(args, seed: int) -> CorruptionConfig:
     return CorruptionConfig(
         node_rate=args.node_rate,
@@ -240,10 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--T", dest="total_steps", type=_positive, default=100000,
                        help="total steps of the dynamic masking schedule")
     for p in (corrupt, build):
-        p.add_argument("--node-rate", type=float, default=0.15)
-        p.add_argument("--edge-rate", type=float, default=0.15)
-        p.add_argument("--subgraph-rate", type=float, default=0.35)
-        p.add_argument("--text-rate", type=float, default=0.15)
+        for kind in ("node", "edge", "subgraph", "text"):
+            p.add_argument(f"--{kind}-rate", type=_rate,
+                           default=getattr(CorruptionConfig, f"{kind}_rate"))
 
     vocab = command("vocab", _cmd_vocab, "build the extended symbol vocabulary")
     vocab.add_argument("--base", default=None,

@@ -45,27 +45,23 @@ class CorruptionConfig:
 
 @dataclass(frozen=True)
 class CorruptionRecord:
-    """What a corruption removed, and where.
+    """What a corruption removed, and where: its edits.
 
-    ``edits`` lists replacements in application order; applying them in
-    reverse to the corrupted sequence reproduces the original input (see
-    :func:`restore_tokens`).  The semantic fields name masked elements in
-    graph terms and are filled in when the corruption ran directly on a
-    graph.
+    ``edits`` lists replacements in application order, each at a position
+    of the sequence it was applied to; applying them in reverse to the
+    corrupted sequence reproduces the original input (see
+    :func:`restore_tokens`).
     """
 
     edits: tuple[Edit, ...] = ()
-    masked_node_ids: frozenset[str] = frozenset()
-    masked_edge_indices: frozenset[int] = frozenset()
-    removed_subgraph: AmrGraph | None = None
-    masked_text_positions: frozenset[int] = frozenset()
 
 
 def restore_tokens(corrupted: list[str], record: CorruptionRecord) -> list[str]:
-    """Undo a corruption: the exact original token sequence."""
+    """Undo a corruption: the exact original token sequence.  Raises
+    ``ValueError`` (record mismatch) where an edit finds no ``[mask]``."""
     out = list(corrupted)
     for _, position, original in reversed(record.edits):
-        if out[position] != tk.MASK:
+        if not 0 <= position < len(out) or out[position] != tk.MASK:
             raise ValueError(f"no [mask] at position {position}; record mismatch")
         out[position : position + 1] = list(original)
     return out
@@ -93,7 +89,7 @@ def node_edge_step(node_rate: float, edge_rate: float):
     def step(toks: list[str], layout: LinearLayout, rng: random.Random):
         # a node's concept follows its open paren and pointer
         concept_candidates = _unmasked(toks, (o + 2 for o, _ in layout.span.values()))
-        edge_candidates = _unmasked(toks, layout.edge_rel_pos.values())
+        edge_candidates = _unmasked(toks, layout.edge_rel_pos)
         node_picks = rng.sample(
             concept_candidates, _half_up(node_rate * len(concept_candidates))
         )
@@ -186,8 +182,8 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
     cut = LinearLayout(
         span={other: (moved(o), moved(c)) for other, (o, c) in layout.span.items()
               if not start <= o <= end},
-        edge_rel_pos={index: moved(pos) for index, pos in layout.edge_rel_pos.items()
-                      if not start <= pos <= end},
+        edge_rel_pos=[moved(pos) for pos in layout.edge_rel_pos
+                      if not start <= pos <= end],
         ref_positions=[(moved(pos), other) for pos, other in layout.ref_positions
                        if not start <= pos <= end],
     )
@@ -204,7 +200,7 @@ def mask_text(toks: list[str], rate: float, rng: random.Random):
     candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
     picks = rng.sample(candidates, _half_up(rate * len(candidates)))
     out, edits = _mask_each(toks, dict.fromkeys(picks, "text"))
-    return out, CorruptionRecord(edits=edits, masked_text_positions=frozenset(picks))
+    return out, CorruptionRecord(edits)
 
 
 def compose(graph: AmrGraph, steps, rng: random.Random):
@@ -213,50 +209,17 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
     Each step is called as ``step(toks, layout, rng)`` with the running
     token sequence and its :class:`LinearLayout`, leaves both untouched,
     and returns ``(toks, layout, edits)`` for the next step; the
-    positions in its edits refer to the sequence it was given.
-    Sub-graph masking conventionally runs first, so later steps see the
-    remaining elements, and at most one step may remove a sub-graph.
-    Every step's edits are named in graph terms (masked node ids, edge
-    indices and the removed sub-graph) through the layout it ran on.
+    positions in its edits refer to the sequence it was given, so the
+    record restores in reverse whatever the steps and however many of
+    them remove a sub-graph.  Sub-graph masking conventionally runs
+    first, so later steps see the remaining elements.
     """
     toks, layout = linearize_with_layout(graph)
     edits: list[Edit] = []
-    node_ids: set[str] = set()
-    edge_indices: set[int] = set()
-    removed = None
     for step in steps:
-        out, next_layout, step_edits = step(toks, layout, rng)
-        node_of_concept = {o + 2: n for n, (o, _) in layout.span.items()}
-        edge_of_rel = {pos: i for i, pos in layout.edge_rel_pos.items()}
-        for kind, pos, original in step_edits:
-            if kind == "node":
-                node_ids.add(node_of_concept[pos])
-            elif kind == "edge":
-                edge_indices.add(edge_of_rel[pos])
-            elif kind == "subgraph":
-                if removed is not None:
-                    raise ValueError("cannot merge two sub-graph removals")
-                removed = _removed_subgraph(graph, layout, pos, len(original))
+        toks, layout, step_edits = step(toks, layout, rng)
         edits += step_edits
-        toks, layout = out, next_layout
-    return toks, CorruptionRecord(
-        edits=tuple(edits),
-        masked_node_ids=frozenset(node_ids),
-        masked_edge_indices=frozenset(edge_indices),
-        removed_subgraph=removed,
-    )
-
-
-def _removed_subgraph(graph: AmrGraph, layout: LinearLayout, start: int, length: int):
-    """The graph whose spans open inside ``length`` tokens from ``start``."""
-    end = start + length - 1
-    inside = dict.fromkeys(n for n, (o, _) in layout.span.items() if start <= o <= end)
-    return AmrGraph(
-        nodes={n: c for n, c in graph.nodes.items() if n in inside},
-        edges=tuple(e for e in graph.edges if e[0] in inside and e[2] in inside),
-        attributes=tuple(a for a in graph.attributes if a[0] in inside),
-        root=next(iter(inside)),  # the first span in pointer order
-    )
+    return toks, CorruptionRecord(tuple(edits))
 
 
 def mask_nodes_edges(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):

@@ -58,14 +58,14 @@ class LinearLayout:
     span opens ``k``-th, which is node ``<Zk>`` of a fresh linearization.
     Its pointer follows at ``open + 1``, its concept at ``open + 2`` and,
     below the root, its introducing relation precedes it at ``open - 1``.
-    ``edge_rel_pos`` maps edge indices to their relation tokens and
-    ``ref_positions`` lists the bare pointers, each with its node, in text
+    ``edge_rel_pos`` lists the positions of the edge relation tokens and
+    ``ref_positions`` the bare pointers, each with its node, both in text
     order.  Targeted corruption and rendering read nothing else, and write
     nothing: a graph hands one layout to every caller.
     """
 
     span: dict[str, tuple[int, int]]
-    edge_rel_pos: dict[int, int]
+    edge_rel_pos: list[int]
     ref_positions: list[tuple[int, str]]
 
 
@@ -89,27 +89,27 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
 
     toks: list[str] = []
     span: dict[str, tuple[int, int]] = {}  # keyed at the open paren
-    edge_rel_pos: dict[int, int] = {}
+    edge_rel_pos: list[int] = []
     ref_positions: list[tuple[int, str]] = []
 
     # Explicit stack of open nodes, each with its edges still to write.
     # Whether a target expands or is a bare pointer is decided when its
     # edge is written, i.e. in textual order, so every node is defined at
     # its first occurrence in the depth-first walk.
-    stack: list[tuple[str, Iterator[tuple[int, str, str]]]] = []
+    stack: list[tuple[str, Iterator[tuple[str, str]]]] = []
     opening: str | None = graph.root
     while opening is not None:
         span[opening] = (len(toks), -1)  # closed when the walk leaves the node
         toks += (tk.OPEN, tk.pointer(len(span) - 1), concepts[opening])
-        for _, rel, value in attrs.get(opening, ()):
+        for rel, value in attrs.get(opening, ()):
             toks += (rel, value)
         stack.append((opening, iter(out.get(opening, ()))))
         opening = None
         # write edges until one reaches a new node, closing finished nodes
         while stack and opening is None:
             node, edges = stack[-1]
-            for index, rel, target in edges:
-                edge_rel_pos[index] = len(toks)
+            for rel, target in edges:
+                edge_rel_pos.append(len(toks))
                 toks.append(rel)
                 if target not in span:
                     opening = target

@@ -3,6 +3,8 @@
 import pytest
 
 from amrforge import AmrGraph, amr
+from amrforge.linearize import linearize_with_layout
+from amrforge.tokens import MASK
 
 GOLDEN_SEQUENCE = (
     "( <Z0> possible :domain ( <Z1> go :arg0 ( <Z2> boy ) ) "
@@ -23,6 +25,40 @@ def rename_nodes(graph: AmrGraph, mapping: dict[str, str]) -> AmrGraph:
         attributes=tuple((mapping[s], r, v) for s, r, v in graph.attributes),
         root=mapping[graph.root],
     )
+
+
+def replay_edits(graph: AmrGraph, edits):
+    """Apply a corruption's edits forward to the graph's linearization.
+
+    Each edit must find its original tokens at its position and mask what
+    its kind names in the clean layout: a concept (``"node"``), an edge
+    relation (``"edge"``), or a non-root span with the relation before it
+    (``"subgraph"``); a node or edge edit masks a token not masked yet.
+    Returns the corrupted sequence and, per kind, the clean position
+    range of each edit in order.
+    """
+    clean, layout = linearize_with_layout(graph)
+    concepts = {o + 2 for o, _ in layout.span.values()}
+    relations = set(layout.edge_rel_pos)
+    cut_end = {o - 1: c for o, c in list(layout.span.values())[1:]}
+    toks = list(clean)
+    origin: list[int | None] = list(range(len(clean)))  # clean position per token
+    masked: dict[str, list[range]] = {"node": [], "edge": [], "subgraph": []}
+    for kind, position, original in edits:
+        end = position + len(original)
+        assert 0 <= position < end <= len(toks)
+        assert tuple(toks[position:end]) == original
+        at = origin[position]
+        if kind == "subgraph":
+            assert cut_end[at] == origin[end - 1]
+        else:
+            assert original != (MASK,)
+            assert at in (concepts if kind == "node" else relations)
+        masked[kind].append(range(at, origin[end - 1] + 1))
+        toks[position:end] = [MASK]
+        if kind == "subgraph":  # masking in place moves no token
+            origin[position:end] = [None]
+    return toks, masked
 
 
 def modal_graph() -> AmrGraph:

@@ -5,6 +5,7 @@ PASS line with its runtime (run with ``pytest tests/test_acceptance.py -v -s``).
 import json
 import random
 import time
+from collections import Counter
 
 from amrforge import (
     AmrGraph,
@@ -86,8 +87,9 @@ def test_corruption_statistics():
         for _ in range(runs):
             graph = random_graph(rng, 20, 32, max_reentrancies=3)
             _, record = mask_nodes_edges(graph, config, rng)
-            node_fraction += len(record.masked_node_ids) / len(graph.nodes)
-            edge_fraction += len(record.masked_edge_indices) / len(graph.edges)
+            kinds = Counter(kind for kind, _, _ in record.edits)
+            node_fraction += kinds["node"] / len(graph.nodes)
+            edge_fraction += kinds["edge"] / len(graph.edges)
             _, sub_record = mask_subgraph(graph, config, rng)
             subgraph_hits += 1 if sub_record.edits else 0
         assert abs(node_fraction / runs - 0.15) < 0.01

@@ -510,6 +510,34 @@ def test_counts_below_one_are_usage_errors(command, flag, value, tmp_path,
     assert captured.out == "" and not out.exists()
 
 
+RATE_FLAGS = ["--node-rate", "--edge-rate", "--subgraph-rate", "--text-rate"]
+
+
+@pytest.mark.parametrize("value", ["2", "-0.1", "nan", "inf", "half"])
+@pytest.mark.parametrize("flag", RATE_FLAGS)
+@pytest.mark.parametrize("command", ["corrupt", "build-tasks"])
+def test_rates_outside_zero_to_one_are_usage_errors(command, flag, value, tmp_path,
+                                                    capsys):
+    # the corpus does not exist: the rate is rejected before any read
+    out = tmp_path / "out.txt"
+    assert run([command, str(tmp_path / "missing.amr"), flag, value,
+                "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "within [0, 1]" in captured.err
+    assert "amrforge: seed" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag", RATE_FLAGS)
+def test_rates_at_the_bounds_are_accepted(flag, corpus, tmp_path):
+    outputs = []
+    for value in ("0", "1.0"):
+        outputs.append(tmp_path / f"rate-{value}.jsonl")
+        assert run(["build-tasks", str(corpus), flag, value,
+                    "-o", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() != outputs[1].read_bytes()
+
+
 class _RecordingPool:
     sizes: list = []
 

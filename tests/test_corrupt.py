@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,9 +17,16 @@ from amrforge import (
     restore_tokens,
     subgraph_step,
 )
-from amrforge.corrupt import _half_up
+from amrforge.corrupt import CorruptionRecord, _half_up
+from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph
-from amrforge.tokens import MASK, pointer_index, to_text
+from amrforge.tokens import MASK, OPEN, pointer_index, to_text
+
+from conftest import replay_edits
+
+
+def _kinds(record):
+    return Counter(kind for kind, _, _ in record.edits)
 
 
 def test_config_defaults_and_validation():
@@ -49,7 +57,9 @@ def test_zero_rates_are_identity(golden):
 def test_masking_concept_and_relation_tokens(golden):
     # one of four nodes and one of three edges; this seed picks the node
     # labeled "go" and the edge introducing "boy"
-    edge_index = golden.edges.index(("z1", ":arg0", "z2"))
+    _, layout = linearize_with_layout(golden)
+    concept, relation = layout.span["z1"][0] + 2, layout.span["z2"][0] - 1
+    assert relation in layout.edge_rel_pos
     config = CorruptionConfig(node_rate=0.25, edge_rate=1 / 3)
     toks, record = mask_nodes_edges(golden, config, random.Random(4))
     assert to_text(toks) == (
@@ -57,8 +67,8 @@ def test_masking_concept_and_relation_tokens(golden):
         ":polarity ( <Z3> negative ) )"
     )
     assert toks.count(MASK) == 2
-    assert record.masked_node_ids == {"z1"}
-    assert record.masked_edge_indices == {edge_index}
+    assert record.edits == (("node", concept, ("go",)),
+                            ("edge", relation, (":arg0",)))
     assert restore_tokens(toks, record) == linearize(golden)
 
 
@@ -84,8 +94,9 @@ def test_mask_count_exactness():
         expected = _half_up(0.15 * n) + _half_up(0.15 * e)
         assert toks.count(MASK) == expected
         assert len(record.edits) == expected
-        assert len(record.masked_node_ids) == _half_up(0.15 * n)
-        assert len(record.masked_edge_indices) == _half_up(0.15 * e)
+        assert replay_edits(graph, record.edits)[0] == toks
+        assert _kinds(record)["node"] == _half_up(0.15 * n)
+        assert _kinds(record)["edge"] == _half_up(0.15 * e)
 
 
 def test_seven_node_graph_masks_exactly_one_node():
@@ -93,7 +104,8 @@ def test_seven_node_graph_masks_exactly_one_node():
     config = CorruptionConfig(edge_rate=0.0)
     graph = random_graph(rng, 7, 7, max_reentrancies=0)
     toks, record = mask_nodes_edges(graph, config, rng)
-    assert len(record.masked_node_ids) == 1
+    assert [kind for kind, _, _ in record.edits] == ["node"]
+    assert replay_edits(graph, record.edits)[0] == toks  # a concept
     assert toks.count(MASK) == 1
 
 
@@ -103,9 +115,10 @@ def test_subgraph_removal_collapses_whole_span(golden):
     toks, record = mask_subgraph(golden, config, random.Random(1))
     assert to_text(toks) == "( <Z0> possible [mask] :polarity ( <Z3> negative ) )"
     assert toks.count(MASK) == 1
-    assert record.removed_subgraph is not None
-    assert set(record.removed_subgraph.nodes) == {"z1", "z2"}
-    assert record.removed_subgraph.root == "z1"
+    clean, layout = linearize_with_layout(golden)
+    start, end = layout.span["z1"][0] - 1, layout.span["z1"][1]
+    assert record.edits == (("subgraph", start, tuple(clean[start : end + 1])),)
+    assert {n for n, (o, _) in layout.span.items() if start <= o <= end} == {"z1", "z2"}
     assert restore_tokens(toks, record) == linearize(golden)
 
 
@@ -114,12 +127,18 @@ def test_subgraph_removal_skips_root_and_orphaning_spans(contrast):
     # which is referenced outside them; the span of "o" only references
     # h, so removing it is fine.
     config = CorruptionConfig(subgraph_rate=1.0)
+    _, layout = linearize_with_layout(contrast)
+    opening = {o: node for node, (o, _) in layout.span.items()}
     removed = set()
     for seed in range(200):
         toks, record = mask_subgraph(contrast, config, random.Random(seed))
         assert toks.count(MASK) == 1
-        removed.add((record.removed_subgraph.root,
-                     frozenset(record.removed_subgraph.nodes)))
+        [(kind, start, original)] = record.edits
+        assert kind == "subgraph"
+        inside = range(start, start + len(original))
+        # the removed span opens right after its introducing relation
+        removed.add((opening[start + 1],
+                     frozenset(opening[o] for o in inside if o in opening)))
     assert removed == {
         ("s", frozenset("s")), ("p", frozenset("poy")),
         ("o", frozenset("oy")), ("y", frozenset("y")),
@@ -153,8 +172,10 @@ def test_mask_subgraph_output_is_structurally_sound():
         assert referenced <= defined  # no orphaned references
         if record.edits:
             masked += 1
-            assert record.removed_subgraph is not None
-            assert len(record.removed_subgraph.nodes) >= 1
+            # one cut of a whole non-root span, which holds a node
+            assert replay_edits(graph, record.edits)[0] == toks
+            assert [kind for kind, _, _ in record.edits] == ["subgraph"]
+            assert record.edits[0][2][1] == OPEN
             assert restore_tokens(toks, record) == linearize(graph)
     assert masked > 150
 
@@ -178,7 +199,7 @@ def test_mask_text_identity_and_saturation():
     assert out == toks and not record.edits
     out, record = mask_text(toks, 1.0, rng)
     assert out == [MASK] * 5
-    assert record.masked_text_positions == frozenset(range(5))
+    assert record.edits == tuple(("text", i, (word,)) for i, word in enumerate(toks))
     assert restore_tokens(out, record) == toks
 
 
@@ -186,7 +207,11 @@ def test_mask_text_count():
     toks = [f"w{i}" for i in range(20)]
     out, record = mask_text(toks, 0.15, random.Random(3))
     assert out.count(MASK) == 3
-    assert len(record.masked_text_positions) == 3
+    assert [kind for kind, _, _ in record.edits] == ["text"] * 3
+    positions = [pos for _, pos, _ in record.edits]
+    assert positions == sorted(set(positions))
+    assert all(out[pos] == MASK and (toks[pos],) == original
+               for _, pos, original in record.edits)
 
 
 def test_mask_text_rejects_markers():
@@ -237,31 +262,44 @@ def test_compose_masks_only_remaining_elements():
 
 @pytest.mark.parametrize("subgraph_rate", [0.0, 1.0])
 def test_composed_record_names_every_masked_element(subgraph_rate):
-    # every step's edits are named in graph terms, not only the first's
+    # every step's edits are recorded, not only the first's: at full rates
+    # they mask each concept and edge relation the cut left
     rng = random.Random(13)
     config = CorruptionConfig(subgraph_rate=subgraph_rate, node_rate=1.0,
                               edge_rate=1.0)
     removals = 0
     for _ in range(50):
         graph = random_graph(rng, 2, 25, max_reentrancies=4, attribute_prob=0.2)
-        _, record = corrupt_graph(graph, config, rng)
-        removed = set()
-        if record.removed_subgraph is not None:
-            removed = set(record.removed_subgraph.nodes)
-        removals += bool(removed)
-        assert record.masked_node_ids == set(graph.nodes) - removed
-        assert record.masked_edge_indices == {
-            index for index, (source, _, target) in enumerate(graph.edges)
-            if source not in removed and target not in removed
-        }
+        toks, record = corrupt_graph(graph, config, rng)
+        replayed, masked = replay_edits(graph, record.edits)
+        assert replayed == toks
+        _, layout = linearize_with_layout(graph)
+        removals += len(masked["subgraph"])
+
+        def kept(pos):
+            return not any(pos in cut for cut in masked["subgraph"])
+
+        assert sorted(r.start for r in masked["node"]) == [
+            o + 2 for o, _ in layout.span.values() if kept(o + 2)]
+        assert sorted(r.start for r in masked["edge"]) == [
+            pos for pos in layout.edge_rel_pos if kept(pos)]
     assert removals == 0 if subgraph_rate == 0.0 else removals > 40
 
 
-def test_compose_merges_records_and_allows_one_subgraph_removal(golden):
-    # every removal from the four-node graph leaves a removable span
-    with pytest.raises(ValueError, match="two sub-graph removals"):
-        compose(golden, [subgraph_step(1.0), subgraph_step(1.0)],
-                random.Random(0))
+def test_compose_records_each_subgraph_removal(golden, contrast):
+    # every removal from either graph leaves a removable span; the second
+    # cut may hold the first one's [mask] or lie beside it
+    steps = [subgraph_step(1.0), subgraph_step(1.0)]
+    nested = set()
+    for graph in (golden, contrast):
+        for seed in range(40):
+            toks, record = compose(graph, steps, random.Random(seed))
+            assert [kind for kind, _, _ in record.edits] == ["subgraph"] * 2
+            assert replay_edits(graph, record.edits)[0] == toks
+            assert restore_tokens(toks, record) == linearize(graph)
+            nested.add(MASK in record.edits[1][2])
+    assert nested == {True, False}
+    # a zero-rate step after a cut changes nothing
     alone = compose(golden, [subgraph_step(1.0)], random.Random(0))
     merged = compose(golden, [subgraph_step(1.0), node_edge_step(0.0, 0.0)],
                      random.Random(0))
@@ -273,6 +311,15 @@ def test_restore_rejects_mismatched_record(golden):
     toks, record = mask_subgraph(golden, config, random.Random(1))
     with pytest.raises(ValueError, match="record mismatch"):
         restore_tokens(linearize(golden), record)
+
+
+@pytest.mark.parametrize("position", [-1, 2, 5])
+def test_restore_rejects_a_position_outside_the_sequence(position):
+    # unchecked, -1 would find the last [mask] and insert "x" before it,
+    # and 2 or 5 would raise IndexError
+    record = CorruptionRecord(edits=(("node", position, ("x",)),))
+    with pytest.raises(ValueError, match="record mismatch"):
+        restore_tokens(["a", MASK], record)
 
 
 def test_derive_rng_is_reproducible():
@@ -288,7 +335,7 @@ def test_statistical_node_mask_fraction():
     for _ in range(runs):
         graph = random_graph(rng, 20, 40, max_reentrancies=3)
         _, record = mask_nodes_edges(graph, config, rng)
-        total_fraction += len(record.masked_node_ids) / len(graph.nodes)
+        total_fraction += _kinds(record)["node"] / len(graph.nodes)
     assert abs(total_fraction / runs - 0.15) < 0.01
 
 

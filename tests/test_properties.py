@@ -1,9 +1,10 @@
 """Restore invariants of every corruption, on drawn graphs and rates.
 
-``restore_tokens`` must give back the exact clean sequence, every masked
-node must read ``[mask]`` where its concept was, and a removed sub-graph
-must itself be a valid graph.  The span table of a linearization layout
-must describe its tokens, before and after a sub-graph cut.  ``validate``
+``restore_tokens`` must give back the exact clean sequence, and every
+edit must mask what its kind names in the clean layout: a concept, an
+edge relation, or a whole non-root span with its relation.  The span
+table of a linearization layout must describe its tokens, before and
+after a sub-graph cut.  ``validate``
 must accept exactly the graphs that a definition-by-DFS reference accepts.
 """
 
@@ -32,6 +33,8 @@ from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph, random_sentence
 from amrforge.tokens import CLOSE, MASK, OPEN, is_pointer, is_relation, pointer
 
+from conftest import replay_edits
+
 rates = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -54,20 +57,9 @@ def configs(draw):
 
 def _check_graph_record(graph, toks, record):
     assert restore_tokens(toks, record) == linearize(graph)
-    removed = set()
-    if record.removed_subgraph is not None:
-        assert validate(record.removed_subgraph) == []
-        removed = set(record.removed_subgraph.nodes)
-    # pointers are never renumbered, so "( <Zk>" still opens the span of
-    # the k-th node in the clean layout's pointer order
-    _, layout = linearize_with_layout(graph)
-    pointer_of = {node: pointer(k) for k, node in enumerate(layout.span)}
-    opens = {toks[i + 1]: i for i, token in enumerate(toks) if token == OPEN}
-    for node in record.masked_node_ids:
-        # a mask applied before the sub-graph step may have been cut away
-        if node in removed:
-            continue
-        assert toks[opens[pointer_of[node]] + 2] == MASK
+    # replaying the edits checks each against the clean layout; a mask
+    # applied before the sub-graph step may be cut away with its span
+    assert replay_edits(graph, record.edits)[0] == toks
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,7 +73,7 @@ def test_corrupt_graph_restores(graph, config, seed):
 @given(graphs(), configs(), seeds)
 def test_mask_subgraph_restores(graph, config, seed):
     toks, record = mask_subgraph(graph, config, random.Random(seed))
-    assert not record.masked_node_ids
+    assert [kind for kind, _, _ in record.edits] in ([], ["subgraph"])
     _check_graph_record(graph, toks, record)
 
 
@@ -89,7 +81,7 @@ def test_mask_subgraph_restores(graph, config, seed):
 @given(graphs(), configs(), seeds)
 def test_mask_nodes_edges_restores(graph, config, seed):
     toks, record = mask_nodes_edges(graph, config, random.Random(seed))
-    assert record.removed_subgraph is None
+    assert {kind for kind, _, _ in record.edits} <= {"node", "edge"}
     _check_graph_record(graph, toks, record)
 
 
@@ -108,10 +100,11 @@ def test_mask_text_restores(sentence_seed, rate, seed):
     sentence = random_sentence(random.Random(sentence_seed))
     toks, record = mask_text(sentence, rate, random.Random(seed))
     assert restore_tokens(toks, record) == sentence
-    assert all(toks[i] == MASK for i in record.masked_text_positions)
+    for kind, pos, original in record.edits:
+        assert kind == "text" and toks[pos] == MASK and original == (sentence[pos],)
 
 
-def _check_span_table(toks, layout):
+def _check_span_table(toks, layout, edge_count):
     starts = [start for start, _ in layout.span.values()]
     assert starts == sorted(starts)  # keys in open-paren order
     for k, (start, close) in enumerate(layout.span.values()):
@@ -120,7 +113,13 @@ def _check_span_table(toks, layout):
         assert (k == 0) == (start == 0)
         if k:
             assert is_relation(toks[start - 1])
-    assert all(is_relation(toks[pos]) for pos in layout.edge_rel_pos.values())
+    relations = layout.edge_rel_pos
+    assert all(a < b for a, b in zip(relations, relations[1:]))  # text order
+    # edge relations only: each one has a node or a pointer as its target
+    for pos in relations:
+        assert is_relation(toks[pos])
+        assert toks[pos + 1] == OPEN or is_pointer(toks[pos + 1])
+    assert len(relations) == edge_count
     for pos, node in layout.ref_positions:
         assert is_pointer(toks[pos])
         assert toks[pos] == toks[layout.span[node][0] + 1]  # the node's own
@@ -130,7 +129,7 @@ def _check_span_table(toks, layout):
 @given(graphs(), seeds)
 def test_span_table_before_and_after_a_cut(graph, seed):
     toks, layout = linearize_with_layout(graph)
-    _check_span_table(toks, layout)
+    _check_span_table(toks, layout, len(graph.edges))
     for k, (start, _) in enumerate(layout.span.values()):
         assert toks[start + 1] == pointer(k)
 
@@ -142,9 +141,13 @@ def test_span_table_before_and_after_a_cut(graph, seed):
 
     cut, record = compose(graph, [subgraph_step(1.0), recording], random.Random(seed))
     assert seen[0][0] == cut
-    _check_span_table(*seen[0])
-    if record.removed_subgraph is not None:
-        assert set(seen[0][1].span).isdisjoint(record.removed_subgraph.nodes)
+    # the nodes whose spans open inside the cut, if there was one
+    removed = {node for _, start, original in record.edits
+               for node, (o, _) in layout.span.items()
+               if start <= o < start + len(original)}
+    surviving = [e for e in graph.edges if e[0] not in removed and e[2] not in removed]
+    _check_span_table(*seen[0], len(surviving))
+    assert list(seen[0][1].span) == [n for n in layout.span if n not in removed]
 
 
 # Symbol pools for drawn graphs: mostly usable, a few not (delimiters,
