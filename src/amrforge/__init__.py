@@ -42,7 +42,6 @@ from .metrics import (
     corpus_bleu_details,
     fine_grained,
     smatch,
-    smatch_oracle,
     to_triples,
 )
 from .penman import (

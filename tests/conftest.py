@@ -1,9 +1,14 @@
-"""Shared graph fixtures used across the test modules."""
+"""Shared graph fixtures and exact Smatch references used across the
+test modules."""
+
+import itertools
 
 import pytest
 
 from amrforge import AmrGraph, amr
+from amrforge._search import _applied, _MatchContext
 from amrforge.linearize import linearize_with_layout
+from amrforge.metrics import SmatchResult, TripleSet, _result, to_triples
 from amrforge.tokens import MASK
 
 GOLDEN_SEQUENCE = (
@@ -25,6 +30,91 @@ def rename_nodes(graph: AmrGraph, mapping: dict[str, str]) -> AmrGraph:
         attributes=tuple((mapping[s], r, v) for s, r, v in graph.attributes),
         root=mapping[graph.root],
     )
+
+
+def oracle_optimum(left: TripleSet, right: TripleSet) -> SmatchResult:
+    """Globally optimal matched count by exhausting injective mappings.
+
+    Only feasible for small graphs: the smaller variable set must have at
+    most eight variables.
+    """
+    n1, n2 = len(left.instances), len(right.instances)
+    if min(n1, n2) > 8:
+        raise ValueError("oracle requires one side with at most 8 variables")
+    context = _MatchContext(left, right)
+
+    if n1 <= n2:
+        candidates = itertools.permutations(range(n2), n1)
+    else:
+        candidates = (
+            _applied([None] * n1, zip(sources, range(n2)))
+            for sources in itertools.permutations(range(n1), n2)
+        )
+    best, best_images = -1, [None] * n1
+    for images in candidates:
+        score = context.count(images)
+        if score > best:
+            best, best_images = score, images
+    return _result(best, left.total, right.total, context.mapping(best_images))
+
+
+def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
+    """The brute-force reference for ``smatch``: :func:`oracle_optimum`
+    of the two graphs' triples."""
+    return oracle_optimum(to_triples(graph1), to_triples(graph2))
+
+
+def milp_optimum(left: TripleSet, right: TripleSet) -> int:
+    """The most triples any injective mapping matches, from the Smatch ILP
+    over the ``_MatchContext`` tables, solved by ``scipy.optimize.milp``.
+
+    A binary ``x[v, j]`` for each ``unary`` or ``links`` entry places left
+    variable ``v`` at right variable ``j``, and a continuous ``y`` for each
+    ``links`` entry, at most both of its ``x``, earns that entry's weight.
+    Each variable has at most one image and each target one preimage.
+    Pairs without an entry are left out, since a variable placed there
+    matches nothing.  Callers skip without scipy.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    context = _MatchContext(left, right)
+    pairs = []
+    for v, (unary, links) in enumerate(zip(context.unary, context.links)):
+        pairs += [(v, j) for j in unary]
+        pairs += [(v, j) for table in links.values() for row in table.values() for j in row]
+    x = {pair: column for column, pair in enumerate(dict.fromkeys(pairs))}
+    if not x:
+        return 0
+    gains = [context.unary[v].get(j, 0) for v, j in x]
+    rows, upper = [], []  # each row maps column -> coefficient, row @ z <= upper
+    for v, links in enumerate(context.links):
+        for w, table in links.items():
+            if v < w:
+                for k, row in table.items():
+                    for j, weight in row.items():
+                        y = len(gains)
+                        gains.append(weight)
+                        rows += [{y: 1, x[v, j]: -1}, {y: 1, x[w, k]: -1}]
+                        upper += [0, 0]
+    for side in (0, 1):  # one image per variable, one preimage per target
+        groups = {}
+        for pair, column in x.items():
+            groups.setdefault(pair[side], {})[column] = 1
+        rows += groups.values()
+        upper += [1] * len(groups)
+
+    r, c, a = zip(*((r, c, a) for r, row in enumerate(rows) for c, a in row.items()))
+    matrix = coo_array((a, (r, c)), shape=(len(rows), len(gains)))
+    solved = milp(
+        -np.array(gains, dtype=float),
+        constraints=LinearConstraint(matrix, -np.inf, upper),
+        integrality=[1] * len(x) + [0] * (len(gains) - len(x)),
+        bounds=Bounds(0, 1),
+    )
+    assert solved.success, solved.message
+    return round(-solved.fun)
 
 
 def replay_edits(graph: AmrGraph, edits):

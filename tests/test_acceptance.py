@@ -22,7 +22,6 @@ from amrforge import (
     schedule_rate,
     serialize_penman,
     smatch,
-    smatch_oracle,
 )
 from amrforge.cli import run
 from amrforge.penman import PenmanDocument
@@ -30,7 +29,7 @@ from amrforge.synth import random_graph, random_sentence
 from amrforge.tasks import ALL_TAGS, build_sample, layout
 from amrforge.tokens import MASK, to_text
 
-from conftest import GOLDEN_SEQUENCE, modal_graph
+from conftest import GOLDEN_SEQUENCE, modal_graph, smatch_oracle
 
 
 class _Timer:

@@ -12,13 +12,12 @@ from amrforge import (
     fine_grained,
     parse_penman,
     smatch,
-    smatch_oracle,
     to_triples,
 )
 from amrforge.metrics import aggregate
 from amrforge.synth import random_graph
 
-from conftest import modal_graph
+from conftest import modal_graph, smatch_oracle
 
 WANT_BOY = "(w / want-01 :ARG0 (b / boy))"
 WANT_GIRL = "(w / want-01 :ARG0 (g / girl))"
@@ -281,3 +280,40 @@ def test_bleu_length_mismatch():
         corpus_bleu_details([["a"]], [["a"], ["b"]])
     with pytest.raises(ValueError, match="at least one"):
         corpus_bleu_details([], [])
+
+
+# The public names of the package and of its metrics module.  The search
+# and BLEU live in private modules, so metrics must re-export what they
+# provide: bench/tracing.py wraps smatch, fine_grained and
+# corpus_bleu_details as attributes of amrforge.metrics.  The brute-force
+# oracle is a test reference (conftest.py), not API.
+PACKAGE_EXPORTS = (
+    "ALL_TAGS", "AmrGraph", "BleuResult", "CorpusError", "CorruptionConfig",
+    "CorruptionRecord", "Diagnostic", "EMPTY_GRAPH_TOKENS", "FINETUNING_TAGS",
+    "GraphStats", "InvalidGraphError", "MaskSchedule", "PRETRAINING_TAGS",
+    "PenmanDocument", "PenmanSyntaxError", "PointerCapacityError", "RepairError",
+    "SmatchResult", "StructureError", "SymbolInventory", "TaskError",
+    "TaskSample", "TaskTag", "TripleSet", "UnknownTokenError", "Vocabulary",
+    "build_corpus", "build_sample", "build_vocabulary", "collect_symbols",
+    "compose", "compute_stats", "corpus_bleu_details", "corrupt_graph",
+    "decode", "delinearize", "derive_rng", "empty_graph", "encode",
+    "fine_grained", "graph_to_penman", "is_isomorphic", "linearize",
+    "load_vocabulary", "mask_nodes_edges", "mask_subgraph", "mask_text",
+    "node_edge_step", "parse_penman", "read_corpus", "repair",
+    "restore_tokens", "sample_to_json", "save_vocabulary", "schedule_rate",
+    "serialize_penman", "smatch", "subgraph_step", "to_triples", "validate",
+)
+METRICS_EXPORTS = (
+    "BleuResult", "FINE_GRAINED_KEYS", "INSTANCE", "SmatchResult",
+    "TOP_RELATION", "TripleSet", "aggregate", "corpus_bleu_details",
+    "fine_grained", "smatch", "to_triples",
+)
+
+
+def test_public_names_resolve_and_the_oracle_is_not_among_them():
+    for module, names in (
+        (amrforge, PACKAGE_EXPORTS), (amrforge.metrics, METRICS_EXPORTS)
+    ):
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        assert not hasattr(module, "smatch_oracle"), module.__name__

@@ -18,7 +18,9 @@ only when a change of results is intended:
 
 The search stops climbing once a climb reaches the context's ceiling;
 the ceiling is checked against the exhaustive oracle, and the results
-against a search that never stops early.
+against a search that never stops early.  Where scipy is installed, the
+MILP optimum of ``conftest.milp_optimum`` is checked against the oracle
+and bounds every search variant on the 30 small fixture pairs.
 """
 
 from __future__ import annotations
@@ -35,22 +37,29 @@ from pathlib import Path
 
 import pytest
 
-import amrforge.metrics
-from amrforge import AmrGraph, fine_grained, smatch, smatch_oracle, synth, to_triples
-from amrforge.corrupt import CorruptionConfig, corrupt_graph, derive_rng
-from amrforge.linearize import delinearize, repair
-from amrforge.metrics import (
+import amrforge._search
+from amrforge import AmrGraph, fine_grained, smatch, synth, to_triples
+from amrforge._search import (
     _SIDEWAYS_BUDGET,
-    TripleSet,
     _applied,
     _climb_once,
     _greedy_seed,
     _MatchContext,
     _name_seed,
-    _no_wsd,
     _Position,
+)
+from amrforge.corrupt import CorruptionConfig, corrupt_graph, derive_rng
+from amrforge.linearize import delinearize, repair
+from amrforge.metrics import (
+    TripleSet,
+    _no_wsd,
+    _reentrant_edges,
+    _restricted,
+    _srl_edges,
     _unlabeled,
 )
+
+from conftest import milp_optimum, oracle_optimum, smatch_oracle
 
 FIXTURE = Path(__file__).parent / "data" / "smatch_golden.json"
 FIXTURE_SEED = 2203
@@ -212,14 +221,14 @@ def test_seeded_results_match_golden_fixture(index):
 
 
 def _counted(monkeypatch, name: str) -> list[int]:
-    """Count the calls of a ``metrics`` function, as ``calls[0]``."""
-    calls, inner = [0], getattr(amrforge.metrics, name)
+    """Count the calls of a ``_search`` function, as ``calls[0]``."""
+    calls, inner = [0], getattr(amrforge._search, name)
 
     def spy(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(amrforge.metrics, name, spy)
+    monkeypatch.setattr(amrforge._search, name, spy)
     return calls
 
 
@@ -252,6 +261,55 @@ def test_ceiling_bounds_every_mapping(monkeypatch):
             assert found.matched == exact.matched
 
     check()
+
+
+def test_milp_equals_the_exhaustive_oracle():
+    # two exact references that share only the weight tables: the MILP
+    # must find every injective mapping's best, no more and no less
+    pytest.importorskip("scipy")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        left, right = (
+            synth.random_graph(
+                rng, 2, 6, max_reentrancies=2, attribute_prob=0.3,
+                concepts=("want-01", "boy", "girl"), relations=RELATIONS[:3],
+            )
+            for _ in range(2)
+        )
+        for variant in (lambda t: t, _unlabeled):
+            a, b = variant(to_triples(left)), variant(to_triples(right))
+            assert milp_optimum(a, b) == oracle_optimum(a, b).matched
+
+    check()
+
+
+def _searched_variants(left: AmrGraph, right: AmrGraph):
+    """Each ``fine_grained`` key a mapping search scores, with the triple
+    sets it searches over."""
+    a, b = to_triples(left), to_triples(right)
+    yield "smatch", a, b
+    yield "unlabeled", _unlabeled(a), _unlabeled(b)
+    yield "no_wsd", _no_wsd(a), _no_wsd(b)
+    for key, selected in (("reentrancy", _reentrant_edges), ("srl", _srl_edges)):
+        yield key, _restricted(a, selected(a)), _restricted(b, selected(b))
+
+
+@pytest.mark.parametrize("index", range(PAIRS))
+def test_search_never_exceeds_the_milp_optimum(index):
+    # a climb that miscounts a gain can report more triples than any
+    # mapping matches; the golden fixture alone would not say which side
+    # is wrong, the optimum does
+    pytest.importorskip("scipy")
+    case = _golden_cases()[index]
+    left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
+    scores = fine_grained(left, right, restarts=case["restarts"], seed=case["seed"])
+    for key, a, b in _searched_variants(left, right):
+        if scores[key] is not None:
+            assert scores[key].matched <= milp_optimum(a, b), key
 
 
 def _eval_small_pairs(count: int = 40, seed: int = 5150):
@@ -290,7 +348,7 @@ def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
         return results, climbs[0], draws[0]
 
     stopping, stopped_climbs, stopped_draws = run()
-    monkeypatch.setattr(amrforge.metrics, "_MatchContext", _Unbounded)
+    monkeypatch.setattr(amrforge._search, "_MatchContext", _Unbounded)
     full, full_climbs, full_draws = run()
     assert stopping == full
     # every random start is drawn, so a shared generator ends where it did
