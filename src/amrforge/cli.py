@@ -16,16 +16,15 @@ import argparse
 import atexit
 import contextlib
 import dataclasses
-import io
 import json
 import multiprocessing
 import os
-import shutil
 import sys
 from collections import Counter
 from collections.abc import Iterator
 
 from . import tokens as tk
+from ._files import lines, write, write_all
 from .amr import AmrGraph, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from .linearize import _walk, linearize
@@ -46,7 +45,7 @@ from .tasks import (
     parse_tag,
     sample_to_json,
 )
-from .vocab import _sidecar_text, build_vocabulary, collect_symbols
+from .vocab import _outputs, build_vocabulary, collect_symbols
 
 ENV_SEED = "AMRFORGE_SEED"
 
@@ -64,78 +63,20 @@ def _read(path: str, strict: bool) -> Iterator[tuple[PenmanDocument, AmrGraph]]:
     already put the fallback in the graph's place: either way the
     fallback is the graph to use.
     """
-    for d in read_corpus(_read_lines(path), strict=strict):
-        yield d, empty_graph() if d.diagnostics else d.graph
+    with _open(path) as handle:
+        for d in read_corpus(handle, strict=strict):
+            yield d, empty_graph() if d.diagnostics else d.graph
 
 
 def _read_lines(path: str) -> Iterator[str]:
-    # read as it is consumed.  A line ends at "\n" only, as in read_corpus;
-    # a "\r" before it stays in the line and reads as whitespace.  It never
-    # ends where str.splitlines would also break, at a lone "\r", form
-    # feeds, U+0085 or U+2028.  utf-8-sig drops a leading byte-order mark,
-    # as some editors write one
-    if path == "-":
-        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", newline="\n")
-        try:
-            # a loop, not yield from: a generator closed early would close
-            # the wrapper it delegates to, and stdin's buffer with it
-            for line in handle:
-                yield line
-        finally:
-            handle.detach()  # leave stdin itself open
-    else:
-        with open(path, "r", encoding="utf-8-sig", newline="\n") as handle:
-            yield from handle
+    # read as it is consumed, by the line rule of read_corpus
+    with _open(path) as handle:
+        yield from lines(handle)
 
 
-def _write(path: str, lines) -> None:
-    _write_all([(path, lines)])
-
-
-def _write_all(outputs) -> None:
-    """Print each ``(path, lines)`` output to stdout (``-``) or to a file.
-
-    On stdout an error leaves the lines printed before it.  A regular file
-    is written beside its path and moved into place after the last line of
-    every output, so an error leaves each one absent or unchanged.
-    Anything else at a path, such as a FIFO or ``/dev/null``, is written in
-    place.
-    """
-    staged: list[tuple[str, str]] = []  # (temporary, real path)
-    try:
-        for path, lines in outputs:
-            if path == "-":
-                _print_all(lines, sys.stdout)
-                continue
-            real = os.path.realpath(path)  # a symlinked output keeps its link
-            if os.path.exists(real) and not os.path.isfile(real):
-                with open(real, "w", encoding="utf-8") as out:
-                    _print_all(lines, out)
-                continue
-            temporary = f"{real}.{os.getpid()}.tmp"
-            # "x" gives a new file the umask's mode, and opens no old one
-            try:
-                out = open(temporary, "x", encoding="utf-8")
-            except FileNotFoundError as error:
-                error.filename = path  # a missing directory: name the output
-                raise
-            staged.append((temporary, real))
-            with out:
-                if os.path.exists(real):
-                    shutil.copymode(real, temporary)
-                _print_all(lines, out)
-        for temporary, real in staged:
-            os.replace(temporary, real)
-    except BaseException:
-        for temporary, _ in staged:
-            with contextlib.suppress(FileNotFoundError):  # already moved
-                os.remove(temporary)
-        raise
-
-
-def _print_all(lines, out) -> None:
-    for line in lines:
-        print(line, file=out)
+def _open(path: str):
+    # the bytes of a file, or of stdin, which is left open
+    return contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
 def _json(row) -> str:
@@ -310,7 +251,7 @@ def _cmd_validate(args) -> int:
                 ],
             })
 
-    _write(args.output, rows())
+    write(args.output, rows())
     return 1 if flagged else 0
 
 
@@ -329,13 +270,13 @@ def _stats_rows(documents):
 
 
 def _cmd_stats(args) -> int:
-    _write(args.output, _stats_rows(_read(args.input, args.strict)))
+    write(args.output, _stats_rows(_read(args.input, args.strict)))
     return 0
 
 
 def _cmd_linearize(args) -> int:
     documents = _read(args.input, args.strict)
-    _write(args.output, (tk.to_text(linearize(graph)) for _, graph in documents))
+    write(args.output, (tk.to_text(linearize(graph)) for _, graph in documents))
     return 0
 
 
@@ -353,7 +294,7 @@ def _cmd_delinearize(args) -> int:
     # line k is document k: a blank line is the empty sequence
     texts = (_penman_of_line(line, args.strict) for line in _read_lines(args.input))
     # a blank line between documents
-    _write(args.output, (("\n" if i else "") + text for i, text in enumerate(texts)))
+    write(args.output, (("\n" if i else "") + text for i, text in enumerate(texts)))
     return 0
 
 
@@ -361,7 +302,7 @@ def _cmd_corrupt(args) -> int:
     seed = _seed(args)
     documents = _read(args.input, args.strict)
     config = _config_from(args, seed)
-    _write(args.output, (
+    write(args.output, (
         tk.to_text(corrupt_graph(graph, config, derive_rng(seed, index))[0])
         for index, (_, graph) in enumerate(documents)
     ))
@@ -388,7 +329,7 @@ def _cmd_build_tasks(args) -> int:
     )
     schedule = MaskSchedule(total_steps=args.total_steps)
     samples = build_corpus(pairs, schedule, _config_from(args, seed), tags)
-    _write(args.output, map(sample_to_json, samples))
+    write(args.output, map(sample_to_json, samples))
     return 0
 
 
@@ -401,10 +342,7 @@ def _cmd_vocab(args) -> int:
     else:
         base = [tk.OPEN, tk.CLOSE]
     vocabulary = build_vocabulary(base, inventory, max_pointers=args.max_pointers)
-    outputs = [(args.output, vocabulary.token_of)]
-    if args.output != "-":  # together: a failed write leaves both as they were
-        outputs.append((args.output + ".partitions.json", [_sidecar_text(vocabulary)]))
-    _write_all(outputs)
+    write_all(_outputs(vocabulary, args.output))
     return 0
 
 
@@ -437,7 +375,7 @@ def _cmd_smatch(args) -> int:
     report = {"seed": seed, "pairs": len(per_pair)}
     for key in keys:
         report[key] = _json_score(aggregate(result.get(key) for result in per_pair))
-    _write(args.output, [_json(report)])
+    write(args.output, [_json(report)])
     return 0
 
 
@@ -445,7 +383,7 @@ def _cmd_bleu(args) -> int:
     references = [line.split() for line in _read_lines(args.reference)]
     hypotheses = [line.split() for line in _read_lines(args.hypothesis)]
     details = corpus_bleu_details(hypotheses, references)
-    _write(args.output, [_json({
+    write(args.output, [_json({
         "bleu": round(details.score, 6),
         "precisions": [round(p, 6) for p in details.precisions],
         "brevity_penalty": round(details.brevity_penalty, 6),

@@ -12,10 +12,10 @@ PENMAN text and pointer-token sequences follow one traversal policy.
 
 from __future__ import annotations
 
-import io
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from ._files import lines
 from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
 from .linearize import linearize_with_layout
 from .tokens import EMPTY_CONCEPT
@@ -43,14 +43,12 @@ class CorpusError(ValueError):
 class PenmanDocument:
     """One corpus entry: metadata lines plus a parsed graph.
 
-    ``source_span`` holds the document's byte offsets in the input stream.
     ``diagnostics`` is non-empty only for documents accepted in lenient
     mode despite validation or syntax problems.
     """
 
     metadata: dict[str, str]
     graph: AmrGraph
-    source_span: tuple[int, int] = (0, 0)
     diagnostics: tuple[Diagnostic, ...] = ()
 
     def __post_init__(self):
@@ -128,12 +126,7 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
     diagnostics = validate(graph)
     if diagnostics and strict:
         raise InvalidGraphError(diagnostics)
-    return PenmanDocument(
-        metadata=metadata,
-        graph=graph,
-        source_span=(0, len(text.encode("utf-8"))),
-        diagnostics=tuple(diagnostics),
-    )
+    return PenmanDocument(metadata=metadata, graph=graph, diagnostics=diagnostics)
 
 
 def _parse_expression(text: str, first_line: int) -> AmrGraph:
@@ -276,62 +269,39 @@ def _render(graph: AmrGraph, renumber: bool) -> str:
     return "".join(pieces)
 
 
-_BOM = "\ufeff"  # the byte-order mark some editors write
-
-
 def read_corpus(stream, strict: bool = True):
-    r"""Yield :class:`PenmanDocument` objects from a corpus stream lazily.
+    r"""Yield :class:`PenmanDocument` objects from a corpus lazily.
+
+    ``stream`` is bytes, a string, a binary or text stream, or an iterable
+    of lines, read by the one line rule of the command line: a line ends
+    at ``"\n"`` only, input is UTF-8, and a leading byte-order mark is
+    skipped.  A text stream comes split by the newline mode it was opened
+    in, where by default a lone ``"\r"`` (which a quoted constant may
+    hold) ends a line: open files ``"rb"`` or with ``newline="\n"``.
+    The stream is not closed here.
 
     Documents are separated by one or more blank lines.  In strict mode
     the first malformed document aborts with its index; in lenient mode a
     document with a syntax error is replaced by the fallback graph and a
     document with validation problems is kept, both carrying diagnostics.
-    A leading byte-order mark is skipped, and its bytes are counted in the
-    source spans.
-
-    A line ends at ``"\n"`` only.  A text stream comes split by the newline
-    mode it was opened in, where by default a lone ``"\r"`` (which a quoted
-    constant may hold) ends a line: open files ``"rb"`` or ``newline="\n"``.
     """
-    # a "\r" before "\n" stays in the line, where it reads as whitespace,
-    # and in the spans.  The CLI reads by the same rule.  A binary stream
-    # splits at b"\n" only; a wrapper would close the caller's stream
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.BytesIO(stream)
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    elif isinstance(stream, io.BufferedIOBase) or "b" in getattr(stream, "mode", ""):
-        stream = (raw.decode("utf-8") for raw in stream)
-
     index = 0
-    offset = 0
     block: list[str] = []
-    block_start = 0
-    for line in stream:
-        if not offset and line.startswith(_BOM):
-            line = line[1:]
-            offset = len(_BOM.encode("utf-8"))
-        line_bytes = len(line.encode("utf-8"))
-        if line.strip() == "":
-            if block:
-                yield _parse_block(block, block_start, offset, index, strict)
-                index += 1
-                block = []
-        else:
-            if not block:
-                block_start = offset
+    for line in lines(stream):
+        if line.strip():
             block.append(line)
-        offset += line_bytes
+        elif block:
+            yield _parse_block(block, index, strict)
+            index += 1
+            block = []
     if block:
-        yield _parse_block(block, block_start, offset, index, strict)
+        yield _parse_block(block, index, strict)
 
 
-def _parse_block(
-    block: list[str], start: int, end: int, index: int, strict: bool
-) -> PenmanDocument:
+def _parse_block(block: list[str], index: int, strict: bool) -> PenmanDocument:
     text = "".join(block)
     try:
-        document = parse_penman(text, strict=strict)
+        return parse_penman(text, strict=strict)
     except PenmanSyntaxError as error:
         if strict:
             raise CorpusError(index, error) from error
@@ -339,9 +309,7 @@ def _parse_block(
         return PenmanDocument(
             metadata=metadata,
             graph=empty_graph(),
-            source_span=(start, end),
             diagnostics=(Diagnostic("syntax", str(error)),),
         )
     except InvalidGraphError as error:
         raise CorpusError(index, error) from error
-    return replace(document, source_span=(start, end))

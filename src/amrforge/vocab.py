@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import tokens as tk
+from ._files import write_all
 from .penman import PenmanDocument
 
 _FRAME_RE = re.compile(r".+-\d{2,}$")
@@ -146,27 +147,26 @@ def decode(ids: list[int], vocabulary: Vocabulary) -> list[str]:
 
 
 def save_vocabulary(vocabulary: Vocabulary, path) -> None:
-    """One token per line (line number = id) plus a JSON sidecar with the
-    partition labels.
+    r"""One token per line (line number = id) plus a JSON sidecar with the
+    partition labels, both or neither, as ``amrforge vocab -o`` writes them
+    (a ``path`` of ``-`` prints the tokens alone to stdout).
 
     Only ``\n`` ends a line, untranslated: universal newlines would split a
     quoted concept at a CR, and ``str.splitlines`` at a form feed or U+2028.
     """
-    path = Path(path)
-    path.write_text("\n".join(vocabulary.token_of) + "\n", encoding="utf-8",
-                    newline="")
-    Path(str(path) + ".partitions.json").write_text(
-        _sidecar_text(vocabulary) + "\n", encoding="utf-8"
-    )
+    write_all(_outputs(vocabulary, str(path)))
 
 
-def _sidecar_text(vocabulary: Vocabulary) -> str:
-    """The partition sidecar's JSON, without its final newline."""
-    sidecar = {
-        "max_pointers": vocabulary.max_pointers,
-        "partitions": vocabulary.partitions,
-    }
-    return json.dumps(sidecar, ensure_ascii=False, indent=0, sort_keys=True)
+def _outputs(vocabulary: Vocabulary, path: str) -> list:
+    """The token file's ``(path, lines)``, and its JSON sidecar's unless the
+    tokens go to stdout (``-``)."""
+    outputs = [(path, vocabulary.token_of)]
+    if path != "-":
+        sidecar = {"max_pointers": vocabulary.max_pointers,
+                   "partitions": vocabulary.partitions}
+        text = json.dumps(sidecar, ensure_ascii=False, indent=0, sort_keys=True)
+        outputs.append((path + ".partitions.json", [text]))
+    return outputs
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -21,7 +21,8 @@ from amrforge import (
     read_corpus,
     synth,
 )
-from amrforge.cli import run
+from amrforge._files import lines
+from amrforge.cli import _read_lines, run
 
 from conftest import CONTRAST_TEXT, GOLDEN_SEQUENCE
 
@@ -719,6 +720,23 @@ def test_lines_before_a_strict_read_error_reach_stdout(monkeypatch, capsys):
     assert "document 1" in captured.err
 
 
+@pytest.mark.parametrize("command, payload, out, position", [
+    (["linearize"], b"(b / boy)\n\n(c / \xff)\n", "( <Z0> boy )\n", 5),
+    (["delinearize", "--lenient"], b"( <Z0> boy )\n( <Z0> \xff )\n", "(z0 / boy)\n", 7),
+], ids=["linearize", "delinearize"])
+def test_lines_before_a_decode_error_reach_stdout(command, payload, out, position,
+                                                  monkeypatch, capsys):
+    # bytes are decoded a line at a time, not a read-ahead chunk at a time
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    assert run([*command, "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == out
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("amrforge: error: ")]
+    assert errors == [f"amrforge: error: 'utf-8' codec can't decode byte 0xff "
+                      f"in position {position}: invalid start byte"]
+
+
 def test_failing_mid_stream_closes_the_input(tmp_path):
     path = tmp_path / "two.amr"
     path.write_text(TWO_DOCUMENTS, encoding="utf-8")
@@ -779,6 +797,47 @@ def test_amrforge_needs_only_the_standard_library(tmp_path):
 
 # One line rule for every input: a line ends at "\n", and a "\r" before it
 # is whitespace, in the CLI as in read_corpus
+
+
+def _split_after_newlines(payload: bytes) -> list[str]:
+    *ended, last = payload.decode("utf-8").removeprefix("\ufeff").split("\n")
+    return [line + "\n" for line in ended] + ([last] if last else [])
+
+
+def test_every_reader_splits_lines_alike(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # the breaks that str.splitlines or universal newlines would also take,
+    # and a byte-order mark that only the first line loses
+    pieces = st.sampled_from(
+        ["a", " ", "é", "\n", "\r", "\r\n", "\x0c", "\x85", "\u2028", "\ufeff"])
+    path = tmp_path / "lines.txt"
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from(["", "\ufeff"]), st.lists(pieces, max_size=12))
+    def check(prefix, drawn):
+        payload = (prefix + "".join(drawn)).encode("utf-8")
+        path.write_bytes(payload)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+        reads = [
+            list(lines(payload)), list(lines(io.BytesIO(payload))),
+            list(lines(payload.decode("utf-8"))),
+            list(_read_lines(str(path))), list(_read_lines("-")),
+        ]
+        assert reads == [_split_after_newlines(payload)] * len(reads)
+
+    check()
+
+
+def test_commands_drop_one_byte_order_mark_as_read_corpus_does(tmp_path, capsys):
+    path = tmp_path / "two-marks.amr"
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + b"(b / boy)\n")
+    [document] = read_corpus(path.read_bytes(), strict=False)
+    assert run(["validate", str(path)]) == 1
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert [d["message"] for d in diagnostics] == [
+        d.message for d in document.diagnostics] == [
+        "unexpected token '\\ufeff' (line 1, column 1)"]
 
 
 def test_lone_carriage_return_does_not_end_a_token_line(monkeypatch, capsys):

@@ -126,14 +126,6 @@ def test_read_corpus_two_documents():
     assert [d.graph.nodes[d.graph.root] for d in documents] == ["boy", "girl"]
 
 
-def test_read_corpus_source_spans():
-    text = "# ::id one\n(a / boy)\n\n\n(b / girl)\n"
-    raw = text.encode("utf-8")
-    documents = list(read_corpus(io.StringIO(text)))
-    start, end = documents[1].source_span
-    assert raw[start:end].decode("utf-8").strip() == "(b / girl)"
-
-
 def test_read_corpus_lenient_flags_malformed_document():
     blocks = ["(x%d / thing :mod (y%d / other))" % (i, i) for i in range(10)]
     blocks[4] = "(broken / oops :mod"
@@ -167,11 +159,10 @@ def test_read_corpus_skips_byte_order_mark_in_bytes():
 def test_source_spans_count_the_byte_order_mark():
     payload = "\ufeff(a / b)\n\n# ::snt é\n(c / d)\n".encode("utf-8")
     for stream in (payload, io.BytesIO(payload), payload.decode("utf-8")):
-        spans = [document.source_span for document in read_corpus(stream)]
-        assert spans == [(3, 11), (12, 31)]
-        assert [payload[start:end] for start, end in spans] == [
-            b"(a / b)\n", "# ::snt é\n(c / d)\n".encode("utf-8"),
-        ]
+        documents = list(read_corpus(stream))
+        assert [document.graph.nodes for document in documents] == [
+            {"a": "b"}, {"c": "d"}]
+        assert [document.metadata for document in documents] == [{}, {"snt": "é"}]
 
 
 def test_crlf_spans_agree_across_input_kinds():
@@ -182,10 +173,7 @@ def test_crlf_spans_agree_across_input_kinds():
     ]
     for documents in reads:
         assert documents == reads[0]
-        spans = [document.source_span for document in documents]
-        assert [payload[start:end] for start, end in spans] == [
-            b"(a / b)\r\n", b"(c / d)\r\n",
-        ]
+    assert [document.graph.nodes for document in reads[0]] == [{"a": "b"}, {"c": "d"}]
 
 
 def test_serialize_rejects_invalid_graph():

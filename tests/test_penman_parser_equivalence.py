@@ -161,18 +161,18 @@ def _documents() -> list[str]:
     return texts
 
 
-def _digest(document) -> str:
+def _digest(document, text: str) -> str:
     graph = document.graph
     payload = json.dumps([
         list(document.metadata.items()), list(graph.nodes.items()),
-        graph.edges, graph.attributes, graph.root, document.source_span,
+        graph.edges, graph.attributes, graph.root, (0, len(text.encode("utf-8"))),
     ])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def _parsed(text: str):
     try:
-        return _digest(parse_penman(text))
+        return _digest(parse_penman(text), text)
     except PenmanSyntaxError as error:
         return ["syntax", str(error), error.line, error.column]
     except InvalidGraphError as error:

@@ -176,3 +176,25 @@ def test_save_and_load_keep_line_breaks_inside_quoted_concepts(tmp_path, space):
     path = tmp_path / "vocab.txt"
     save_vocabulary(vocabulary, path)
     assert load_vocabulary(path) == vocabulary
+
+
+def test_save_vocabulary_writes_both_files_or_neither(tmp_path):
+    vocabulary = build_vocabulary(["(", ")"], collect_symbols([_doc()]))
+    path = tmp_path / "vocab.txt"
+    sidecar = tmp_path / "vocab.txt.partitions.json"
+    sidecar.mkdir()  # the sidecar cannot be written
+    with pytest.raises(IsADirectoryError):
+        save_vocabulary(vocabulary, path)
+    assert [p.name for p in tmp_path.iterdir()] == [sidecar.name]
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(IsADirectoryError):
+        save_vocabulary(vocabulary, path)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    # an existing pair keeps its bytes when a token cannot be encoded
+    sidecar.rmdir()
+    save_vocabulary(vocabulary, path)
+    pair = path.read_bytes(), sidecar.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        save_vocabulary(build_vocabulary(["(", "\ud800"]), path)
+    assert (path.read_bytes(), sidecar.read_bytes()) == pair
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, sidecar.name]
