@@ -24,7 +24,7 @@ from collections import Counter
 from collections.abc import Iterator
 
 from . import tokens as tk
-from ._files import lines, write, write_all
+from ._files import lines, write
 from .amr import AmrGraph, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from .linearize import _walk, linearize
@@ -45,7 +45,7 @@ from .tasks import (
     parse_tag,
     sample_to_json,
 )
-from .vocab import _outputs, build_vocabulary, collect_symbols
+from .vocab import build_vocabulary, collect_symbols, save_vocabulary
 
 ENV_SEED = "AMRFORGE_SEED"
 
@@ -342,7 +342,7 @@ def _cmd_vocab(args) -> int:
     else:
         base = [tk.OPEN, tk.CLOSE]
     vocabulary = build_vocabulary(base, inventory, max_pointers=args.max_pointers)
-    write_all(_outputs(vocabulary, args.output))
+    save_vocabulary(vocabulary, args.output)
     return 0
 
 

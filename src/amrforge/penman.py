@@ -112,9 +112,10 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
     """Parse metadata lines plus one PENMAN expression.
 
     Variables become node ids.  ``:rel (v / concept ...)`` adds an edge to
-    a new node, ``:rel v`` for a variable defined anywhere in the
-    expression adds a reentrant edge, and any other bare target is an
-    attribute constant (quoted constants keep their quotes).
+    a new node.  A bare target is an edge exactly when it names a variable
+    defined anywhere in the expression, before or after it (``:rel v`` is
+    a reentrant edge); any other bare target is an attribute constant
+    (quoted constants keep their quotes).
 
     In strict mode a graph failing validation (a cycle introduced through
     a variable reference, a duplicate triple) raises
@@ -130,7 +131,12 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
 
 
 def _parse_expression(text: str, first_line: int) -> AmrGraph:
-    """The graph of one PENMAN expression starting at line ``first_line``."""
+    """The graph of one PENMAN expression starting at line ``first_line``.
+
+    A bare target is an edge exactly when it names a variable defined
+    anywhere in the expression, and a constant otherwise: the one walk
+    keeps every ``(source, relation, target)`` in text order to decide.
+    """
     tokens = _TOKEN_RE.findall(text)
     count = len(tokens)
 
@@ -142,19 +148,8 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
     if not tokens:
         raise PenmanSyntaxError("expected '(' to start a graph", 1, 1)
 
-    # Pre-scan variable definitions so that references written before
-    # their definition still resolve as reentrant edges.
-    declared = {
-        tokens[i + 1]
-        for i in range(count - 2)
-        if tokens[i] == "("
-        and tokens[i + 1][0] not in _NOT_ATOM
-        and tokens[i + 2] == "/"
-    }
-
     nodes: dict[str, str] = {}
-    edges: list[tuple[str, str, str]] = []
-    attributes: list[tuple[str, str, str]] = []
+    triples: list[tuple[str, str, str]] = []
     root: str | None = None
 
     stack: list[str] = []
@@ -178,7 +173,7 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
             if root is None:
                 root = var
             if stack:
-                edges.append((stack[-1], tokens[pending], var))
+                triples.append((stack[-1], tokens[pending], var))
                 pending = None
             stack.append(var)
             pos += 4
@@ -205,13 +200,10 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
             pending = pos
             pos += 1
             continue
-        # atom or string target; only atoms are ever declared variables
+        # atom or string target: edge or constant is decided after the walk
         if not stack or pending is None:
             fail(f"unexpected token {token!r}", pos)
-        if token in declared:
-            edges.append((stack[-1], tokens[pending], token))
-        else:
-            attributes.append((stack[-1], tokens[pending], token))
+        triples.append((stack[-1], tokens[pending], token))
         pending = None
         pos += 1
 
@@ -219,7 +211,10 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
         fail("unbalanced '(': expression ends before all nodes are closed", count - 1)
 
     return AmrGraph(
-        nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root
+        nodes=nodes,
+        edges=tuple(t for t in triples if t[2] in nodes),
+        attributes=tuple(t for t in triples if t[2] not in nodes),
+        root=root,
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import tokens as tk
-from ._files import write_all
+from ._files import lines, write_all
 from .penman import PenmanDocument
 
 _FRAME_RE = re.compile(r".+-\d{2,}$")
@@ -154,25 +154,20 @@ def save_vocabulary(vocabulary: Vocabulary, path) -> None:
     Only ``\n`` ends a line, untranslated: universal newlines would split a
     quoted concept at a CR, and ``str.splitlines`` at a form feed or U+2028.
     """
-    write_all(_outputs(vocabulary, str(path)))
-
-
-def _outputs(vocabulary: Vocabulary, path: str) -> list:
-    """The token file's ``(path, lines)``, and its JSON sidecar's unless the
-    tokens go to stdout (``-``)."""
+    path = str(path)
     outputs = [(path, vocabulary.token_of)]
     if path != "-":
         sidecar = {"max_pointers": vocabulary.max_pointers,
                    "partitions": vocabulary.partitions}
         text = json.dumps(sidecar, ensure_ascii=False, indent=0, sort_keys=True)
         outputs.append((path + ".partitions.json", [text]))
-    return outputs
+    write_all(outputs)
 
 
 def load_vocabulary(path) -> Vocabulary:
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        token_of = tuple(handle.read().removesuffix("\n").split("\n"))
+    """What :func:`save_vocabulary` wrote; tokens are read by the line rule."""
+    with open(path, "rb") as handle:
+        token_of = tuple(line.removesuffix("\n") for line in lines(handle))
     sidecar = json.loads(
         Path(str(path) + ".partitions.json").read_text(encoding="utf-8")
     )

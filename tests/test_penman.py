@@ -85,6 +85,16 @@ def test_forward_reference_resolves_as_edge():
     assert compute_stats(graph).reentrancies == 1
 
 
+def test_interleaved_forward_references_keep_text_order():
+    # a bare target read before its variable's definition is still an
+    # edge, in the place its text gives it among the tree edges
+    graph = parse_penman('(a / x :mod "b" :ARG0 b :polarity - '
+                         ':ARG1 (b / y :ARG2 c) :ARG3 (c / z))').graph
+    assert graph.edges == (("a", ":ARG0", "b"), ("a", ":ARG1", "b"),
+                           ("b", ":ARG2", "c"), ("a", ":ARG3", "c"))
+    assert graph.attributes == (("a", ":mod", '"b"'), ("a", ":polarity", "-"))
+
+
 def test_cyclic_reference_strict_vs_lenient():
     text = "(z1 / harm-01 :ARG1 z1)"
     with pytest.raises(InvalidGraphError):

@@ -178,6 +178,16 @@ def test_save_and_load_keep_line_breaks_inside_quoted_concepts(tmp_path, space):
     assert load_vocabulary(path) == vocabulary
 
 
+def test_load_vocabulary_skips_a_byte_order_mark(tmp_path):
+    vocabulary = build_vocabulary(["(", ")"], collect_symbols([_doc()]))
+    path = tmp_path / "vocab.txt"
+    save_vocabulary(vocabulary, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    loaded = load_vocabulary(path)
+    assert loaded == vocabulary
+    assert encode(["("], loaded) == [0]
+
+
 def test_save_vocabulary_writes_both_files_or_neither(tmp_path):
     vocabulary = build_vocabulary(["(", ")"], collect_symbols([_doc()]))
     path = tmp_path / "vocab.txt"
