@@ -16,7 +16,6 @@ from .amr import (
 )
 from .corrupt import (
     CorruptionConfig,
-    CorruptionRecord,
     compose,
     corrupt_graph,
     derive_rng,

@@ -110,13 +110,9 @@ def _rate(text: str) -> float:
 
 
 def _config_from(args, seed: int) -> CorruptionConfig:
-    return CorruptionConfig(
-        node_rate=args.node_rate,
-        edge_rate=args.edge_rate,
-        subgraph_rate=args.subgraph_rate,
-        text_rate=args.text_rate,
-        seed=seed,
-    )
+    # the command's rate flags; a rate without one keeps its default
+    rates = {k: v for k, v in vars(args).items() if k.endswith("_rate")}
+    return CorruptionConfig(seed=seed, **rates)
 
 
 def _document_text(document: PenmanDocument, index: int) -> list[str]:
@@ -187,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "pre-training tasks) / finetune / everything")
     build.add_argument("--T", dest="total_steps", type=_positive, default=100000,
                        help="total steps of the dynamic masking schedule")
-    for p in (corrupt, build):
-        for kind in ("node", "edge", "subgraph", "text"):
+    # corrupt masks only the graph; build-tasks masks its text as well
+    graph_rates = ("node", "edge", "subgraph")
+    for p, kinds in ((corrupt, graph_rates), (build, graph_rates + ("text",))):
+        for kind in kinds:
             p.add_argument(f"--{kind}-rate", type=_rate,
                            default=getattr(CorruptionConfig, f"{kind}_rate"))
 

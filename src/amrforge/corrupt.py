@@ -4,8 +4,8 @@ Three corruptions are provided: masking individual node concepts and edge
 relations, replacing a whole depth-first subtree span with one ``[mask]``,
 and masking word tokens.  Every operation is pure given an explicit
 ``random.Random`` generator and returns the corrupted sequence together
-with a :class:`CorruptionRecord` that is sufficient to restore the
-original sequence exactly.
+with its edits, which are sufficient to restore the original sequence
+exactly.
 
 Graph corruption reads positions from the :class:`LinearLayout` of one
 linearization and never re-parses tokens: masking a token one-for-one
@@ -43,24 +43,13 @@ class CorruptionConfig:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class CorruptionRecord:
-    """What a corruption removed, and where: its edits.
-
-    ``edits`` lists replacements in application order, each at a position
-    of the sequence it was applied to; applying them in reverse to the
-    corrupted sequence reproduces the original input (see
-    :func:`restore_tokens`).
-    """
-
-    edits: tuple[Edit, ...] = ()
-
-
-def restore_tokens(corrupted: list[str], record: CorruptionRecord) -> list[str]:
-    """Undo a corruption: the exact original token sequence.  Raises
+def restore_tokens(corrupted: list[str], edits: tuple[Edit, ...]) -> list[str]:
+    """Undo a corruption: the exact original tokens.  ``edits`` lists its
+    replacements in application order, each at a position of the sequence
+    it was applied to, and they are undone in reverse.  Raises
     ``ValueError`` (record mismatch) where an edit finds no ``[mask]``."""
     out = list(corrupted)
-    for _, position, original in reversed(record.edits):
+    for _, position, original in reversed(edits):
         if not 0 <= position < len(out) or out[position] != tk.MASK:
             raise ValueError(f"no [mask] at position {position}; record mismatch")
         out[position : position + 1] = list(original)
@@ -87,9 +76,12 @@ def node_edge_step(node_rate: float, edge_rate: float):
     """
 
     def step(toks: list[str], layout: LinearLayout, rng: random.Random):
-        # a node's concept follows its open paren and pointer
-        concept_candidates = _unmasked(toks, (o + 2 for o, _ in layout.span.values()))
-        edge_candidates = _unmasked(toks, layout.edge_rel_pos)
+        # a node's concept follows its open paren and pointer; an edge
+        # relation precedes each open but the root's, at 0, or a bare pointer
+        opens = [o for o, _ in layout.span.values()]
+        concept_candidates = _unmasked(toks, (o + 2 for o in opens))
+        edge_candidates = _unmasked(toks, [o - 1 for o in opens if o]
+                                    + [pos - 1 for pos, _ in layout.ref_positions])
         node_picks = rng.sample(
             concept_candidates, _half_up(node_rate * len(concept_candidates))
         )
@@ -182,8 +174,6 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
     cut = LinearLayout(
         span={other: (moved(o), moved(c)) for other, (o, c) in layout.span.items()
               if not start <= o <= end},
-        edge_rel_pos=[moved(pos) for pos in layout.edge_rel_pos
-                      if not start <= pos <= end],
         ref_positions=[(moved(pos), other) for pos, other in layout.ref_positions
                        if not start <= pos <= end],
     )
@@ -200,7 +190,7 @@ def mask_text(toks: list[str], rate: float, rng: random.Random):
     candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
     picks = rng.sample(candidates, _half_up(rate * len(candidates)))
     out, edits = _mask_each(toks, dict.fromkeys(picks, "text"))
-    return out, CorruptionRecord(edits)
+    return out, edits
 
 
 def compose(graph: AmrGraph, steps, rng: random.Random):
@@ -208,18 +198,18 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
 
     Each step is called as ``step(toks, layout, rng)`` with the running
     token sequence and its :class:`LinearLayout`, leaves both untouched,
-    and returns ``(toks, layout, edits)`` for the next step; the
-    positions in its edits refer to the sequence it was given, so the
-    record restores in reverse whatever the steps and however many of
-    them remove a sub-graph.  Sub-graph masking conventionally runs
-    first, so later steps see the remaining elements.
+    and returns ``(toks, layout, edits)`` for the next step, positions in
+    its edits referring to the sequence it was given.  Returns the tokens
+    and all edits in order: :func:`restore_tokens` undoes them whatever
+    the steps, however many remove a sub-graph.  Sub-graph masking
+    conventionally runs first, so later steps see the remaining elements.
     """
     toks, layout = linearize_with_layout(graph)
     edits: list[Edit] = []
     for step in steps:
         toks, layout, step_edits = step(toks, layout, rng)
         edits += step_edits
-    return toks, CorruptionRecord(tuple(edits))
+    return toks, tuple(edits)
 
 
 def mask_nodes_edges(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):

@@ -58,14 +58,13 @@ class LinearLayout:
     span opens ``k``-th, which is node ``<Zk>`` of a fresh linearization.
     Its pointer follows at ``open + 1``, its concept at ``open + 2`` and,
     below the root, its introducing relation precedes it at ``open - 1``.
-    ``edge_rel_pos`` lists the positions of the edge relation tokens and
-    ``ref_positions`` the bare pointers, each with its node, both in text
-    order.  Targeted corruption and rendering read nothing else, and write
-    nothing: a graph hands one layout to every caller.
+    ``ref_positions`` lists the bare pointers, each with its node, in text
+    order, each after its relation at ``position - 1``.  Targeted
+    corruption and rendering read nothing else, and write nothing: a graph
+    hands one layout to every caller.
     """
 
     span: dict[str, tuple[int, int]]
-    edge_rel_pos: list[int]
     ref_positions: list[tuple[int, str]]
 
 
@@ -89,7 +88,6 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
 
     toks: list[str] = []
     span: dict[str, tuple[int, int]] = {}  # keyed at the open paren
-    edge_rel_pos: list[int] = []
     ref_positions: list[tuple[int, str]] = []
 
     # Explicit stack of open nodes, each with its edges still to write.
@@ -109,7 +107,6 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
         while stack and opening is None:
             node, edges = stack[-1]
             for rel, target in edges:
-                edge_rel_pos.append(len(toks))
                 toks.append(rel)
                 if target not in span:
                     opening = target
@@ -121,7 +118,7 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
                 span[node] = (span[node][0], len(toks))
                 toks.append(tk.CLOSE)
 
-    layout = LinearLayout(span, edge_rel_pos, ref_positions)
+    layout = LinearLayout(span, ref_positions)
     object.__setattr__(graph, "_linear", (toks, layout))
     return list(toks), layout
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ._bleu import BleuResult, corpus_bleu_details
 from ._search import best_mapping
-from .amr import AmrGraph, require_valid
+from .amr import AmrGraph, _by_source, require_valid
 
 _SENSE_RE = re.compile(r"-\d{2,}$")
 _SRL_RE = re.compile(r":ARG\d", re.IGNORECASE)
@@ -55,32 +55,26 @@ def to_triples(graph: AmrGraph) -> TripleSet:
 
 @dataclass(frozen=True)
 class SmatchResult:
-    precision: float
-    recall: float
-    f1: float
+    """Matched triples, each side's total and the mapping that matched
+    them; the scores follow from the counts."""
+
     matched: int
     left_total: int
     right_total: int
     mapping: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def precision(self) -> float:
+        return self.matched / self.left_total if self.left_total else 0.0
 
-def _result(matched, left_total, right_total, mapping) -> SmatchResult:
-    precision = matched / left_total if left_total else 0.0
-    recall = matched / right_total if right_total else 0.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return SmatchResult(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        matched=matched,
-        left_total=left_total,
-        right_total=right_total,
-        mapping={k: v for k, v in mapping.items() if v is not None},
-    )
+    @property
+    def recall(self) -> float:
+        return self.matched / self.right_total if self.right_total else 0.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 def _scored_smatch(
@@ -88,7 +82,8 @@ def _scored_smatch(
 ) -> SmatchResult:
     """Scores under the best mapping :func:`best_mapping` finds."""
     matched, mapping = best_mapping(left, right, restarts, rng, extra_seeds)
-    return _result(matched, left.total, right.total, mapping)
+    mapped = {v: image for v, image in mapping.items() if image is not None}
+    return SmatchResult(matched, left.total, right.total, mapped)
 
 
 def smatch(
@@ -152,7 +147,7 @@ def _multiset_f(left: Counter, right: Counter) -> SmatchResult | None:
     if not right:
         return None  # reported as absent, never 0 or 1
     matched = sum(min(count, right.get(item, 0)) for item, count in left.items())
-    return _result(matched, sum(left.values()), sum(right.values()), {})
+    return SmatchResult(matched, sum(left.values()), sum(right.values()))
 
 
 def _concept_multiset(triples: TripleSet) -> Counter:
@@ -177,9 +172,7 @@ def _negation_multiset(triples: TripleSet) -> Counter:
 
 def _name_multiset(triples: TripleSet) -> Counter:
     concepts = {v: c for v, _, c in triples.instances}
-    attrs_by_node: dict[str, list] = {}
-    for s, r, v in triples.attributes:
-        attrs_by_node.setdefault(s, []).append((r, v))
+    attrs_by_node = _by_source(triples.attributes)
     names = Counter()
     for s, r, t in triples.relations:
         if r == ":name":
@@ -264,5 +257,5 @@ def aggregate(results) -> SmatchResult | None:
         right_total += result.right_total
     if not seen:
         return None
-    return _result(matched, left_total, right_total, {})
+    return SmatchResult(matched, left_total, right_total)
 

@@ -111,10 +111,9 @@ def build_vocabulary(
         for concept in sorted(inventory.concepts):
             add(concept, "frame" if _FRAME_RE.match(concept) else "base")
 
-    token_of = tuple(sorted(id_of, key=id_of.__getitem__))
     return Vocabulary(
         id_of=id_of,
-        token_of=token_of,
+        token_of=tuple(id_of),  # ids count up in insertion order
         partitions=partitions,
         max_pointers=max_pointers,
     )

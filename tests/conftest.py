@@ -8,8 +8,8 @@ import pytest
 from amrforge import AmrGraph, amr
 from amrforge._search import _applied, _MatchContext
 from amrforge.linearize import linearize_with_layout
-from amrforge.metrics import SmatchResult, TripleSet, _result, to_triples
-from amrforge.tokens import MASK
+from amrforge.metrics import SmatchResult, TripleSet, to_triples
+from amrforge.tokens import MASK, OPEN, is_pointer, is_relation
 
 GOLDEN_SEQUENCE = (
     "( <Z0> possible :domain ( <Z1> go :arg0 ( <Z2> boy ) ) "
@@ -55,7 +55,9 @@ def oracle_optimum(left: TripleSet, right: TripleSet) -> SmatchResult:
         score = context.count(images)
         if score > best:
             best, best_images = score, images
-    return _result(best, left.total, right.total, context.mapping(best_images))
+    mapping = {v: image for v, image in context.mapping(best_images).items()
+               if image is not None}
+    return SmatchResult(best, left.total, right.total, mapping)
 
 
 def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
@@ -117,6 +119,14 @@ def milp_optimum(left: TripleSet, right: TripleSet) -> int:
     return round(-solved.fun)
 
 
+def edge_relations(toks) -> list[int]:
+    """The positions of a sequence's edge relations, read off its tokens:
+    each is a relation whose next token is ``(`` or a pointer, so neither
+    a relation masked in place nor one before a ``[mask]`` counts."""
+    return [pos for pos, (token, after) in enumerate(zip(toks, toks[1:]))
+            if is_relation(token) and (after == OPEN or is_pointer(after))]
+
+
 def replay_edits(graph: AmrGraph, edits):
     """Apply a corruption's edits forward to the graph's linearization.
 
@@ -129,7 +139,7 @@ def replay_edits(graph: AmrGraph, edits):
     """
     clean, layout = linearize_with_layout(graph)
     concepts = {o + 2 for o, _ in layout.span.values()}
-    relations = set(layout.edge_rel_pos)
+    relations = set(edge_relations(clean))
     cut_end = {o - 1: c for o, c in list(layout.span.values())[1:]}
     toks = list(clean)
     origin: list[int | None] = list(range(len(clean)))  # clean position per token

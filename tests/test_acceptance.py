@@ -85,12 +85,12 @@ def test_corruption_statistics():
         runs = 10000
         for _ in range(runs):
             graph = random_graph(rng, 20, 32, max_reentrancies=3)
-            _, record = mask_nodes_edges(graph, config, rng)
-            kinds = Counter(kind for kind, _, _ in record.edits)
+            _, edits = mask_nodes_edges(graph, config, rng)
+            kinds = Counter(kind for kind, _, _ in edits)
             node_fraction += kinds["node"] / len(graph.nodes)
             edge_fraction += kinds["edge"] / len(graph.edges)
-            _, sub_record = mask_subgraph(graph, config, rng)
-            subgraph_hits += 1 if sub_record.edits else 0
+            _, sub_edits = mask_subgraph(graph, config, rng)
+            subgraph_hits += 1 if sub_edits else 0
         assert abs(node_fraction / runs - 0.15) < 0.01
         assert abs(edge_fraction / runs - 0.15) < 0.01
         assert abs(subgraph_hits / runs - 0.35) < 0.02

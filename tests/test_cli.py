@@ -515,8 +515,10 @@ RATE_FLAGS = ["--node-rate", "--edge-rate", "--subgraph-rate", "--text-rate"]
 
 
 @pytest.mark.parametrize("value", ["2", "-0.1", "nan", "inf", "half"])
-@pytest.mark.parametrize("flag", RATE_FLAGS)
-@pytest.mark.parametrize("command", ["corrupt", "build-tasks"])
+@pytest.mark.parametrize("command, flag", [
+    *(("corrupt", flag) for flag in RATE_FLAGS[:3]),
+    *(("build-tasks", flag) for flag in RATE_FLAGS),
+])
 def test_rates_outside_zero_to_one_are_usage_errors(command, flag, value, tmp_path,
                                                     capsys):
     # the corpus does not exist: the rate is rejected before any read
@@ -525,6 +527,17 @@ def test_rates_outside_zero_to_one_are_usage_errors(command, flag, value, tmp_pa
                 "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert flag in captured.err and "within [0, 1]" in captured.err
+    assert "amrforge: seed" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_corrupt_has_no_text_rate(tmp_path, capsys):
+    # corrupt masks no text, so the flag is unknown: rejected before any read
+    out = tmp_path / "out.txt"
+    assert run(["corrupt", str(tmp_path / "missing.amr"), "--text-rate", "0.5",
+                "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --text-rate" in captured.err
     assert "amrforge: seed" not in captured.err
     assert captured.out == "" and not out.exists()
 

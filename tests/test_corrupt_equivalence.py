@@ -96,9 +96,9 @@ def _corruptions(graph, config: CorruptionConfig, index: int) -> dict:
         name: {
             "tokens": tk.to_text(toks),
             "edits": _digest([[kind, pos, list(original)]
-                              for kind, pos, original in record.edits]),
+                              for kind, pos, original in edits]),
         }
-        for name, (toks, record) in runs.items()
+        for name, (toks, edits) in runs.items()
     }
 
 

@@ -305,7 +305,9 @@ def test_layout_positions(golden):
     assert toks[open_pos + 2] == "go"
     assert toks[open_pos - 1] == ":domain"
     assert layout.span["z0"] == (0, len(toks) - 1)
-    assert len(layout.edge_rel_pos) == 3
+    # below the root, each span's introducing relation precedes its open
+    assert [toks[o - 1] for o, _ in list(layout.span.values())[1:]] == [
+        ":domain", ":arg0", ":polarity"]
     assert layout.ref_positions == []
 
 
@@ -372,9 +374,9 @@ def test_each_linearization_is_a_fresh_list(contrast):
 def test_kept_linearization_survives_corruption_and_rendering(contrast):
     fresh = linearize_with_layout(replace(contrast))
     linearize_with_layout(contrast)
-    _, record = corrupt_graph(contrast, CorruptionConfig(subgraph_rate=1.0),
-                              random.Random(3))
-    assert record.edits[0][0] == "subgraph"  # a span was cut from a copy
+    _, edits = corrupt_graph(contrast, CorruptionConfig(subgraph_rate=1.0),
+                             random.Random(3))
+    assert edits[0][0] == "subgraph"  # a span was cut from a copy
     graph_to_penman(contrast)
     assert linearize_with_layout(contrast) == fresh
 

@@ -14,7 +14,7 @@ from amrforge import (
     smatch,
     to_triples,
 )
-from amrforge.metrics import aggregate
+from amrforge.metrics import SmatchResult, aggregate
 from amrforge.synth import random_graph
 
 from conftest import modal_graph, smatch_oracle
@@ -66,6 +66,15 @@ def test_hand_derived_value():
     assert result.precision == 0.75
     assert result.recall == 0.75
     assert result.f1 == 0.75
+
+
+def test_scores_follow_from_the_counts():
+    # precision against the left total, recall against the right
+    result = SmatchResult(3, 4, 6)
+    assert (result.precision, result.recall, result.f1) == (0.75, 0.5, 0.6)
+    assert result.mapping == {}
+    empty = SmatchResult(0, 0, 0)
+    assert (empty.precision, empty.recall, empty.f1) == (0.0, 0.0, 0.0)
 
 
 def test_disjoint_concepts_score_zero():
@@ -289,7 +298,7 @@ def test_bleu_length_mismatch():
 # oracle is a test reference (conftest.py), not API.
 PACKAGE_EXPORTS = (
     "ALL_TAGS", "AmrGraph", "BleuResult", "CorpusError", "CorruptionConfig",
-    "CorruptionRecord", "Diagnostic", "EMPTY_GRAPH_TOKENS", "FINETUNING_TAGS",
+    "Diagnostic", "EMPTY_GRAPH_TOKENS", "FINETUNING_TAGS",
     "GraphStats", "InvalidGraphError", "MaskSchedule", "PRETRAINING_TAGS",
     "PenmanDocument", "PenmanSyntaxError", "PointerCapacityError", "RepairError",
     "SmatchResult", "StructureError", "SymbolInventory", "TaskError",
@@ -317,3 +326,7 @@ def test_public_names_resolve_and_the_oracle_is_not_among_them():
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
         assert not hasattr(module, "smatch_oracle"), module.__name__
+    # the package exports these names and no others besides its modules
+    exported = {name for name, value in vars(amrforge).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == set(PACKAGE_EXPORTS)

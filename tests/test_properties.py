@@ -33,7 +33,7 @@ from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph, random_sentence
 from amrforge.tokens import CLOSE, MASK, OPEN, is_pointer, is_relation, pointer
 
-from conftest import replay_edits
+from conftest import edge_relations, replay_edits
 
 rates = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -55,34 +55,34 @@ def configs(draw):
                             subgraph_rate=draw(rates), text_rate=draw(rates))
 
 
-def _check_graph_record(graph, toks, record):
-    assert restore_tokens(toks, record) == linearize(graph)
+def _check_graph_record(graph, toks, edits):
+    assert restore_tokens(toks, edits) == linearize(graph)
     # replaying the edits checks each against the clean layout; a mask
     # applied before the sub-graph step may be cut away with its span
-    assert replay_edits(graph, record.edits)[0] == toks
+    assert replay_edits(graph, edits)[0] == toks
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(), configs(), seeds)
 def test_corrupt_graph_restores(graph, config, seed):
-    toks, record = corrupt_graph(graph, config, random.Random(seed))
-    _check_graph_record(graph, toks, record)
+    toks, edits = corrupt_graph(graph, config, random.Random(seed))
+    _check_graph_record(graph, toks, edits)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(), configs(), seeds)
 def test_mask_subgraph_restores(graph, config, seed):
-    toks, record = mask_subgraph(graph, config, random.Random(seed))
-    assert [kind for kind, _, _ in record.edits] in ([], ["subgraph"])
-    _check_graph_record(graph, toks, record)
+    toks, edits = mask_subgraph(graph, config, random.Random(seed))
+    assert [kind for kind, _, _ in edits] in ([], ["subgraph"])
+    _check_graph_record(graph, toks, edits)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(), configs(), seeds)
 def test_mask_nodes_edges_restores(graph, config, seed):
-    toks, record = mask_nodes_edges(graph, config, random.Random(seed))
-    assert {kind for kind, _, _ in record.edits} <= {"node", "edge"}
-    _check_graph_record(graph, toks, record)
+    toks, edits = mask_nodes_edges(graph, config, random.Random(seed))
+    assert {kind for kind, _, _ in edits} <= {"node", "edge"}
+    _check_graph_record(graph, toks, edits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,17 +90,17 @@ def test_mask_nodes_edges_restores(graph, config, seed):
 def test_compose_in_reverse_order_restores(graph, node_rate, edge_rate,
                                            subgraph_rate, seed):
     steps = [node_edge_step(node_rate, edge_rate), subgraph_step(subgraph_rate)]
-    toks, record = compose(graph, steps, random.Random(seed))
-    _check_graph_record(graph, toks, record)
+    toks, edits = compose(graph, steps, random.Random(seed))
+    _check_graph_record(graph, toks, edits)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seeds, rates, seeds)
 def test_mask_text_restores(sentence_seed, rate, seed):
     sentence = random_sentence(random.Random(sentence_seed))
-    toks, record = mask_text(sentence, rate, random.Random(seed))
-    assert restore_tokens(toks, record) == sentence
-    for kind, pos, original in record.edits:
+    toks, edits = mask_text(sentence, rate, random.Random(seed))
+    assert restore_tokens(toks, edits) == sentence
+    for kind, pos, original in edits:
         assert kind == "text" and toks[pos] == MASK and original == (sentence[pos],)
 
 
@@ -113,12 +113,11 @@ def _check_span_table(toks, layout, edge_count):
         assert (k == 0) == (start == 0)
         if k:
             assert is_relation(toks[start - 1])
-    relations = layout.edge_rel_pos
-    assert all(a < b for a, b in zip(relations, relations[1:]))  # text order
-    # edge relations only: each one has a node or a pointer as its target
-    for pos in relations:
-        assert is_relation(toks[pos])
-        assert toks[pos + 1] == OPEN or is_pointer(toks[pos + 1])
+    # the edge relations are those before a non-root open or a bare
+    # pointer, the rule node_edge_step reads the candidate edges by
+    relations = edge_relations(toks)
+    assert relations == sorted([start - 1 for start in starts[1:]]
+                               + [pos - 1 for pos, _ in layout.ref_positions])
     assert len(relations) == edge_count
     for pos, node in layout.ref_positions:
         assert is_pointer(toks[pos])
@@ -139,10 +138,10 @@ def test_span_table_before_and_after_a_cut(graph, seed):
         seen.append((toks, layout))
         return toks, layout, ()
 
-    cut, record = compose(graph, [subgraph_step(1.0), recording], random.Random(seed))
+    cut, edits = compose(graph, [subgraph_step(1.0), recording], random.Random(seed))
     assert seen[0][0] == cut
     # the nodes whose spans open inside the cut, if there was one
-    removed = {node for _, start, original in record.edits
+    removed = {node for _, start, original in edits
                for node, (o, _) in layout.span.items()
                if start <= o < start + len(original)}
     surviving = [e for e in graph.edges if e[0] not in removed and e[2] not in removed]
