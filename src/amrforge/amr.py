@@ -11,12 +11,13 @@ so graphs can be shared freely across threads.
 
 from __future__ import annotations
 
-import re
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import filterfalse
 from types import MappingProxyType
+
+from .tokens import _NODE_ID_RE, _RELATION_RE, _VALUE_RE
 
 Edge = tuple[str, str, str]
 Attribute = tuple[str, str, str]
@@ -245,25 +246,14 @@ def _peels_from_root(
     return len(taken) == len(children)
 
 
-# A plain symbol has none of the characters that delimit tokens in the
-# PENMAN grammar or the token text form, which splits at every character
-# that str.isspace accepts, since a symbol containing them cannot survive
-# a round trip.
-_PLAIN = r'[^\s()/"]+'
-_NODE_ID_RE = re.compile(rf"(?!:){_PLAIN}")
-# a concept or constant: quoted, with no newline or stray quote inside, or
-# plain, without a leading colon and not shaped like a pointer token
-_VALUE_RE = re.compile(rf'"[^"\n]*"|(?!:|<Z\d+>\Z){_PLAIN}')
-_RELATION_RE = re.compile(rf":{_PLAIN}")
-
-
 def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
-    """Reject labels that collide with the serialization grammars.
+    """Reject labels outside the symbol grammar of :mod:`amrforge.tokens`.
 
     A node id or concept containing delimiter characters, a concept shaped
-    like a pointer token, a relation without its leading colon, or an
-    unquoted constant with delimiters would all serialize into text that
-    no longer parses back to the same graph, so they are invalid.  Each
+    like a pointer token, a relation without its leading colon, a
+    constant with delimiters outside a usable quoted symbol, or a constant
+    that names a node would all serialize into text that no longer parses
+    back to the same graph, so they are invalid.  Each
     node id and each distinct concept, constant and relation is matched
     once; the uses of a bad one are listed only when there is one.
     """
@@ -274,34 +264,26 @@ def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
     bad_ids = set(filterfalse(_NODE_ID_RE.fullmatch, graph.nodes))
     bad_values = set(filterfalse(_VALUE_RE.fullmatch, values))
     bad_relations = set(filterfalse(_RELATION_RE.fullmatch, relations))
-    if not (bad_ids or bad_values or bad_relations):
+    # a constant that names a node would read back from PENMAN as an edge
+    naming = {v for _, _, v in graph.attributes if v in graph.nodes}
+    if not (bad_ids or bad_values or bad_relations or naming):
         return []
-    diags: list[Diagnostic] = []
+    messages: list[str] = []
     for node, concept in graph.nodes.items():
         if node in bad_ids:
-            diags.append(Diagnostic("bad-symbol", f"unusable node id {node!r}"))
+            messages.append(f"unusable node id {node!r}")
         if concept in bad_values:
-            diags.append(
-                Diagnostic(
-                    "bad-symbol", f"unusable concept {concept!r} on node {node!r}"
-                )
-            )
+            messages.append(f"unusable concept {concept!r} on node {node!r}")
     for source, rel, _ in graph.edges + graph.attributes:
         if rel in bad_relations:
-            diags.append(
-                Diagnostic(
-                    "bad-symbol", f"unusable relation {rel!r} on node {source!r}"
-                )
-            )
+            messages.append(f"unusable relation {rel!r} on node {source!r}")
     for source, rel, value in graph.attributes:
+        where = f"under ({source!r}, {rel!r})"
         if value in bad_values:
-            diags.append(
-                Diagnostic(
-                    "bad-symbol",
-                    f"unusable constant {value!r} under ({source!r}, {rel!r})",
-                )
-            )
-    return diags
+            messages.append(f"unusable constant {value!r} {where}")
+        elif value in naming:
+            messages.append(f"constant {value!r} {where} names a node")
+    return [Diagnostic("bad-symbol", message) for message in messages]
 
 
 def _closure(start: set[str], adjacency: Mapping[str, Iterable[str]]) -> set[str]:

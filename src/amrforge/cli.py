@@ -335,7 +335,7 @@ def _cmd_vocab(args) -> int:
     # each document's own graph counts, an invalid one included
     documents = _read(args.input, args.strict)
     inventory = collect_symbols(document for document, _ in documents)
-    if args.base:  # a token holds no whitespace
+    if args.base:  # a line is stripped only at its ends
         base = [line.strip() for line in _read_lines(args.base) if line.strip()]
     else:
         base = [tk.OPEN, tk.CLOSE]

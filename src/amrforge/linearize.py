@@ -16,7 +16,9 @@ grammar rule a token breaks, it records a :class:`StructureError`, keeps
 only the first one (rules are checked in a fixed order per token, so that
 is the fault a strict reader would stop at), applies the fix
 :func:`repair` documents and goes on.  :func:`delinearize` raises the
-recorded fault; :func:`repair` re-linearizes the salvaged graph.  Only a
+recorded fault; :func:`repair` re-linearizes the salvaged graph.  One
+rule waits for the end of the walk: a constant may not name a node, and
+the node may be defined after it.  Only a
 bare pointer can close a cycle, since a newly opened node has no
 descendants yet, so the walker tests reachability only at those
 back-references.
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 
 from . import tokens as tk
 from .amr import (
-    _RELATION_RE, _VALUE_RE, AmrGraph, Attribute, Edge, _by_source, _closure,
-    _trusted, require_valid,
+    AmrGraph, Attribute, Edge, _by_source, _closure, _trusted, require_valid,
 )
 
 EMPTY_GRAPH_TOKENS = (tk.OPEN, tk.pointer(0), tk.EMPTY_CONCEPT, tk.CLOSE)
@@ -148,11 +149,12 @@ def repair(toks: list[str]) -> list[str]:
     is missing or unusable, drops trailing, target-less or unusable
     relations and those with an unusable constant, drops references to
     pointers that were never defined (or not defined yet), keeps the
-    first concept where a pointer is defined twice, and discards edges
-    that would close a cycle; the salvaged graph is then re-linearized,
-    which renumbers pointers densely.  Idempotent.  Raises
-    :class:`RepairError` when no node survives; callers then substitute
-    ``EMPTY_GRAPH_TOKENS``.
+    first concept where a pointer is defined twice, discards edges that
+    would close a cycle, and drops constants that name a node, either as
+    read or as renamed ``z0, z1, ...`` in walk order; the salvaged graph
+    is then re-linearized, which renumbers pointers densely.  Idempotent.
+    Raises :class:`RepairError` when no node survives; callers then
+    substitute ``EMPTY_GRAPH_TOKENS``.
     """
     toks = list(toks)
     graph, fault = _walk(toks)
@@ -176,8 +178,8 @@ def _classify(token: str) -> tuple[str, object]:
     if token == tk.CLOSE:
         return _CLOSE, None
     if tk.is_relation(token):
-        return _RELATION, _RELATION_RE.fullmatch(token) is not None
-    return _VALUE, _VALUE_RE.fullmatch(token) is not None
+        return _RELATION, tk._RELATION_RE.fullmatch(token) is not None
+    return _VALUE, tk._VALUE_RE.fullmatch(token) is not None
 
 
 def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
@@ -189,14 +191,15 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     sequence, whose graph is then exactly the one it encodes).  The graph
     is valid by construction, and is returned marked so: symbols pass
     :func:`~amrforge.amr.validate`'s patterns, duplicate triples and
-    cycle-closing edges are refused, and every node is reachable from the
-    root.
+    cycle-closing edges are refused, constants that name a node are
+    dropped, and every node is reachable from the root.
     """
     nodes: dict[str, str] = {}
     children: dict[str, list[str]] = {}
-    # insertion-ordered sets: the triples in the order they were read
+    # insertion-ordered sets: the triples in the order they were read, each
+    # attribute with the position of its constant
     edges: dict[Edge, None] = {}
-    attributes: dict[Attribute, None] = {}
+    attributes: dict[Attribute, int] = {}
     root: str | None = None
     stack: list[str | None] = []  # None marks a span whose node was dropped
     pending: tuple[str, int] | None = None  # relation awaiting its target
@@ -304,7 +307,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 if triple in attributes:
                     fail(f"duplicate attribute {triple}", i)
                 else:
-                    attributes[triple] = None
+                    attributes[triple] = i
             pending = None
         i += 1
 
@@ -319,7 +322,24 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
         keep = _closure({root}, children)
         nodes = {node: concept for node, concept in nodes.items() if node in keep}
         edges = {edge: None for edge in edges if edge[0] in keep}
-        attributes = {attr: None for attr in attributes if attr[0] in keep}
+        attributes = {a: at for a, at in attributes.items() if a[0] in keep}
+    if fault is not None or any(value in nodes for _, _, value in attributes):
+        # A constant that names a node would read back from PENMAN as an
+        # edge, and the node may be defined after it.  A faulty sequence
+        # is renamed z0, z1, ... in walk order when it is re-linearized,
+        # so its constants may not take those names either.
+        count = len(nodes)
+        for attribute, position in list(attributes.items()):
+            value = attribute[2]
+            # z<k> for a k below the node count, as linearize writes it;
+            # the length test keeps int() from a number of any size
+            index = value[1:]
+            renamed = (value[:1] == "z" and index.isascii() and index.isdigit()
+                       and len(index) <= len(str(count))
+                       and value == f"z{int(index)}" and int(index) < count)
+            if value in nodes or renamed:
+                fail(f"constant {value!r} names a node", position)
+                del attributes[attribute]
     graph = _trusted(AmrGraph(
         nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root,
     ))

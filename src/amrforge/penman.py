@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ._files import lines
 from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
 from .linearize import linearize_with_layout
-from .tokens import EMPTY_CONCEPT
+from .tokens import EMPTY_CONCEPT, is_relation
 
 
 class PenmanSyntaxError(ValueError):
@@ -63,7 +63,9 @@ def empty_graph() -> AmrGraph:
 
 # One match per token: a delimiter, a string literal (a backslash escapes
 # any next character, a newline included), a lone quote that opens a
-# string without an end, or an atom.  Whitespace matches nothing.
+# string without an end, or an atom.  Whitespace matches nothing.  A
+# string literal outside the quoted symbol rule of tokens, such as
+# "a\"b", fails validation.
 _TOKEN_RE = re.compile(r'[()/]|"(?:\\[\s\S]|[^"\\\n])*"|"|[^ \t\r\n()/"]+')
 _DELIMITERS = ("(", ")", "/")
 _NOT_ATOM = '()/"'  # first characters of the tokens that are not atoms
@@ -192,7 +194,7 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
             continue
         if token == "/":
             fail("unexpected '/'", pos)
-        if token[0] == ":" and len(token) > 1:
+        if is_relation(token):
             if not stack:
                 fail("relation outside of a node", pos)
             if pending is not None:

@@ -1,11 +1,24 @@
-"""Shared token constants and helpers.
+r"""Shared token constants, and the one symbol grammar of every reader
+and writer.
 
-A token sequence is a plain ``list[str]``.  The text form is the
-space-joined sequence, so it can only hold tokens without whitespace:
-:func:`to_text` rejects the others.  Quoted PENMAN constants with internal
-spaces, such as ``"New York"``, are valid graphs and survive linearization
-in memory, but have no text form.
+A plain symbol holds no whitespace and none of ``( ) / "``.  A quoted
+symbol is ``"``, any characters but a quote or a newline, and ``"``.  A
+backslash escapes the next character, which may not be the closing quote
+or a newline, since the PENMAN reader would read on past them: so
+``"a\\"`` is usable and ``"a\"`` is not.  A node id is plain without a
+leading colon, a relation is a colon and a plain symbol, and a concept or
+constant is quoted, or plain without a leading colon and not shaped like
+a pointer.
+
+A token sequence is a plain ``list[str]``, and its text form is the
+space-joined sequence.  The text reads back split at whitespace, except
+that a quoted symbol that starts a token and ends at whitespace is one
+token, such as ``"New York"``.  So every sequence linearized from a valid
+graph has a text form, and :func:`to_text` refuses only tokens that would
+not read back.
 """
+
+import re
 
 MASK = "[mask]"
 
@@ -20,6 +33,19 @@ CLOSE = ")"
 
 # the concept of the fallback graph that stands in for unusable input
 EMPTY_CONCEPT = "amr-empty"
+
+_PLAIN = r'[^\s()/"]+'
+# quotes around escape pairs and characters but a quote, backslash or newline
+_QUOTED = r'"(?:\\[^"\n]|[^"\\\n])*"'
+_NODE_ID_RE = re.compile(rf"(?!:){_PLAIN}")
+_VALUE_RE = re.compile(rf"{_QUOTED}|(?!:|<Z\d+>\Z){_PLAIN}")
+_RELATION_RE = re.compile(rf":{_PLAIN}")
+
+_TEXT_TOKEN_RE = re.compile(rf"{_QUOTED}(?!\S)|\S+")
+# a token that may be a quoted symbol with whitespace, which str.split
+# would cut; starting on the quote lets a search skip to quotes, and the
+# lookbehind then checks that the quote starts a token
+_SPACED_RE = re.compile(r'"(?<!\S")[^"\s]*\s[^"\n]*"(?!\S)')
 
 
 def pointer(index: int) -> str:
@@ -51,18 +77,25 @@ def to_text(tokens) -> str:
     """The space-joined text form.
 
     Raises ValueError naming the first token that :func:`from_text` would
-    not give back, that is, one that contains whitespace (or is empty).
+    not give back: an empty token, one with whitespace outside a quoted
+    symbol, or one that the text reads as part of a quoted symbol.
     """
     tokens = list(tokens)
     text = " ".join(tokens)
-    if text.split() != tokens:
-        bad = next(token for token in tokens if token.split() != [token])
+    read = from_text(text)
+    if read != tokens:
+        # read cannot extend tokens: its tokens would use up every
+        # non-whitespace character before its last one
+        bad = next(token for i, token in enumerate(tokens)
+                   if i == len(read) or read[i] != token)
         raise ValueError(
-            f"token {bad!r} has no text form: tokens must be non-empty and "
-            "contain no whitespace"
+            f"token {bad!r} has no text form: the space-joined text does "
+            "not read back to it"
         )
     return text
 
 
 def from_text(text: str) -> list[str]:
-    return text.split()
+    if _SPACED_RE.search(text) is None:
+        return text.split()
+    return _TEXT_TOKEN_RE.findall(text)

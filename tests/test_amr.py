@@ -407,13 +407,25 @@ def test_symbols_colliding_with_the_grammar_are_invalid():
         AmrGraph(nodes={"a": "x"},
                  attributes=(("a", ":op1", "<Z3>"),), root="a"),
         AmrGraph(nodes={"a": ""}, root="a"),                  # empty concept
+        AmrGraph(nodes={"a": "x"},                            # escaped closing quote
+                 attributes=(("a", ":op1", '"a\\"'),), root="a"),
     ]
     for graph in cases:
         assert any(d.code == "bad-symbol" for d in validate(graph)), graph
 
 
-# whitespace to str.split, so the token text form cannot carry it, beyond
-# the space, tab, CR and LF that the PENMAN grammar splits at
+def test_constant_that_names_a_node_is_invalid():
+    # PENMAN would read the bare constant b back as an edge to node b
+    graph = AmrGraph(nodes={"a": "x", "b": "y"}, edges=(("a", ":ARG0", "b"),),
+                     attributes=(("a", ":mod", "b"),), root="a")
+    assert [(d.code, d.message) for d in validate(graph)] == [
+        ("bad-symbol", "constant 'b' under ('a', ':mod') names a node")]
+    quoted = replace(graph, attributes=(("a", ":mod", '"b"'),))
+    assert validate(quoted) == []
+
+
+# whitespace to str.split, so a plain symbol of the token text form cannot
+# carry it, beyond the space, tab, CR and LF that the PENMAN grammar splits at
 TEXT_ONLY_SPACES = ["\f", "\v", "\xa0", "\u2028", "\x1c", "\x1d", "\x1e",
                     "\x1f", "\x85"]
 

@@ -14,15 +14,20 @@ import pytest
 import amrforge
 from amrforge import (
     AmrGraph,
+    CorruptionConfig,
+    corrupt_graph,
+    derive_rng,
     graph_to_penman,
     is_isomorphic,
     linearize,
     parse_penman,
     read_corpus,
+    restore_tokens,
     synth,
 )
 from amrforge._files import lines
 from amrforge.cli import _read_lines, run
+from amrforge.tokens import from_text
 
 from conftest import CONTRAST_TEXT, GOLDEN_SEQUENCE
 
@@ -64,15 +69,70 @@ def test_linearize_accepts_byte_order_mark_on_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [GOLDEN_SEQUENCE]
 
 
-@pytest.mark.parametrize("command", ["linearize", "corrupt"])
-def test_constant_with_spaces_has_no_token_line(command, tmp_path, capsys):
+NEW_YORK = '(c / city :name (n / name :op1 "New York"))\n'
+
+
+def test_constant_with_spaces_round_trips_through_token_lines(tmp_path):
     path = tmp_path / "spaces.amr"
-    path.write_text('(c / city :name (n / name :op1 "New York"))\n',
-                    encoding="utf-8")
+    path.write_text(NEW_YORK, encoding="utf-8")
+    toks, back = tmp_path / "toks.txt", tmp_path / "back.amr"
+    assert run(["linearize", str(path), "-o", str(toks)]) == 0
+    assert toks.read_text(encoding="utf-8") == (
+        '( <Z0> city :name ( <Z1> name :op1 "New York" ) )\n')
+    assert run(["delinearize", str(toks), "-o", str(back)]) == 0
+    rebuilt = parse_penman(back.read_text(encoding="utf-8")).graph
+    assert is_isomorphic(rebuilt, parse_penman(NEW_YORK).graph)
+
+
+def test_constant_with_spaces_survives_corrupt(tmp_path):
+    path = tmp_path / "spaces.amr"
+    path.write_text(NEW_YORK, encoding="utf-8")
     out = tmp_path / "out.txt"
-    assert run([command, str(path), "-o", str(out)]) == 1
-    assert "'\"New York\"'" in capsys.readouterr().err
-    assert not out.exists()
+    # no sub-graph cut, which could take the constant away
+    assert run(["corrupt", str(path), "--seed", "3", "--subgraph-rate", "0",
+                "--node-rate", "1", "-o", str(out)]) == 0
+    [line] = out.read_text(encoding="utf-8").splitlines()
+    graph = parse_penman(NEW_YORK).graph
+    config = CorruptionConfig(seed=3, subgraph_rate=0.0, node_rate=1.0)
+    toks, edits = corrupt_graph(graph, config, derive_rng(3, 0))
+    assert '"New York"' in toks
+    assert from_text(line) == toks
+    assert restore_tokens(from_text(line), edits) == linearize(graph)
+
+
+# A backslash before the closing quote escapes it in PENMAN, so "a\" is
+# no usable constant: writing it would give text no reader accepts
+BACKSLASH_LINE = r'( <Z0> thing :op1 "a\" )' + "\n"
+
+
+def test_constant_ending_in_a_backslash_fails_a_strict_delinearize(tmp_path, capsys):
+    path = tmp_path / "toks.txt"
+    path.write_text(BACKSLASH_LINE, encoding="utf-8")
+    assert run(["delinearize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        r"""amrforge: error: unusable constant '"a\\"' (token 4)""" + "\n")
+
+
+def test_constant_ending_in_a_backslash_is_dropped_when_lenient(tmp_path):
+    path = tmp_path / "toks.txt"
+    path.write_text(BACKSLASH_LINE, encoding="utf-8")
+    out = tmp_path / "out.amr"
+    assert run(["delinearize", "--lenient", str(path), "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "(z0 / thing)\n"
+    assert run(["validate", str(out)]) == 0
+
+
+def test_escaped_quote_is_still_an_unusable_constant(tmp_path, capsys):
+    path = tmp_path / "escaped.amr"
+    path.write_text(r'(n / name :op1 "a\"b")' + "\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 1
+    [row] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert row["diagnostics"] == [{
+        "code": "bad-symbol",
+        "message": r"""unusable constant '"a\\"b"' under ('n', ':op1')""",
+    }]
 
 
 def test_linearize_delinearize_pipe_is_isomorphic(corpus, tmp_path, capsys):
@@ -610,8 +670,9 @@ def test_delinearize_strict_error_writes_no_file(tmp_path):
     assert not out.exists()
 
 
-# the first document has a token line, the second fails while it is made
-TWO_DOCUMENTS = '(b / boy)\n\n(c / city :name (n / name :op1 "New York"))\n'
+# the first document has a token line, the second is a strict read error
+# (a cycle) after that line is written
+TWO_DOCUMENTS = "(b / boy)\n\n(c / city :ARG0 c)\n"
 FAILING_AFTER_A_LINE = [["linearize"], ["corrupt", "--seed", "1"]]
 
 

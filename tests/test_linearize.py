@@ -111,12 +111,28 @@ def test_linearize_rejects_invalid_graph():
 
 
 def test_to_text_rejects_tokens_with_whitespace():
-    toks = ["(", "<Z0>", "name", ":op1", '"New York"', ")"]
-    with pytest.raises(ValueError, match="New York"):
-        to_text(toks)
     with pytest.raises(ValueError, match="''"):
         to_text(["(", "", ")"])
-    assert from_text(to_text(toks[:3])) == toks[:3]
+    # each token reads back alone, but joined they read as one quoted symbol
+    assert from_text('"a') == ['"a'] and from_text('b"') == ['b"']
+    assert from_text('"a b"') == ['"a b"']
+    with pytest.raises(ValueError, match=r"""token '"a' has no text form"""):
+        to_text(["(", '"a', 'b"', ")"])
+    toks = ["(", "<Z0>", "name", ":op1", '"New York"', ")"]
+    assert from_text(to_text(toks)) == toks
+
+
+def test_constant_that_names_a_node_is_refused():
+    with pytest.raises(StructureError, match=r"constant 'z0' names a node \(token 4\)"):
+        delinearize(from_text("( <Z0> x :mod z0 )"))
+    # z1 names no node as read, and is kept while nothing else is broken
+    toks = from_text("( <Z0> a :mod z1 :ARG0 ( <Z5> b ) )")
+    assert repair(toks) == toks
+    # a fault renames the nodes z0, z1, ... in walk order, and then z1
+    # names the node of <Z5>; a name of 5,000 digits names none
+    assert repair(toks[:-1]) == from_text("( <Z0> a :ARG0 ( <Z1> b ) )")
+    huge = "z" + "1" * 5000
+    assert repair(["(", "<Z0>", "a", ":mod", huge]) == ["(", "<Z0>", "a", ":mod", huge, ")"]
 
 
 @pytest.mark.parametrize(

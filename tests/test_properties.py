@@ -5,7 +5,9 @@ edit must mask what its kind names in the clean layout: a concept, an
 edge relation, or a whole non-root span with its relation.  The span
 table of a linearization layout must describe its tokens, before and
 after a sub-graph cut.  ``validate``
-must accept exactly the graphs that a definition-by-DFS reference accepts.
+must accept exactly the graphs that a definition-by-DFS reference accepts,
+and each graph it accepts, with symbols drawn from the grammar's hard
+characters, must read back from its token text and from its PENMAN text.
 """
 
 import random
@@ -20,18 +22,25 @@ from amrforge import (
     CorruptionConfig,
     compose,
     corrupt_graph,
+    delinearize,
+    graph_to_penman,
+    is_isomorphic,
     linearize,
     mask_nodes_edges,
     mask_subgraph,
     mask_text,
     node_edge_step,
+    parse_penman,
     restore_tokens,
     subgraph_step,
     validate,
 )
 from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph, random_sentence
-from amrforge.tokens import CLOSE, MASK, OPEN, is_pointer, is_relation, pointer
+from amrforge.tokens import (
+    _TEXT_TOKEN_RE, CLOSE, MASK, OPEN, from_text, is_pointer, is_relation,
+    pointer, to_text,
+)
 
 from conftest import edge_relations, replay_edits
 
@@ -150,11 +159,12 @@ def test_span_table_before_and_after_a_cut(graph, seed):
 
 
 # Symbol pools for drawn graphs: mostly usable, a few not (delimiters,
-# a leading colon, a pointer-shaped concept, an unclosed quote)
+# a leading colon, a pointer-shaped concept, an unclosed quote, a quote
+# escaped by a backslash).  A good value may still name a node.
 GOOD_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
 BAD_IDS = ("x y", ":i", "p(q", "")
-GOOD_VALUES = ("boy", "go-02", '"New York"', "-", "3")
-BAD_VALUES = ("go/02", "<Z1>", ":x", '"open', "a b")
+GOOD_VALUES = ("boy", "go-02", '"New York"', "-", "3", '"a\\\\"', "a")
+BAD_VALUES = ("go/02", "<Z1>", ":x", '"open', "a b", '"a\\"')
 GOOD_RELATIONS = (":r", ":s")
 BAD_RELATIONS = ("r", ":a b", ":")
 
@@ -209,9 +219,20 @@ def _plain(symbol):
     return bool(symbol) and not any(c.isspace() or c in '()/"' for c in symbol)
 
 
+def _usable_quoted(body):
+    # no quote or newline, and a backslash escapes the next character,
+    # which may not be the closing quote
+    escaped = False
+    for char in body:
+        if char in '"\n':
+            return False
+        escaped = not escaped and char == "\\"
+    return not escaped
+
+
 def _usable_value(value):
     if len(value) >= 2 and value[0] == value[-1] == '"':
-        return '"' not in value[1:-1] and "\n" not in value
+        return _usable_quoted(value[1:-1])
     pointer_shaped = (value.startswith("<Z") and value.endswith(">")
                       and value[2:-1].isdecimal())
     return _plain(value) and not value.startswith(":") and not pointer_shaped
@@ -219,7 +240,8 @@ def _usable_value(value):
 
 def _reference_valid(graph):
     """Validity by definition: plain DFS reachability, no node reaching
-    itself, and the endpoint, duplicate and symbol rules."""
+    itself, and the endpoint, duplicate and symbol rules, under which no
+    constant names a node."""
     nodes, edges, attributes = graph.nodes, graph.edges, graph.attributes
     if graph.root not in nodes:
         return False
@@ -233,6 +255,8 @@ def _reference_valid(graph):
         return False
     values = list(nodes.values()) + [v for _, _, v in attributes]
     if not all(_usable_value(v) for v in values):
+        return False
+    if any(v in nodes for _, _, v in attributes):
         return False
     relations = [r for _, r, _ in edges] + [r for _, r, _ in attributes]
     if not all(r.startswith(":") and _plain(r[1:]) for r in relations):
@@ -258,3 +282,68 @@ def _reference_valid(graph):
 def test_validate_agrees_with_the_reference_definition(graph):
     diagnostics = validate(graph)
     assert (diagnostics == []) == _reference_valid(graph), diagnostics
+
+
+# Characters the symbol grammar treats specially, and a few it does not
+HARD_CHARS = tuple(' \t\r\x0c\u2028\n"\\()/:<>~Zz0é名a')
+# no whitespace, parentheses, slash or quote, and a colon only after the start
+PLAIN_CHARS = tuple("abz09-~<>Zé名\\")
+# the body of a quoted symbol: escape pairs, whitespace other than a
+# newline, and rarely a quote, a newline or a lone backslash
+QUOTED_CHARS = (tuple(" \t\r\x0c\u2028()/:<>~Z0é名a") + ("\\\\", "\\ ", "\\a")) * 4 \
+    + ('"', "\n", "\\")
+
+
+def _strings(pieces, min_size=0):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=5).map("".join)
+
+
+PLAIN = st.tuples(st.sampled_from(PLAIN_CHARS), _strings(PLAIN_CHARS + (":",))).map("".join)
+VALUES = st.one_of(PLAIN, _strings(QUOTED_CHARS).map(lambda body: f'"{body}"'))
+ANY = st.one_of(_strings(HARD_CHARS), st.integers(0, 12).map(pointer))
+
+
+@st.composite
+def symbol_graphs(draw):
+    """Up to 5 nodes joined by a tree, perhaps one reentrancy, and up to 3
+    attributes, whose constants may name a node.  Symbols are drawn in the
+    shapes the grammar allows, which still break it at times; in one graph
+    of four, one symbol in eight is any string of the hard characters or a
+    pointer token."""
+    spoiled = draw(st.integers(0, 3)) == 0
+
+    def symbol(shape):
+        return draw(ANY if spoiled and draw(st.integers(0, 7)) == 0 else shape)
+
+    ids = list(dict.fromkeys(symbol(PLAIN) for _ in range(draw(st.integers(1, 5)))))
+    nodes = {n: symbol(VALUES) for n in ids}
+    relation = PLAIN.map(lambda s: ":" + s)
+    edges = [(ids[draw(st.integers(0, i - 1))], symbol(relation), ids[i])
+             for i in range(1, len(ids))]
+    if len(ids) > 2 and draw(st.booleans()):  # forward, so the graph stays acyclic
+        i = draw(st.integers(0, len(ids) - 2))
+        edges.append((ids[i], symbol(relation), ids[draw(st.integers(i + 1, len(ids) - 1))]))
+    constants = st.one_of(VALUES, st.sampled_from(ids))
+    attributes = [(draw(st.sampled_from(ids)), symbol(relation), symbol(constants))
+                  for _ in range(draw(st.integers(0, 3)))]
+    return AmrGraph(nodes=nodes, edges=edges, attributes=attributes, root=ids[0])
+
+
+@settings(max_examples=250, deadline=None)
+@given(symbol_graphs())
+def test_every_valid_graph_has_a_text_and_a_penman_form(graph):
+    if validate(graph):
+        return
+    toks = linearize(graph)
+    read = from_text(to_text(toks))
+    assert read == toks
+    assert is_isomorphic(delinearize(read), graph)
+    assert is_isomorphic(parse_penman(graph_to_penman(graph)).graph, graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(HARD_CHARS + ("ab", '"a b"', "\\ ")), max_size=16)
+       .map("".join))
+def test_from_text_reads_as_the_token_pattern(text):
+    # str.split stands in for the pattern unless a quoted token holds whitespace
+    assert from_text(text) == _TEXT_TOKEN_RE.findall(text)
