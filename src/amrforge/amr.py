@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from types import MappingProxyType
 
-from .tokens import _NODE_ID_RE, _RELATION_RE, _VALUE_RE
+from .tokens import usable_node_id, usable_relation, usable_value
 
 Edge = tuple[str, str, str]
 Attribute = tuple[str, str, str]
@@ -253,19 +253,16 @@ def _check_symbols(graph: AmrGraph) -> list[Diagnostic]:
     like a pointer token, a relation without its leading colon, a
     constant with delimiters outside a usable quoted symbol, or a constant
     that names a node would all serialize into text that no longer parses
-    back to the same graph, so they are invalid.  Each
-    node id and each distinct concept, constant and relation is matched
-    once; the uses of a bad one are listed only when there is one.
+    back to the same graph, so they are invalid.  Each node id and each
+    distinct concept, constant and relation is matched once; the uses of
+    a bad one are listed only when there is one.
     """
-    values = set(graph.nodes.values())
-    values.update(v for _, _, v in graph.attributes)
-    relations = {r for _, r, _ in graph.edges}
-    relations.update(r for _, r, _ in graph.attributes)
-    bad_ids = set(filterfalse(_NODE_ID_RE.fullmatch, graph.nodes))
-    bad_values = set(filterfalse(_VALUE_RE.fullmatch, values))
-    bad_relations = set(filterfalse(_RELATION_RE.fullmatch, relations))
-    # a constant that names a node would read back from PENMAN as an edge
-    naming = {v for _, _, v in graph.attributes if v in graph.nodes}
+    constants = {v for _, _, v in graph.attributes}
+    relations = {r for _, r, _ in graph.edges + graph.attributes}
+    bad_ids = set(filterfalse(usable_node_id, graph.nodes))
+    bad_values = set(filterfalse(usable_value, constants.union(graph.nodes.values())))
+    bad_relations = set(filterfalse(usable_relation, relations))
+    naming = {v for v in constants if v in graph.nodes}  # read back as edges
     if not (bad_ids or bad_values or bad_relations or naming):
         return []
     messages: list[str] = []

@@ -16,9 +16,7 @@ grammar rule a token breaks, it records a :class:`StructureError`, keeps
 only the first one (rules are checked in a fixed order per token, so that
 is the fault a strict reader would stop at), applies the fix
 :func:`repair` documents and goes on.  :func:`delinearize` raises the
-recorded fault; :func:`repair` re-linearizes the salvaged graph.  One
-rule waits for the end of the walk: a constant may not name a node, and
-the node may be defined after it.  Only a
+recorded fault; :func:`repair` re-linearizes the salvaged graph.  Only a
 bare pointer can close a cycle, since a newly opened node has no
 descendants yet, so the walker tests reachability only at those
 back-references.
@@ -127,13 +125,14 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
 def delinearize(toks: list[str]) -> AmrGraph:
     """Rebuild a graph from a linearized sequence.
 
-    Node ids are synthesized from pointer indices (``<Z3>`` becomes
-    ``z3``).  The sequence must be balanced and pointer-consistent: every
-    pointer is defined once, before any bare reference to it, and the
-    rebuilt graph must be valid (concepts, relations and constants that
-    :func:`~amrforge.amr.validate` accepts, no duplicate triples, no
-    cycles through back references).  Raises the first
-    :class:`StructureError` found.
+    Node ids are synthesized from pointer indices: ``<Z3>`` becomes
+    ``z3``, or ``zz3`` where a symbol of the sequence is ``z`` and a number
+    (:func:`~amrforge.tokens.name_prefix`).  The sequence must be balanced
+    and pointer-consistent: every pointer is defined once, before any bare
+    reference to it, and the rebuilt graph must be valid (concepts,
+    relations and constants that :func:`~amrforge.amr.validate` accepts,
+    no duplicate triples, no cycles through back references).  Raises the
+    first :class:`StructureError` found.
     """
     graph, fault = _walk(toks)
     if fault is not None:
@@ -149,12 +148,11 @@ def repair(toks: list[str]) -> list[str]:
     is missing or unusable, drops trailing, target-less or unusable
     relations and those with an unusable constant, drops references to
     pointers that were never defined (or not defined yet), keeps the
-    first concept where a pointer is defined twice, discards edges that
-    would close a cycle, and drops constants that name a node, either as
-    read or as renamed ``z0, z1, ...`` in walk order; the salvaged graph
-    is then re-linearized, which renumbers pointers densely.  Idempotent.
-    Raises :class:`RepairError` when no node survives; callers then
-    substitute ``EMPTY_GRAPH_TOKENS``.
+    first concept where a pointer is defined twice, and discards edges
+    that would close a cycle; the salvaged graph is then re-linearized,
+    which renumbers pointers densely.  Idempotent.  Raises
+    :class:`RepairError` when no node survives; callers then substitute
+    ``EMPTY_GRAPH_TOKENS``.
     """
     toks = list(toks)
     graph, fault = _walk(toks)
@@ -169,17 +167,17 @@ def repair(toks: list[str]) -> list[str]:
 _OPEN, _CLOSE, _RELATION, _POINTER, _VALUE = "(", ")", ":", "<Z", ""
 
 
-def _classify(token: str) -> tuple[str, object]:
+def _classify(token: str, prefix: str) -> tuple[str, object]:
     """A token's kind in :func:`_walk`, with its usability or node id."""
     if (pointer := tk.pointer_index(token)) is not None:
-        return _POINTER, f"z{pointer}"
+        return _POINTER, f"{prefix}{pointer}"
     if token == tk.OPEN:
         return _OPEN, None
     if token == tk.CLOSE:
         return _CLOSE, None
     if tk.is_relation(token):
-        return _RELATION, tk._RELATION_RE.fullmatch(token) is not None
-    return _VALUE, tk._VALUE_RE.fullmatch(token) is not None
+        return _RELATION, tk.usable_relation(token) is not None
+    return _VALUE, tk.usable_value(token) is not None
 
 
 def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
@@ -191,15 +189,14 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     sequence, whose graph is then exactly the one it encodes).  The graph
     is valid by construction, and is returned marked so: symbols pass
     :func:`~amrforge.amr.validate`'s patterns, duplicate triples and
-    cycle-closing edges are refused, constants that name a node are
-    dropped, and every node is reachable from the root.
+    cycle-closing edges are refused, no constant names a node, and every
+    node is reachable from the root.
     """
     nodes: dict[str, str] = {}
     children: dict[str, list[str]] = {}
-    # insertion-ordered sets: the triples in the order they were read, each
-    # attribute with the position of its constant
+    # insertion-ordered sets: the triples in the order they were read
     edges: dict[Edge, None] = {}
-    attributes: dict[Attribute, int] = {}
+    attributes: dict[Attribute, None] = {}
     root: str | None = None
     stack: list[str | None] = []  # None marks a span whose node was dropped
     pending: tuple[str, int] | None = None  # relation awaiting its target
@@ -227,8 +224,10 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 children[source].append(target)
         pending = None
 
-    kinds = {token: _classify(token) for token in set(toks)}
-    free = 0  # no node id below z{free} is free, since nodes only grow
+    distinct = set(toks)
+    prefix = tk.name_prefix(distinct)  # of the node ids, which no symbol takes
+    kinds = {token: _classify(token, prefix) for token in distinct}
+    free = 0  # no node id below {prefix}{free} is free, since nodes only grow
     n = len(toks)
     if not n:
         fail("empty sequence", 0)
@@ -248,9 +247,9 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
             concept, usable = (toks[at], detail) if kind == _VALUE else (None, False)
             if node is None:
                 fail("expected a pointer after '('", i + 1)
-                while f"z{free}" in nodes:
+                while f"{prefix}{free}" in nodes:
                     free += 1
-                node = f"z{free}"
+                node = f"{prefix}{free}"
             elif concept is None:
                 fail("missing concept after pointer", i + 2)
             elif node in nodes:
@@ -307,7 +306,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 if triple in attributes:
                     fail(f"duplicate attribute {triple}", i)
                 else:
-                    attributes[triple] = i
+                    attributes[triple] = None
             pending = None
         i += 1
 
@@ -322,24 +321,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
         keep = _closure({root}, children)
         nodes = {node: concept for node, concept in nodes.items() if node in keep}
         edges = {edge: None for edge in edges if edge[0] in keep}
-        attributes = {a: at for a, at in attributes.items() if a[0] in keep}
-    if fault is not None or any(value in nodes for _, _, value in attributes):
-        # A constant that names a node would read back from PENMAN as an
-        # edge, and the node may be defined after it.  A faulty sequence
-        # is renamed z0, z1, ... in walk order when it is re-linearized,
-        # so its constants may not take those names either.
-        count = len(nodes)
-        for attribute, position in list(attributes.items()):
-            value = attribute[2]
-            # z<k> for a k below the node count, as linearize writes it;
-            # the length test keeps int() from a number of any size
-            index = value[1:]
-            renamed = (value[:1] == "z" and index.isascii() and index.isdigit()
-                       and len(index) <= len(str(count))
-                       and value == f"z{int(index)}" and int(index) < count)
-            if value in nodes or renamed:
-                fail(f"constant {value!r} names a node", position)
-                del attributes[attribute]
+        attributes = {attr: None for attr in attributes if attr[0] in keep}
     graph = _trusted(AmrGraph(
         nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root,
     ))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ._files import lines
 from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
 from .linearize import linearize_with_layout
-from .tokens import EMPTY_CONCEPT, is_relation
+from .tokens import EMPTY_CONCEPT, is_relation, name_prefix
 
 
 class PenmanSyntaxError(ValueError):
@@ -248,11 +248,13 @@ def graph_to_penman(graph: AmrGraph) -> str:
 
 def _render(graph: AmrGraph, renumber: bool) -> str:
     """:func:`graph_to_penman`, or with ``renumber`` the same text with
-    each node named ``zk`` after its pointer ``<Zk>``, which is what
+    each node named after its pointer ``<Zk>``, which is what
     ``graph_to_penman(delinearize(linearize(graph)))`` writes."""
     parts, layout = linearize_with_layout(graph)
+    prefix = renumber and name_prefix(parts)  # as delinearize names them
     # the k-th span is the one the pointer <Zk> opens
-    name = {node: f"z{k}" if renumber else node for k, node in enumerate(layout.span)}
+    name = {node: f"{prefix}{k}" if renumber else node
+            for k, node in enumerate(layout.span)}
     for node, (start, _) in layout.span.items():
         parts[start] = f"({name[node]}"
         parts[start + 1] = "/"

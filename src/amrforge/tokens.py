@@ -1,21 +1,13 @@
 r"""Shared token constants, and the one symbol grammar of every reader
-and writer.
+and writer (README "Formats" spells it out).
 
 A plain symbol holds no whitespace and none of ``( ) / "``.  A quoted
-symbol is ``"``, any characters but a quote or a newline, and ``"``.  A
+symbol is ``"``, any characters but a quote or a newline, and ``"``; a
 backslash escapes the next character, which may not be the closing quote
-or a newline, since the PENMAN reader would read on past them: so
-``"a\\"`` is usable and ``"a\"`` is not.  A node id is plain without a
-leading colon, a relation is a colon and a plain symbol, and a concept or
-constant is quoted, or plain without a leading colon and not shaped like
-a pointer.
-
-A token sequence is a plain ``list[str]``, and its text form is the
-space-joined sequence.  The text reads back split at whitespace, except
-that a quoted symbol that starts a token and ends at whitespace is one
-token, such as ``"New York"``.  So every sequence linearized from a valid
-graph has a text form, and :func:`to_text` refuses only tokens that would
-not read back.
+or a newline, so ``"a\\"`` is usable and ``"a\"`` is not.  The text form
+of a token sequence is the space-joined sequence; it reads back split at
+whitespace, except that a quoted symbol that starts a token and ends at
+whitespace, such as ``"New York"``, is one token.
 """
 
 import re
@@ -37,9 +29,13 @@ EMPTY_CONCEPT = "amr-empty"
 _PLAIN = r'[^\s()/"]+'
 # quotes around escape pairs and characters but a quote, backslash or newline
 _QUOTED = r'"(?:\\[^"\n]|[^"\\\n])*"'
-_NODE_ID_RE = re.compile(rf"(?!:){_PLAIN}")
-_VALUE_RE = re.compile(rf"{_QUOTED}|(?!:|<Z\d+>\Z){_PLAIN}")
-_RELATION_RE = re.compile(rf":{_PLAIN}")
+# each usable_* returns a match, which is truthy, iff all of it is such a symbol
+usable_node_id = re.compile(rf"(?!:){_PLAIN}").fullmatch
+# a concept or constant: quoted, or plain without a leading colon and not a pointer
+usable_value = re.compile(rf"{_QUOTED}|(?!:|<Z\d+>\Z){_PLAIN}").fullmatch
+usable_relation = re.compile(rf":{_PLAIN}").fullmatch
+# named like a node id of delinearize: z's, and a number without leading zeros
+_NAME_RE = re.compile(r"^(z+)(?:0|[1-9][0-9]*)$", re.MULTILINE)
 
 _TEXT_TOKEN_RE = re.compile(rf"{_QUOTED}(?!\S)|\S+")
 # a token that may be a quoted symbol with whitespace, which str.split
@@ -73,6 +69,17 @@ def is_relation(token: str) -> bool:
     return len(token) > 1 and token.startswith(":")
 
 
+def name_prefix(symbols) -> str:
+    """The prefix of the node ids ``z0, z1, ...`` that delinearize gives:
+    the fewest ``z`` that no symbol is, followed by a number.  So a
+    constant ``z1`` makes the node ids ``zz0, zz1, ...``, since PENMAN
+    would read a constant that names a node as an edge to it.  (A symbol
+    with a newline counts as its lines: one search reads them all.)"""
+    text = "\n" + "\n".join(symbols)
+    taken = {len(z) for z in _NAME_RE.findall(text)} if "\nz" in text else set()
+    return "z" * min(set(range(1, len(taken) + 2)) - taken)
+
+
 def to_text(tokens) -> str:
     """The space-joined text form.
 
@@ -83,15 +90,10 @@ def to_text(tokens) -> str:
     tokens = list(tokens)
     text = " ".join(tokens)
     read = from_text(text)
-    if read != tokens:
-        # read cannot extend tokens: its tokens would use up every
-        # non-whitespace character before its last one
-        bad = next(token for i, token in enumerate(tokens)
-                   if i == len(read) or read[i] != token)
-        raise ValueError(
-            f"token {bad!r} has no text form: the space-joined text does "
-            "not read back to it"
-        )
+    if read != tokens:  # so some token differs, as read is no extension
+        bad = next(t for i, t in enumerate(tokens) if i == len(read) or read[i] != t)
+        raise ValueError(f"token {bad!r} has no text form: the space-joined "
+                         "text does not read back to it")
     return text
 
 

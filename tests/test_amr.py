@@ -422,6 +422,8 @@ def test_constant_that_names_a_node_is_invalid():
         ("bad-symbol", "constant 'b' under ('a', ':mod') names a node")]
     quoted = replace(graph, attributes=(("a", ":mod", '"b"'),))
     assert validate(quoted) == []
+    # delinearize names its nodes apart from every constant, so z0 is valid
+    assert validate(replace(graph, attributes=(("a", ":mod", "z0"),))) == []
 
 
 # whitespace to str.split, so a plain symbol of the token text form cannot

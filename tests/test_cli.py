@@ -135,6 +135,27 @@ def test_escaped_quote_is_still_an_unusable_constant(tmp_path, capsys):
     }]
 
 
+# named after its pointer <Z1>, the rebuilt node b would be z1, and PENMAN
+# would read the constant z1 back as an edge to it
+NAMED_LIKE_A_NODE = "(a / x :mod z1 :ARG0 (b / y))\n"
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_constant_named_like_a_rebuilt_node_survives_the_pipe(tmp_path, strict):
+    path = tmp_path / "named.amr"
+    path.write_text(NAMED_LIKE_A_NODE, encoding="utf-8")
+    assert run(["validate", str(path)]) == 0
+    toks, back = tmp_path / "toks.txt", tmp_path / "back.amr"
+    assert run(["linearize", str(path), "-o", str(toks)]) == 0
+    # without its last paren the line is rebuilt the same when lenient
+    line = toks.read_text(encoding="utf-8")
+    toks.write_text(line if strict else line.replace(" )\n", "\n"), encoding="utf-8")
+    mode = "--strict" if strict else "--lenient"
+    assert run(["delinearize", mode, str(toks), "-o", str(back)]) == 0
+    assert back.read_text(encoding="utf-8") == "(zz0 / x :mod z1 :ARG0 (zz1 / y))\n"
+    assert run(["validate", str(back)]) == 0
+
+
 def test_linearize_delinearize_pipe_is_isomorphic(corpus, tmp_path, capsys):
     toks_file = tmp_path / "toks.txt"
     penman_file = tmp_path / "back.amr"

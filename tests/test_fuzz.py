@@ -89,7 +89,7 @@ def test_penman_readers_raise_only_documented_errors(text):
 @settings(max_examples=250, deadline=None)
 @given(mutated(lambda graph: to_text(linearize(graph))))
 @example('( <Z0> thing :op1 "a\\" )')  # no reader accepts "a\" in PENMAN
-@example('( <Z0> thing :op1 z1 :ARG0 ( <Z3> boy )')  # z1 once renamed
+@example('( <Z0> thing :op1 z1 :ARG0 ( <Z3> boy )')  # z1 names no node
 def test_token_line_readers_raise_only_documented_errors(line):
     with contextlib.suppress(ValueError):
         _penman_of_line(line, strict=True)

@@ -122,17 +122,19 @@ def test_to_text_rejects_tokens_with_whitespace():
     assert from_text(to_text(toks)) == toks
 
 
-def test_constant_that_names_a_node_is_refused():
-    with pytest.raises(StructureError, match=r"constant 'z0' names a node \(token 4\)"):
-        delinearize(from_text("( <Z0> x :mod z0 )"))
-    # z1 names no node as read, and is kept while nothing else is broken
-    toks = from_text("( <Z0> a :mod z1 :ARG0 ( <Z5> b ) )")
-    assert repair(toks) == toks
-    # a fault renames the nodes z0, z1, ... in walk order, and then z1
-    # names the node of <Z5>; a name of 5,000 digits names none
-    assert repair(toks[:-1]) == from_text("( <Z0> a :ARG0 ( <Z1> b ) )")
-    huge = "z" + "1" * 5000
-    assert repair(["(", "<Z0>", "a", ":mod", huge]) == ["(", "<Z0>", "a", ":mod", huge, ")"]
+def test_nodes_are_named_apart_from_every_symbol():
+    # a node named z0 would make the constant z0 an edge in PENMAN
+    graph = delinearize(from_text("( <Z0> x :mod z0 )"))
+    assert dict(graph.nodes) == {"zz0": "x"}
+    assert graph.attributes == (("zz0", ":mod", "z0"),)
+    assert graph_to_penman(graph) == "(zz0 / x :mod z0)"
+    # the fewest z's that no symbol takes with a number: the concept z1 and
+    # the constant zz0 take z and zz, while z01 and 5,000 digits take none
+    toks = from_text("( <Z0> z1 :mod zz0 :mod z01 :ARG0 ( <Z1> b ) )")
+    assert set(delinearize(toks).nodes) == {"zzz0", "zzz1"}
+    huge = ["(", "<Z0>", "a", ":mod", "z" + "1" * 5000, ")"]
+    assert set(delinearize(huge).nodes) == {"zz0"}
+    assert set(delinearize(from_text("( <Z0> a :mod z01 )")).nodes) == {"z0"}
 
 
 @pytest.mark.parametrize(
