@@ -7,10 +7,10 @@ another's and returns the matched count with the mapping, which
 As in Cai & Knight's ``smatch.py`` (ACL 2013), mappings are scored from
 integer weight tables built once per graph pair: one for what a single
 variable matches at each target, one for what the relations between two
-adjacent variables match at each target pair.  The mappings the search
-visits are injective, which makes this split of the matched count exact
-(see :class:`_MatchContext`), so a move's gain is a sum of a few table
-entries.
+adjacent variables match at each target pair, shared by every variable
+pair with the same labels.  The mappings the search visits are injective,
+which makes this split of the matched count exact (see
+:class:`_MatchContext`), so a move's gain is a sum of a few table entries.
 
 The search is hill-climbing over single reassignments and pairwise swaps
 from several start mappings.  One climb keeps one :class:`_Position` and
@@ -32,8 +32,6 @@ a later climb could only tie, and a tie keeps the earlier best.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 _NO_MATCHES: dict = {}
 
@@ -64,6 +62,10 @@ class _MatchContext:
     where a variable can match anything.  The tables are built once per
     context; scoring a move then sums a few entries (see :class:`_Position`).
     ``ceiling`` sums each variable's and each linked pair's largest entry.
+    ``links[v][w]`` depends only on the labels between ``v`` and ``w``, so
+    all pairs with the same labels in both directions share one dict, and
+    their ``links[w][v]`` one transpose.  The tables are shared, and
+    nothing ever writes to them.
     """
 
     def __init__(self, left, right):
@@ -92,24 +94,19 @@ class _MatchContext:
         for (j, k), labels in pairs2.items():
             for label, count in labels.items():
                 carriers.setdefault(label, []).append((j, k, count))
-        self.links: list[dict[int, dict[int, dict[int, int]]]] = [
-            {} for _ in self.vars1
-        ]
-        for (v, w), labels in pairs1.items():
-            forward = self.links[v].setdefault(w, {})
-            backward = self.links[w].setdefault(v, {})
-            for label, count in labels.items():
-                for j, k, other in carriers.get(label, ()):
-                    weight = min(count, other)
-                    row = forward.setdefault(k, {})
-                    row[j] = row.get(j, 0) + weight
-                    row = backward.setdefault(j, {})
-                    row[k] = row.get(k, 0) + weight
+        self.links: list[dict[int, dict[int, dict]]] = [{} for _ in self.vars1]
+        groups: dict[tuple, tuple[dict, dict, int]] = {}  # by labels both ways
         self.ceiling = sum(max(weights.values(), default=0) for weights in self.unary)
-        self.ceiling += sum(  # a label with no carriers leaves a table empty
-            max((max(row.values()) for row in table.values()), default=0)
-            for v, links in enumerate(self.links) for w, table in links.items() if v < w
-        )
+        for v, w in pairs1:
+            if w in self.links[v]:
+                continue  # built with (w, v)
+            key = (frozenset(pairs1[v, w].items()),
+                   frozenset(pairs1.get((w, v), _NO_MATCHES).items()))
+            if key not in groups:
+                groups[key] = _pair_tables(*key, carriers)
+            forward, backward, best = groups[key]
+            self.links[v][w], self.links[w][v] = forward, backward
+            self.ceiling += best
 
     def images(self, mapping: dict[str, str | None]) -> list[int | None]:
         index2 = self.index2
@@ -119,9 +116,7 @@ class _MatchContext:
 
     def mapping(self, images) -> dict[str, str | None]:
         vars2 = self.vars2
-        return {
-            v: None if j is None else vars2[j] for v, j in zip(self.vars1, images)
-        }
+        return {v: None if j is None else vars2[j] for v, j in zip(self.vars1, images)}
 
     def count(self, images) -> int:
         """Matched triples under an injective mapping."""
@@ -137,19 +132,41 @@ class _MatchContext:
 
 
 def _split_triples(triples: TripleSet, index: dict[str, int]):
-    """Per-variable counters of unary forms, and per ordered variable pair
-    counters of relation labels."""
-    unary: list[Counter] = [Counter() for _ in index]
+    """Per-variable counts of unary forms, and per ordered variable pair
+    counts of relation labels."""
+    unary: list[dict] = [{} for _ in index]
     for kind, group in (("i", triples.instances), ("a", triples.attributes)):
         for first, rel, value in group:
-            unary[index[first]][(kind, rel, value)] += 1
-    pairs: dict[tuple[int, int], Counter] = {}
+            forms, form = unary[index[first]], (kind, rel, value)
+            forms[form] = forms.get(form, 0) + 1
+    pairs: dict[tuple[int, int], dict[str, int]] = {}
     for first, rel, third in triples.relations:
         if first == third:
-            unary[index[first]][("r", rel)] += 1
+            forms, form = unary[index[first]], ("r", rel)
         else:
-            pairs.setdefault((index[first], index[third]), Counter())[rel] += 1
+            forms, form = pairs.setdefault((index[first], index[third]), {}), rel
+        forms[form] = forms.get(form, 0) + 1
     return unary, pairs
+
+
+def _pair_tables(outgoing, incoming, carriers):
+    """``links[v][w]`` for left relations from ``v`` to ``w`` with the
+    ``(label, count)`` items ``outgoing`` and back with ``incoming``, its
+    transpose ``links[w][v]``, and its largest entry (0 if nothing matches)."""
+    forward: dict[int, dict[int, int]] = {}
+    backward: dict[int, dict[int, int]] = {}
+    for labels, (by_target, by_source) in (
+        (outgoing, (forward, backward)), (incoming, (backward, forward))
+    ):
+        for label, count in labels:
+            for j, k, other in carriers.get(label, ()):
+                weight = min(count, other)
+                row = by_target.setdefault(k, {})
+                row[j] = row.get(j, 0) + weight
+                row = by_source.setdefault(j, {})
+                row[k] = row.get(k, 0) + weight
+    best = max((max(row.values()) for row in forward.values()), default=0)
+    return forward, backward, best
 
 
 class _Position:

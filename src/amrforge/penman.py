@@ -125,6 +125,9 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
     is returned carrying the diagnostics.
     """
     metadata, body, body_line = _split_metadata(text)
+    if not body:  # every line is metadata, a comment or blank, so no token
+        raise PenmanSyntaxError("expected '(' to start a graph",
+                                text.count("\n") + 1, len(text) - text.rfind("\n"))
     graph = _parse_expression(body, body_line)
     diagnostics = validate(graph)
     if diagnostics and strict:
@@ -147,8 +150,6 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
 
     if '"' in tokens:
         fail("unterminated string literal", tokens.index('"'))
-    if not tokens:
-        raise PenmanSyntaxError("expected '(' to start a graph", 1, 1)
 
     nodes: dict[str, str] = {}
     triples: list[tuple[str, str, str]] = []

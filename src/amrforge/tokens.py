@@ -54,15 +54,20 @@ def pointer_index(token: str) -> int | None:
     ``k`` is one or more decimal digits of any script: ``str.isdecimal``
     accepts exactly the Unicode Nd digits that the regex class ``\\d``
     matches, so this agrees with every pattern that spells a pointer.
+    ``int()`` reads at most ``sys.get_int_max_str_digits()`` digits, a
+    limit never below 640, so ``k`` is read 640 digits at a time.
     """
-    digits = token[2:-1]
-    if token.startswith("<Z") and token.endswith(">") and digits.isdecimal():
-        return int(digits)
-    return None
+    if not is_pointer(token):
+        return None
+    index, digits = 0, token[2:-1]
+    for start in range(0, len(digits), 640):
+        part = digits[start:start + 640]
+        index = index * 10 ** len(part) + int(part)
+    return index
 
 
 def is_pointer(token: str) -> bool:
-    return pointer_index(token) is not None
+    return token.startswith("<Z") and token.endswith(">") and token[2:-1].isdecimal()
 
 
 def is_relation(token: str) -> bool:

@@ -1,11 +1,13 @@
 """Shared graph fixtures and exact Smatch references used across the
 test modules."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
-from amrforge import AmrGraph, amr
+from amrforge import AmrGraph, amr, synth
 from amrforge._search import _applied, _MatchContext
 from amrforge.linearize import linearize_with_layout
 from amrforge.metrics import SmatchResult, TripleSet, to_triples
@@ -64,6 +66,14 @@ def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
     """The brute-force reference for ``smatch``: :func:`oracle_optimum`
     of the two graphs' triples."""
     return oracle_optimum(to_triples(graph1), to_triples(graph2))
+
+
+@functools.cache
+def document_pair(nodes: int) -> tuple[AmrGraph, AmrGraph]:
+    """The ``(prediction, gold)`` pair of ``synth.document_pair`` with
+    exactly ``nodes`` gold nodes at seed 7, to be scored as
+    ``smatch(prediction, gold)``."""
+    return synth.document_pair(random.Random(7), nodes, nodes)
 
 
 def milp_optimum(left: TripleSet, right: TripleSet) -> int:

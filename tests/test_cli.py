@@ -858,6 +858,20 @@ def test_strict_delinearize_error_on_stdin_is_one_line():
     assert done.stderr == b"amrforge: error: missing close-paren (token 4)\n"
 
 
+@pytest.mark.parametrize("flags", [["--lenient"], []], ids=["lenient", "strict"])
+def test_delinearize_reads_a_pointer_longer_than_int_converts(flags, monkeypatch,
+                                                              capsys):
+    # int() refuses more than 4,300 digits by default; the pointer is still
+    # one pointer, and its node is named by its digits
+    digits = "1" * 5000
+    payload = f"( <Z{digits}> boy )\n".encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload)))
+    assert run(["delinearize", *flags, "-"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"(z{digits} / boy)\n"
+    assert parse_penman(out).graph.nodes == {f"z{digits}": "boy"}
+
+
 # run in a fresh interpreter without site-packages (-S) or the environment
 # (-I): every module an import or a command loads must be the standard
 # library's or amrforge's own

@@ -212,6 +212,17 @@ def test_pointer_index_reads_the_pointer_pattern():
             assert pointer_index(token) == expected, token
 
 
+def test_pointer_index_reads_more_digits_than_int_converts_at_once():
+    # int() and str() refuse more than 4,300 digits by default
+    assert pointer_index("<Z" + "1" * 5000 + ">") == (10**5000 - 1) // 9
+    assert pointer_index("<Z" + "0" * 4999 + "\u0663>") == 3
+    assert pointer_index("<Z" + "1" * 5000 + ">>") is None
+    graph = delinearize(["(", "<Z" + "\u0663" * 5000 + ">", "boy", ")"])
+    assert graph.nodes == {"z" + "3" * 5000: "boy"}
+    graph = delinearize(["(", "<Z" + "0" * 5000 + "7>", "boy", ")"])
+    assert graph.nodes == {"z7": "boy"}
+
+
 def test_pointer_with_digits_of_another_script():
     graph = delinearize(["(", "<Z\u0663>", "boy", ")"])  # ARABIC-INDIC DIGIT THREE
     assert graph.nodes == {"z3": "boy"}

@@ -49,6 +49,19 @@ def test_unbalanced_parens_report_position():
         parse_penman("(a / boy))")
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("", 1, 1),
+    ("# ::id 1\n# ::snt x\n", 3, 1),
+    ("# ::id 1\n# ::snt x", 2, 10),
+    ("# a comment\n\n  \n", 4, 1),
+])
+def test_no_graph_is_reported_at_the_end_of_the_text(text, line, column):
+    # like every other syntax error, counted from the document's first line
+    with pytest.raises(PenmanSyntaxError, match="expected '\\(' to start a graph") as info:
+        parse_penman(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_missing_concept():
     with pytest.raises(PenmanSyntaxError, match="missing concept"):
         parse_penman("(a / )")

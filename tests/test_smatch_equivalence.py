@@ -16,6 +16,11 @@ only when a change of results is intended:
 
     PYTHONPATH=src python tests/test_smatch_equivalence.py --write
 
+The context's ``links`` tables are shared by every variable pair with
+the same labels; they are checked against the per-pair construction the
+search used before, and against a deep copy after a search has run, since
+a write to one shared table would change every pair that holds it.
+
 The search stops climbing once a climb reaches the context's ceiling;
 the ceiling is checked against the exhaustive oracle, and the results
 against a search that never stops early.  Where scipy is installed, the
@@ -25,6 +30,7 @@ and bounds every search variant on the 30 small fixture pairs.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import json
@@ -59,7 +65,7 @@ from amrforge.metrics import (
     _unlabeled,
 )
 
-from conftest import milp_optimum, oracle_optimum, smatch_oracle
+from conftest import document_pair, milp_optimum, oracle_optimum, smatch_oracle
 
 FIXTURE = Path(__file__).parent / "data" / "smatch_golden.json"
 FIXTURE_SEED = 2203
@@ -290,7 +296,10 @@ def test_milp_equals_the_exhaustive_oracle():
 def _searched_variants(left: AmrGraph, right: AmrGraph):
     """Each ``fine_grained`` key a mapping search scores, with the triple
     sets it searches over."""
-    a, b = to_triples(left), to_triples(right)
+    return _triple_variants(to_triples(left), to_triples(right))
+
+
+def _triple_variants(a: TripleSet, b: TripleSet):
     yield "smatch", a, b
     yield "unlabeled", _unlabeled(a), _unlabeled(b)
     yield "no_wsd", _no_wsd(a), _no_wsd(b)
@@ -354,6 +363,135 @@ def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
     # every random start is drawn, so a shared generator ends where it did
     assert stopped_draws == full_draws > 0
     assert stopped_climbs < full_climbs
+
+
+def _per_pair_links(left: TripleSet, right: TripleSet, unary):
+    """``links`` and ``ceiling`` as the search built them before pairs with
+    the same labels shared their tables: a fresh table for each left
+    variable pair, filled label by label from ``Counter``s of the relation
+    labels.  ``unary`` is the context's, which adds its part of the
+    ceiling."""
+
+    def pairs(triples: TripleSet) -> dict[tuple[int, int], Counter]:
+        index = {v: i for i, (v, _, _) in enumerate(triples.instances)}
+        found: dict[tuple[int, int], Counter] = {}
+        for first, rel, third in triples.relations:
+            if first != third:
+                found.setdefault((index[first], index[third]), Counter())[rel] += 1
+        return found
+
+    carriers: dict[str, list] = {}
+    for (j, k), labels in pairs(right).items():
+        for label, count in labels.items():
+            carriers.setdefault(label, []).append((j, k, count))
+    links: list[dict] = [{} for _ in left.instances]
+    for (v, w), labels in pairs(left).items():
+        forward = links[v].setdefault(w, {})
+        backward = links[w].setdefault(v, {})
+        for label, count in labels.items():
+            for j, k, other in carriers.get(label, ()):
+                weight = min(count, other)
+                row = forward.setdefault(k, {})
+                row[j] = row.get(j, 0) + weight
+                row = backward.setdefault(j, {})
+                row[k] = row.get(k, 0) + weight
+    ceiling = sum(max(weights.values(), default=0) for weights in unary)
+    ceiling += sum(  # a label with no carriers leaves a table empty
+        max((max(row.values()) for row in table.values()), default=0)
+        for v, tables in enumerate(links) for w, table in tables.items() if v < w
+    )
+    return links, ceiling
+
+
+def _check_shared_links(left: TripleSet, right: TripleSet) -> bool:
+    """Check the context's tables against the per-pair ones; returns whether
+    two pairs share a table."""
+    context = _MatchContext(left, right)
+    links, ceiling = _per_pair_links(left, right, context.unary)
+    assert context.links == links
+    assert [list(tables) for tables in context.links] == [list(tables) for tables in links]
+    assert context.ceiling == ceiling
+    tables = [table for tables in context.links for table in tables.values()]
+    return len({id(table) for table in tables}) < len(tables)
+
+
+def test_shared_links_equal_the_per_pair_tables_on_the_golden_cases():
+    for case in _golden_cases():
+        left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
+        for _, a, b in _searched_variants(left, right):
+            _check_shared_links(a, b)
+
+
+def _tangled_triples(rng) -> TripleSet:
+    """Up to six variables and relations drawn with replacement over three
+    labels, so parallel edges, repeated triples, edges both ways between
+    two variables and self-loops are all common."""
+    variables = [f"v{i}" for i in range(rng.randint(1, 6))]
+    concepts = ("want-01", "want-02", "boy")
+    return TripleSet(
+        instances=tuple((v, "instance", rng.choice(concepts)) for v in variables),
+        attributes=((variables[0], "TOP", "want-01"),),
+        relations=tuple(
+            (rng.choice(variables), rng.choice(RELATIONS[:3]), rng.choice(variables))
+            for _ in range(rng.randint(0, 12))
+        ),
+    )
+
+
+def test_shared_links_with_parallel_edges_duplicate_labels_and_self_loops():
+    rng = random.Random(2718)
+    shared = both_ways = 0
+    for _ in range(300):
+        left, right = _tangled_triples(rng), _tangled_triples(rng)
+        for _, a, b in _triple_variants(left, right):
+            shared += _check_shared_links(a, b)
+        edges = {(s, t) for s, _, t in left.relations if s != t}
+        both_ways += any((t, s) in edges for s, t in edges)
+    assert shared > 0 and both_ways > 0
+
+
+def test_search_never_writes_the_shared_tables(monkeypatch):
+    contexts = []
+
+    class Recorded(_MatchContext):
+        def __init__(self, left, right):
+            super().__init__(left, right)
+            contexts.append((self, copy.deepcopy((self.unary, self.links, self.ceiling))))
+
+    monkeypatch.setattr(amrforge._search, "_MatchContext", Recorded)
+    for case in _golden_cases():
+        left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
+        fine_grained(left, right, restarts=case["restarts"], seed=case["seed"])
+    rng = random.Random(3141)
+    for _ in range(100):
+        left, right = _tangled_triples(rng), _tangled_triples(rng)
+        for _, a, b in _triple_variants(left, right):
+            amrforge._search.best_mapping(a, b, 4, rng)
+    prediction, gold = document_pair(100)
+    unlabeled = _unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold))
+    amrforge._search.best_mapping(*unlabeled, 4, rng)
+    assert len(contexts) > 500
+    for context, before in contexts:
+        assert (context.unary, context.links, context.ceiling) == before
+
+
+def test_unlabeled_pairs_share_a_few_tables():
+    # every relation reads :label, so a pair's table depends only on how
+    # many edges join it each way: 216 entries, 4 distinct tables
+    prediction, gold = document_pair(100)
+    context = _MatchContext(_unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold)))
+    tables = [table for links in context.links for table in links.values()]
+    assert len(tables) == 216
+    assert len({id(table) for table in tables}) <= 4
+
+
+def test_document_pairs_match_the_recorded_counts():
+    # recorded with the per-pair tables; the climb is not symmetric, so the
+    # other scoring order matches one more triple at 100 nodes
+    assert smatch(*document_pair(25)).matched == 51
+    prediction, gold = document_pair(100)
+    assert smatch(prediction, gold).matched == 182
+    assert smatch(gold, prediction).matched == 183
 
 
 def _reference_count(left: TripleSet, right: TripleSet, mapping) -> int:

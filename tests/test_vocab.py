@@ -108,6 +108,12 @@ def test_pointer_capacity_error():
         encode(["<Z4>"], vocabulary)
 
 
+def test_pointer_capacity_error_for_more_digits_than_int_converts():
+    vocabulary = build_vocabulary(["a"], None, max_pointers=4)
+    with pytest.raises(PointerCapacityError):
+        encode(["<Z" + "1" * 5000 + ">"], vocabulary)
+
+
 def test_decode_range_error():
     vocabulary = build_vocabulary(["a"], None, max_pointers=1)
     with pytest.raises(ValueError, match="outside"):
