@@ -13,9 +13,10 @@ which makes this split of the matched count exact (see
 :class:`_MatchContext`), so a move's gain is a sum of a few table entries.
 
 The search is hill-climbing over single reassignments and pairwise swaps
-from several start mappings.  One climb keeps one :class:`_Position` and
-updates it in place.  A move sets the images of one or two variables (a
-reassignment and the holder it evicts, or a swapped pair); only their
+from several start mappings: a caller's seeds first, then the name and
+greedy ones, then random ones.  One climb keeps one :class:`_Position`
+and updates it in place.  A move sets the images of one or two variables
+(a reassignment and the holder it evicts, or a swapped pair); only their
 linked neighbours' reach changes, so only moves that read what changed
 are rescored.  Each step takes the first move with the largest gain in
 the order of the full move list (every reassignment, then every swap),
@@ -469,14 +470,14 @@ def _climb_once(context, images):
 
 
 def best_mapping(left, right, restarts: int, rng, extra_seeds=()):
-    """The matched count and mapping of the best climb from the name,
-    greedy and ``extra_seeds`` mappings, then from random ones up to
-    ``restarts`` climbs.  The climbs after one that reaches
+    """The matched count and mapping of the best climb from the
+    ``extra_seeds`` mappings, then the name and greedy ones, then random
+    ones up to ``restarts`` climbs.  The climbs after one that reaches
     ``context.ceiling`` are skipped; their random starts are still drawn,
     so ``rng`` ends where the full search leaves it."""
     context = _MatchContext(left, right)
-    seeds = [_name_seed(context), _greedy_seed(context)]
-    seeds.extend(context.images(seed) for seed in extra_seeds)
+    seeds = [context.images(seed) for seed in extra_seeds]
+    seeds += [_name_seed(context), _greedy_seed(context)]
     best_score, best_images = -1, [None] * len(context.vars1)
     for attempt in range(max(restarts, len(seeds))):
         if attempt < len(seeds):

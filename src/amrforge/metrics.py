@@ -192,9 +192,9 @@ def fine_grained(
 
     Sub-metrics whose reference subset is empty are reported as ``None``
     (absent) rather than 0 or 1.  The variants that re-run the mapping
-    search are additionally seeded with the best base mapping, which
-    guarantees that removing edge labels or senses never lowers the score
-    below the base Smatch.
+    search climb the best base mapping first, so removing edge labels or
+    senses never lowers the score below the base Smatch, and where that
+    climb reaches the ceiling, the name and greedy starts are skipped.
     """
     base = smatch(graph1, graph2, restarts, seed)
     left, right = to_triples(graph1), to_triples(graph2)

@@ -23,9 +23,13 @@ a write to one shared table would change every pair that holds it.
 
 The search stops climbing once a climb reaches the context's ceiling;
 the ceiling is checked against the exhaustive oracle, and the results
-against a search that never stops early.  Where scipy is installed, the
-MILP optimum of ``conftest.milp_optimum`` is checked against the oracle
-and bounds every search variant on the 30 small fixture pairs.
+against a search that never stops early.  It climbs a caller's seed (the
+base mapping, in a fine-grained re-run) before the name and greedy
+seeds; its counts are checked against the other order, kept here, and
+each reported mapping against a plain count of what it matches.  Where
+scipy is installed, the MILP optimum of ``conftest.milp_optimum`` is
+checked against the oracle and bounds every search variant on the 30
+small fixture pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from pathlib import Path
 import pytest
 
 import amrforge._search
+import amrforge.metrics
 from amrforge import AmrGraph, fine_grained, smatch, synth, to_triples
 from amrforge._search import (
     _SIDEWAYS_BUDGET,
@@ -363,6 +368,82 @@ def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
     # every random start is drawn, so a shared generator ends where it did
     assert stopped_draws == full_draws > 0
     assert stopped_climbs < full_climbs
+
+
+def _seeds_last_best_mapping(left, right, restarts: int, rng, extra_seeds=()):
+    """``best_mapping`` as it was when it climbed the name and greedy
+    seeds before ``extra_seeds``: the reference order the seed-first
+    search is checked against.  It looks up the search's functions on the
+    module, so the call counters see it."""
+    search = amrforge._search
+    context = search._MatchContext(left, right)
+    seeds = [_name_seed(context), _greedy_seed(context)]
+    seeds.extend(context.images(seed) for seed in extra_seeds)
+    best_score, best_images = -1, [None] * len(context.vars1)
+    for attempt in range(max(restarts, len(seeds))):
+        if attempt < len(seeds):
+            images = seeds[attempt]
+        else:
+            images = search._random_seed(context, rng)
+        if best_score == context.ceiling:
+            continue
+        score, images = search._climb_once(context, images)
+        if score > best_score:
+            best_score, best_images = score, images
+    return best_score, context.mapping(best_images)
+
+
+def _searched_runs():
+    """``(left, right, restarts, seed)`` of the golden cases, then of the
+    eval-small pairs at 1, 2, 4 and 5 restarts."""
+    for case in _golden_cases():
+        left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
+        yield left, right, case["restarts"], case["seed"]
+    for left, right, index in _eval_small_pairs():
+        for restarts in (1, 2, 4, 5):
+            yield left, right, restarts, index
+
+
+def test_climbing_the_seed_first_keeps_every_count(monkeypatch):
+    # the same starts, each climbed from the same context and start, and
+    # the same random draws: where a climb reaches the ceiling both orders
+    # return it, and where none does both climb every start
+    climbs = _counted(monkeypatch, "_climb_once")
+    draws = _counted(monkeypatch, "_random_seed")
+    runs = list(_searched_runs())
+
+    def run():
+        climbs[0] = draws[0] = 0
+        counts = [
+            {
+                key: None if result is None
+                else (result.matched, result.left_total, result.right_total)
+                for key, result in fine_grained(
+                    left, right, restarts=restarts, seed=seed
+                ).items()
+            }
+            for left, right, restarts, seed in runs
+        ]
+        return counts, climbs[0], draws[0]
+
+    seed_first, seed_first_climbs, seed_first_draws = run()
+    monkeypatch.setattr(amrforge.metrics, "best_mapping", _seeds_last_best_mapping)
+    seeds_last, seeds_last_climbs, seeds_last_draws = run()
+    assert seed_first == seeds_last
+    # the shared generator of fine_grained moves as it did
+    assert seed_first_draws == seeds_last_draws > 0
+    assert seed_first_climbs < seeds_last_climbs
+
+
+def test_each_reported_mapping_matches_its_count():
+    # the mapping is what a re-run reports beside its count; a search that
+    # kept another of the mappings it visited would still pass every count
+    for left, right, restarts, seed in _searched_runs():
+        scores = fine_grained(left, right, restarts=restarts, seed=seed)
+        for key, a, b in _searched_variants(left, right):
+            result = scores[key]
+            if result is not None:
+                assert _reference_count(a, b, result.mapping) == result.matched, key
 
 
 def _per_pair_links(left: TripleSet, right: TripleSet, unary):
