@@ -26,10 +26,11 @@ a search that rescored the whole list after each step.
 
 No injective mapping matches more than each variable's best unary entry
 plus each linked pair's best pairwise entry: the context's ceiling, the
-root bound of exact solvers such as Smatch++.  The climbs after one that
-reaches it are skipped, but their random starts are still drawn, so a
-shared generator moves as before, and every result is the full search's:
-a later climb could only tie, and a tie keeps the earlier best.
+root bound of exact solvers such as Smatch++.  A climb stops once it
+scores the ceiling and the later ones are skipped; a seeded start is
+built only when climbed, and a random one is drawn either way, so a
+shared generator moves as before.  Every count is the full search's, and
+the mapping is the first one found that scores the ceiling.
 """
 
 from __future__ import annotations
@@ -451,11 +452,15 @@ _SIDEWAYS_BUDGET = 8  # plateau steps allowed per climb before giving up
 
 
 def _climb_once(context, images):
-    position = _Position(context, list(images))
+    """The score and mapping a climb from ``images`` ends at.  It stops at
+    ``context.ceiling``: a start there is returned with no position built."""
     score = context.count(images)
+    if score == context.ceiling:
+        return score, images
+    position = _Position(context, list(images))
     sideways = _SIDEWAYS_BUDGET
     visited = {tuple(images)}
-    while True:
+    while score < context.ceiling:
         gain, changes = position.best_move()
         if changes is None and sideways > 0:
             # Stuck on a plateau: take an unvisited equal-score step, a few times.
@@ -463,29 +468,39 @@ def _climb_once(context, images):
             if changes is not None:
                 sideways -= 1
         if changes is None:
-            return score, position.images
+            break
         position.apply(changes)
         visited.add(tuple(position.images))
         score += gain
+    return score, position.images
+
+
+def _seeded_starts(context: _MatchContext, extra_seeds):
+    """The caller's seeds, then the name and greedy starts, each built
+    when it is reached."""
+    yield from map(context.images, extra_seeds)
+    yield _name_seed(context)
+    yield _greedy_seed(context)
 
 
 def best_mapping(left, right, restarts: int, rng, extra_seeds=()):
     """The matched count and mapping of the best climb from the
     ``extra_seeds`` mappings, then the name and greedy ones, then random
     ones up to ``restarts`` climbs.  The climbs after one that reaches
-    ``context.ceiling`` are skipped; their random starts are still drawn,
-    so ``rng`` ends where the full search leaves it."""
+    ``context.ceiling`` are skipped, and a seeded start is built only when
+    it is climbed; the random starts are drawn whether climbed or not, so
+    ``rng`` ends where the full search leaves it."""
     context = _MatchContext(left, right)
-    seeds = [context.images(seed) for seed in extra_seeds]
-    seeds += [_name_seed(context), _greedy_seed(context)]
+    seeded = len(extra_seeds) + 2
+    starts = _seeded_starts(context, extra_seeds)
     best_score, best_images = -1, [None] * len(context.vars1)
-    for attempt in range(max(restarts, len(seeds))):
-        if attempt < len(seeds):
-            images = seeds[attempt]
-        else:
+    for attempt in range(max(restarts, seeded)):
+        if attempt >= seeded:
             images = _random_seed(context, rng)
         if best_score == context.ceiling:
-            continue  # certified: the start is still drawn, but not climbed
+            continue  # certified: nothing is built or climbed
+        if attempt < seeded:
+            images = next(starts)
         score, images = _climb_once(context, images)
         if score > best_score:
             best_score, best_images = score, images

@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_text, inputs=("input",), strict=True,
                 seed=False):
-        # each command declares only the flags it acts on; strict=None
-        # leaves out the mode flags
+        # every command takes --jobs, though only smatch reads it;
+        # strict=None leaves out the mode flags
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for arg in inputs:

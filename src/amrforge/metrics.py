@@ -193,8 +193,8 @@ def fine_grained(
     Sub-metrics whose reference subset is empty are reported as ``None``
     (absent) rather than 0 or 1.  The variants that re-run the mapping
     search climb the best base mapping first, so removing edge labels or
-    senses never lowers the score below the base Smatch, and where that
-    climb reaches the ceiling, the name and greedy starts are skipped.
+    senses never lowers the score below the base Smatch; a climb stops at
+    the ceiling, and once one reaches it no name or greedy start is built.
     """
     base = smatch(graph1, graph2, restarts, seed)
     left, right = to_triples(graph1), to_triples(graph2)

@@ -6,13 +6,16 @@ a freshly built position after every step.
 Each prediction is its gold graph after seeded node, edge and sub-graph
 masking and ``repair``, with some edge labels and senses swapped.  With
 each pair the fixture stores the seeded ``fine_grained`` results
-(matched and total counts, scores and the mapping) recorded with the
-earlier ``Counter``-based move scoring, so the table-based search must
-reproduce them exactly.  Three more pairs pin the order in which
-``fine_grained`` draws from its generator: scoring ``srl`` before
-``reentrancy`` changes their ``srl`` counts.  Two more, of 80-120-node
-gold graphs, pin long climbs that take sideways steps.  Regenerate it
-only when a change of results is intended:
+(matched and total counts, scores and the mapping), which the search
+must reproduce exactly.  The counts were recorded with the earlier
+``Counter``-based move scoring; the mappings of the sub-metrics that
+re-run the search were re-recorded when they began to climb the base
+mapping first, and again when a climb began to stop at the ceiling.
+Three more pairs pin the order in which ``fine_grained`` draws from its
+generator: scoring ``srl`` before ``reentrancy`` changes their ``srl``
+counts.  Two more, of 80-120-node gold graphs, pin long climbs that take
+sideways steps.  Regenerate it only when a change of results is
+intended:
 
     PYTHONPATH=src python tests/test_smatch_equivalence.py --write
 
@@ -21,15 +24,17 @@ the same labels; they are checked against the per-pair construction the
 search used before, and against a deep copy after a search has run, since
 a write to one shared table would change every pair that holds it.
 
-The search stops climbing once a climb reaches the context's ceiling;
-the ceiling is checked against the exhaustive oracle, and the results
-against a search that never stops early.  It climbs a caller's seed (the
-base mapping, in a fine-grained re-run) before the name and greedy
-seeds; its counts are checked against the other order, kept here, and
-each reported mapping against a plain count of what it matches.  Where
-scipy is installed, the MILP optimum of ``conftest.milp_optimum`` is
-checked against the oracle and bounds every search variant on the 30
-small fixture pairs.
+A climb stops once it reaches the context's ceiling, and the search
+skips the climbs after it; the ceiling is checked against the exhaustive
+oracle, and the counts against a search with no ceiling and against the
+earlier search, kept here, whose climbs ran on past the ceiling and
+which built every seeded start before its first climb.  The search
+climbs a caller's seed (the base mapping, in a fine-grained re-run)
+before the name and greedy seeds; its counts are checked against the
+other order, kept here, and each reported mapping against a plain count
+of what it matches.  Where scipy is installed, the MILP optimum of
+``conftest.milp_optimum`` is checked against the oracle and bounds every
+search variant on the 30 small fixture pairs.
 """
 
 from __future__ import annotations
@@ -347,7 +352,19 @@ class _Unbounded(_MatchContext):
         self.ceiling = math.inf
 
 
+def _counts(scores) -> dict:
+    """The matched and total counts of each ``fine_grained`` key."""
+    return {
+        key: None if result is None
+        else (result.matched, result.left_total, result.right_total)
+        for key, result in scores.items()
+    }
+
+
 def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
+    # an unbounded climb also takes the sideways steps a stopped one skips,
+    # so it can end on another mapping of the same count; the mappings are
+    # checked by test_each_reported_mapping_matches_its_count
     climbs = _counted(monkeypatch, "_climb_once")
     draws = _counted(monkeypatch, "_random_seed")
     pairs = list(_eval_small_pairs())
@@ -355,7 +372,7 @@ def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
     def run():
         climbs[0] = draws[0] = 0
         results = [
-            _scores_json(fine_grained(left, right, restarts=restarts, seed=index))
+            _counts(fine_grained(left, right, restarts=restarts, seed=index))
             for left, right, index in pairs
             for restarts in (1, 2, 4, 5)
         ]
@@ -415,13 +432,7 @@ def test_climbing_the_seed_first_keeps_every_count(monkeypatch):
     def run():
         climbs[0] = draws[0] = 0
         counts = [
-            {
-                key: None if result is None
-                else (result.matched, result.left_total, result.right_total)
-                for key, result in fine_grained(
-                    left, right, restarts=restarts, seed=seed
-                ).items()
-            }
+            _counts(fine_grained(left, right, restarts=restarts, seed=seed))
             for left, right, restarts, seed in runs
         ]
         return counts, climbs[0], draws[0]
@@ -433,6 +444,106 @@ def test_climbing_the_seed_first_keeps_every_count(monkeypatch):
     # the shared generator of fine_grained moves as it did
     assert seed_first_draws == seeds_last_draws > 0
     assert seed_first_climbs < seeds_last_climbs
+
+
+def _unstopped_climb_once(context, images):
+    """``_climb_once`` as it was when a climb ran on at the ceiling: it
+    builds a position for every start, and takes sideways steps until its
+    budget runs out, whatever its score."""
+    search = amrforge._search
+    position = search._Position(context, list(images))
+    score = context.count(images)
+    sideways = _SIDEWAYS_BUDGET
+    visited = {tuple(images)}
+    while True:
+        gain, changes = position.best_move()
+        if changes is None and sideways > 0:
+            changes = position.sideways(visited)
+            if changes is not None:
+                sideways -= 1
+        if changes is None:
+            return score, position.images
+        position.apply(changes)
+        visited.add(tuple(position.images))
+        score += gain
+
+
+def _unstopped_best_mapping(left, right, restarts: int, rng, extra_seeds=()):
+    """``best_mapping`` as it was when it built every seeded start before
+    its first climb and climbed with :func:`_unstopped_climb_once`: the
+    reference the ceiling stop is checked against.  It looks up the
+    search's functions on the module, so the call counters see it."""
+    search = amrforge._search
+    context = search._MatchContext(left, right)
+    seeds = [context.images(seed) for seed in extra_seeds]
+    seeds += [search._name_seed(context), search._greedy_seed(context)]
+    best_score, best_images = -1, [None] * len(context.vars1)
+    for attempt in range(max(restarts, len(seeds))):
+        if attempt < len(seeds):
+            images = seeds[attempt]
+        else:
+            images = search._random_seed(context, rng)
+        if best_score == context.ceiling:
+            continue
+        score, images = _unstopped_climb_once(context, images)
+        if score > best_score:
+            best_score, best_images = score, images
+    return best_score, context.mapping(best_images)
+
+
+def test_stopping_each_climb_at_the_ceiling_keeps_every_count(monkeypatch):
+    # a climb that reaches the ceiling returns it with or without the steps
+    # after it, so only which of the mappings that score it is reported can
+    # change; the counts, and the draws of the shared generator, cannot
+    search = amrforge._search
+    draws = _counted(monkeypatch, "_random_seed")
+    built, at_ceiling, greedy, climbed = [0], [0], [], []
+
+    class Position(_Position):
+        def __init__(self, context, images):
+            super().__init__(context, images)
+            built[0] += 1
+
+        def sideways(self, visited):
+            at_ceiling[0] += self.context.count(self.images) == self.context.ceiling
+            return super().sideways(visited)
+
+    def greedy_seed(context, inner=search._greedy_seed):
+        greedy.append(inner(context))
+        return greedy[-1]
+
+    def climb_once(context, images, inner=search._climb_once):
+        climbed.append(images)
+        return inner(context, images)
+
+    monkeypatch.setattr(search, "_Position", Position)
+    monkeypatch.setattr(search, "_greedy_seed", greedy_seed)
+    monkeypatch.setattr(search, "_climb_once", climb_once)
+    runs = list(_searched_runs())
+
+    def run():
+        built[0] = at_ceiling[0] = draws[0] = 0
+        greedy.clear()
+        climbed.clear()
+        counts = [
+            _counts(fine_grained(left, right, restarts=restarts, seed=seed))
+            for left, right, restarts, seed in runs
+        ]
+        # every start is kept alive in the lists, so an id names one start
+        unclimbed = {id(start) for start in greedy} - {id(start) for start in climbed}
+        return counts, draws[0], built[0], at_ceiling[0], len(greedy), unclimbed
+
+    stopped, stopped_draws, stopped_built, stopped_at_ceiling, stopped_greedy, unclimbed = run()
+    monkeypatch.setattr(amrforge.metrics, "best_mapping", _unstopped_best_mapping)
+    full, full_draws, full_built, full_at_ceiling, full_greedy, _ = run()
+    assert stopped == full
+    assert stopped_draws == full_draws > 0
+    assert stopped_built < full_built
+    # no climb looks for a sideways step once it scores the ceiling
+    assert stopped_at_ceiling == 0 < full_at_ceiling
+    # the greedy start is built only for an attempt that climbs it
+    assert not unclimbed
+    assert 0 < stopped_greedy < full_greedy
 
 
 def test_each_reported_mapping_matches_its_count():
@@ -742,6 +853,7 @@ def _check_climbs(left: TripleSet, right: TripleSet, rng, climbs: int = 2) -> in
     """Drive climbs from the seeded and some random mappings by hand.
     After every step, improving or sideways, the kept tables must equal a
     fresh position's, and the chosen move the reference enumeration's.
+    A climb stops once it scores the ceiling, as ``_climb_once`` does.
     Returns the number of sideways steps taken."""
     context = _MatchContext(left, right)
     starts = [_name_seed(context), _greedy_seed(context)]
@@ -751,7 +863,7 @@ def _check_climbs(left: TripleSet, right: TripleSet, rng, climbs: int = 2) -> in
         position = _Position(context, list(start))
         score, visited = context.count(start), {tuple(start)}
         sideways = _SIDEWAYS_BUDGET
-        while True:
+        while score < context.ceiling:
             assert _tables(position) == _tables(_Position(context, list(position.images)))
             gain, changes = position.best_move()
             assert (gain, changes) == _first_best(_moves(position))
@@ -770,6 +882,7 @@ def _check_climbs(left: TripleSet, right: TripleSet, rng, climbs: int = 2) -> in
             position.apply(changes)
             visited.add(tuple(position.images))
             score += gain
+        assert _tables(position) == _tables(_Position(context, list(position.images)))
         assert score == context.count(position.images)
         assert _climb_once(context, start) == (score, position.images)
     return taken
