@@ -13,8 +13,7 @@ which makes this split of the matched count exact (see
 :class:`_MatchContext`), so a move's gain is a sum of a few table entries.
 
 The search is hill-climbing over single reassignments and pairwise swaps
-from several start mappings: a caller's seeds first, then the name and
-greedy ones, then random ones.  One climb keeps one :class:`_Position`
+from a sequence of start mappings.  One climb keeps one :class:`_Position`
 and updates it in place.  A move sets the images of one or two variables
 (a reassignment and the holder it evicts, or a swapped pair); only their
 linked neighbours' reach changes, so only moves that read what changed
@@ -26,11 +25,11 @@ a search that rescored the whole list after each step.
 
 No injective mapping matches more than each variable's best unary entry
 plus each linked pair's best pairwise entry: the context's ceiling, the
-root bound of exact solvers such as Smatch++.  A climb stops once it
-scores the ceiling and the later ones are skipped; a seeded start is
-built only when climbed, and a random one is drawn either way, so a
-shared generator moves as before.  Every count is the full search's, and
-the mapping is the first one found that scores the ceiling.
+root bound of exact solvers such as Smatch++.  The search climbs a
+caller's seeds, the name start, the greedy start, then the random starts
+it drew before its first climb, and stops after the first climb that
+reaches the ceiling.  Every count is the full search's, and the mapping
+is the first one found that scores the ceiling.
 """
 
 from __future__ import annotations
@@ -110,15 +109,12 @@ class _MatchContext:
             self.links[v][w], self.links[w][v] = forward, backward
             self.ceiling += best
 
-    def images(self, mapping: dict[str, str | None]) -> list[int | None]:
-        index2 = self.index2
-        return [
-            None if mapping.get(v) is None else index2[mapping[v]] for v in self.vars1
-        ]
+    def images(self, mapping: dict[str, str]) -> list[int | None]:
+        return [self.index2.get(mapping.get(v)) for v in self.vars1]
 
-    def mapping(self, images) -> dict[str, str | None]:
+    def mapping(self, images) -> dict[str, str]:
         vars2 = self.vars2
-        return {v: None if j is None else vars2[j] for v, j in zip(self.vars1, images)}
+        return {v: vars2[j] for v, j in zip(self.vars1, images) if j is not None}
 
     def count(self, images) -> int:
         """Matched triples under an injective mapping."""
@@ -475,33 +471,30 @@ def _climb_once(context, images):
     return score, position.images
 
 
-def _seeded_starts(context: _MatchContext, extra_seeds):
-    """The caller's seeds, then the name and greedy starts, each built
-    when it is reached."""
+def _starts(context: _MatchContext, extra_seeds, drawn):
+    """The caller's seeds, the name and greedy starts, each built when it
+    is reached, then the ``drawn`` random starts."""
     yield from map(context.images, extra_seeds)
     yield _name_seed(context)
     yield _greedy_seed(context)
+    yield from drawn
 
 
 def best_mapping(left, right, restarts: int, rng, extra_seeds=()):
-    """The matched count and mapping of the best climb from the
-    ``extra_seeds`` mappings, then the name and greedy ones, then random
-    ones up to ``restarts`` climbs.  The climbs after one that reaches
-    ``context.ceiling`` are skipped, and a seeded start is built only when
-    it is climbed; the random starts are drawn whether climbed or not, so
-    ``rng`` ends where the full search leaves it."""
+    """The matched count and mapping of the best climb from the start
+    sequence: the ``extra_seeds`` mappings, the name and greedy starts,
+    then random ones up to ``restarts`` climbs.  The random starts are all
+    drawn from ``rng`` before the first climb, so ``rng`` ends in the same
+    place however many are climbed; a climb replaces the best only when it
+    scores higher, and the search stops after the first climb that
+    reaches ``context.ceiling``."""
     context = _MatchContext(left, right)
-    seeded = len(extra_seeds) + 2
-    starts = _seeded_starts(context, extra_seeds)
-    best_score, best_images = -1, [None] * len(context.vars1)
-    for attempt in range(max(restarts, seeded)):
-        if attempt >= seeded:
-            images = _random_seed(context, rng)
-        if best_score == context.ceiling:
-            continue  # certified: nothing is built or climbed
-        if attempt < seeded:
-            images = next(starts)
+    drawn = [_random_seed(context, rng) for _ in range(restarts - len(extra_seeds) - 2)]
+    best_score = -1
+    for images in _starts(context, extra_seeds, drawn):
         score, images = _climb_once(context, images)
         if score > best_score:
             best_score, best_images = score, images
+        if score == context.ceiling:
+            break
     return best_score, context.mapping(best_images)

@@ -352,9 +352,9 @@ def compute_stats(graph: AmrGraph) -> GraphStats:
         size=size,
         depth=depth,
         reentrancies=reentrancies,
-        size_bucket=size_bucket(size),
-        depth_bucket=depth_bucket(depth),
-        reent_bucket=reentrancy_bucket(reentrancies),
+        size_bucket=_bucket(size, 10, 20, SIZE_BUCKETS),
+        depth_bucket=_bucket(depth, 3, 6, DEPTH_BUCKETS),  # depth 0: a single node
+        reent_bucket=_bucket(reentrancies, 0, 3, REENTRANCY_BUCKETS),
     )
 
 
@@ -375,18 +375,6 @@ def _root_distances(graph: AmrGraph, out) -> dict[str, int]:
 def _bucket(value: int, low: int, high: int, labels: tuple[str, str, str]) -> str:
     """The first label up to ``low``, the second up to ``high``, then the third."""
     return labels[(value > low) + (value > high)]
-
-
-def size_bucket(size: int) -> str:
-    return _bucket(size, 10, 20, SIZE_BUCKETS)
-
-
-def depth_bucket(depth: int) -> str:
-    return _bucket(depth, 3, 6, DEPTH_BUCKETS)  # depth 0: a single node
-
-
-def reentrancy_bucket(reentrancies: int) -> str:
-    return _bucket(reentrancies, 0, 3, REENTRANCY_BUCKETS)
 
 
 def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from ._bleu import BleuResult, corpus_bleu_details
 from ._search import best_mapping
 from .amr import AmrGraph, _by_source, require_valid
+from .tokens import strip_sense
 
-_SENSE_RE = re.compile(r"-\d{2,}$")
 _SRL_RE = re.compile(r":ARG\d", re.IGNORECASE)
 
 TOP_RELATION = "TOP"
@@ -82,8 +82,7 @@ def _scored_smatch(
 ) -> SmatchResult:
     """Scores under the best mapping :func:`best_mapping` finds."""
     matched, mapping = best_mapping(left, right, restarts, rng, extra_seeds)
-    mapped = {v: image for v, image in mapping.items() if image is not None}
-    return SmatchResult(matched, left.total, right.total, mapped)
+    return SmatchResult(matched, left.total, right.total, mapping)
 
 
 def smatch(
@@ -91,20 +90,16 @@ def smatch(
 ) -> SmatchResult:
     """Triple-overlap F-score under the best mapping hill-climbing finds.
 
-    Start mappings are a match-by-identical-name map, a concept-greedy
-    map, and random injective maps up to ``restarts`` climbs; each climb
-    repeatedly applies the single reassignment or pairwise swap with the
-    largest gain in matched triples.  Precision is measured against
+    The climbs start from the name and greedy mappings, then random ones up
+    to ``restarts`` climbs (``_search.best_mapping``); each climb applies
+    the single reassignment or pairwise swap with the largest gain in
+    matched triples until none gains.  Precision is measured against
     ``graph1`` (the prediction side), recall against ``graph2``.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     left, right = to_triples(graph1), to_triples(graph2)
     return _scored_smatch(left, right, restarts, random.Random(seed))
-
-
-def _strip_sense(concept: str) -> str:
-    return _SENSE_RE.sub("", concept)
 
 
 def _unlabeled(triples: TripleSet) -> TripleSet:
@@ -120,27 +115,37 @@ def _unlabeled(triples: TripleSet) -> TripleSet:
 
 def _no_wsd(triples: TripleSet) -> TripleSet:
     return TripleSet(
-        instances=tuple((v, r, _strip_sense(c)) for v, r, c in triples.instances),
+        instances=tuple((v, r, strip_sense(c)) for v, r, c in triples.instances),
         attributes=tuple(
-            (v, r, _strip_sense(x) if r == TOP_RELATION else x)
+            (v, r, strip_sense(x) if r == TOP_RELATION else x)
             for v, r, x in triples.attributes
         ),
         relations=triples.relations,
     )
 
 
-def _reentrant_edges(triples: TripleSet):
+def _reentrancy(triples: TripleSet) -> TripleSet:
+    """Instance triples, which anchor the mapping, and edges into reentrant nodes."""
     in_degree = Counter(t for _, _, t in triples.relations)
-    return tuple(e for e in triples.relations if in_degree[e[2]] > 1)
+    edges = tuple(e for e in triples.relations if in_degree[e[2]] > 1)
+    return TripleSet(instances=triples.instances, attributes=(), relations=edges)
 
 
-def _srl_edges(triples: TripleSet):
-    return tuple(e for e in triples.relations if _SRL_RE.match(e[1]))
+def _srl(triples: TripleSet) -> TripleSet:
+    """Instance triples and ``:ARGn`` edges; no attribute, TOP included."""
+    edges = tuple(e for e in triples.relations if _SRL_RE.match(e[1]))
+    return TripleSet(instances=triples.instances, attributes=(), relations=edges)
 
 
-def _restricted(triples: TripleSet, edges) -> TripleSet:
-    # Instance triples anchor the mapping; attributes and TOP are dropped.
-    return TripleSet(instances=triples.instances, attributes=(), relations=tuple(edges))
+# The variants that re-run the mapping search, in the order they draw from
+# fine_grained's shared generator.  A variant whose gold side keeps only its
+# instance triples is absent; only the last two can, as the others keep TOP.
+SEARCHED_VARIANTS = (
+    ("unlabeled", _unlabeled),
+    ("no_wsd", _no_wsd),
+    ("reentrancy", _reentrancy),
+    ("srl", _srl),
+)
 
 
 def _multiset_f(left: Counter, right: Counter) -> SmatchResult | None:
@@ -191,23 +196,21 @@ def fine_grained(
     """Smatch plus the standard fine-grained sub-metrics.
 
     Sub-metrics whose reference subset is empty are reported as ``None``
-    (absent) rather than 0 or 1.  The variants that re-run the mapping
-    search climb the best base mapping first, so removing edge labels or
-    senses never lowers the score below the base Smatch; a climb stops at
-    the ceiling, and once one reaches it no name or greedy start is built.
+    (absent) rather than 0 or 1.  The base is :func:`smatch`; then each of
+    ``SEARCHED_VARIANTS`` re-runs the search on one generator, climbing the
+    base mapping, the name and greedy starts and the random starts it drew,
+    up to the first climb that reaches the ceiling.  So removing edge
+    labels or senses never lowers the score below the base Smatch.
     """
     base = smatch(graph1, graph2, restarts, seed)
     left, right = to_triples(graph1), to_triples(graph2)
     rng = random.Random(seed)
-    base_seed = (base.mapping,)
-
     results: dict[str, SmatchResult | None] = {"smatch": base}
-    results["unlabeled"] = _scored_smatch(
-        _unlabeled(left), _unlabeled(right), restarts, rng, base_seed
-    )
-    results["no_wsd"] = _scored_smatch(
-        _no_wsd(left), _no_wsd(right), restarts, rng, base_seed
-    )
+    for key, variant in SEARCHED_VARIANTS:
+        a, b = variant(left), variant(right)
+        results[key] = _scored_smatch(
+            a, b, restarts, rng, (base.mapping,)
+        ) if b.attributes or b.relations else None
     # The TOP triple among the attributes counts in no multiset: its relation
     # is never :wiki or :polarity, and no :name edge ends at the root.
     for key, multiset in (
@@ -217,18 +220,7 @@ def fine_grained(
         ("negation", _negation_multiset),
     ):
         results[key] = _multiset_f(multiset(left), multiset(right))
-
-    # reentrancy before srl, so each draws from rng in the order it always has
-    for key, selected in (("reentrancy", _reentrant_edges), ("srl", _srl_edges)):
-        subset2 = selected(right)
-        results[key] = _scored_smatch(
-            _restricted(left, selected(left)),
-            _restricted(right, subset2),
-            restarts,
-            rng,
-            base_seed,
-        ) if subset2 else None
-    return results
+    return {key: results[key] for key in FINE_GRAINED_KEYS}
 
 
 FINE_GRAINED_KEYS = (

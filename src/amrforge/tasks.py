@@ -189,15 +189,15 @@ def build_corpus(
     if not selected:
         raise ValueError("no tasks selected")
     for index, (text, graph) in enumerate(pairs):
-        if graph is not None:
-            try:
-                require_valid(graph)
-            except InvalidGraphError as error:
-                raise ValueError(f"pair {index}: {error}") from None
         rng = derive_rng(config.seed, index)
         step = min(index, schedule.total_steps)
-        for tag in selected:
-            yield build_sample(tag, text, graph, step, schedule, config, rng)
+        try:
+            if graph is not None:
+                require_valid(graph)
+            for tag in selected:
+                yield build_sample(tag, text, graph, step, schedule, config, rng)
+        except (InvalidGraphError, TaskError) as error:
+            raise ValueError(f"pair {index}: {error}") from None
 
 
 def sample_to_json(sample: TaskSample) -> str:

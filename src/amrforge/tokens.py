@@ -34,6 +34,10 @@ usable_node_id = re.compile(rf"(?!:){_PLAIN}").fullmatch
 # a concept or constant: quoted, or plain without a leading colon and not a pointer
 usable_value = re.compile(rf"{_QUOTED}|(?!:|<Z\d+>\Z){_PLAIN}").fullmatch
 usable_relation = re.compile(rf":{_PLAIN}").fullmatch
+# a sense suffix, as in want-01: a hyphen and two or more digits at the end
+_SENSE_RE = re.compile(r"-\d{2,}$")
+# truthy iff a concept is a frame: a sense suffix after a non-empty stem
+is_frame = re.compile(f".+{_SENSE_RE.pattern}").match
 # named like a node id of delinearize: z's, and a number without leading zeros
 _NAME_RE = re.compile(r"^(z+)(?:0|[1-9][0-9]*)$", re.MULTILINE)
 
@@ -68,6 +72,10 @@ def pointer_index(token: str) -> int | None:
 
 def is_pointer(token: str) -> bool:
     return token.startswith("<Z") and token.endswith(">") and token[2:-1].isdecimal()
+
+
+def strip_sense(concept: str) -> str:
+    return _SENSE_RE.sub("", concept)
 
 
 def is_relation(token: str) -> bool:

@@ -10,7 +10,6 @@ table.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +18,6 @@ from typing import Iterable
 from . import tokens as tk
 from ._files import lines, write_all
 from .penman import PenmanDocument
-
-_FRAME_RE = re.compile(r".+-\d{2,}$")
 
 
 class UnknownTokenError(ValueError):
@@ -109,7 +106,7 @@ def build_vocabulary(
         for rel in sorted(inventory.relations):
             add(rel, "relation")
         for concept in sorted(inventory.concepts):
-            add(concept, "frame" if _FRAME_RE.match(concept) else "base")
+            add(concept, "frame" if tk.is_frame(concept) else "base")
 
     return Vocabulary(
         id_of=id_of,

@@ -57,9 +57,7 @@ def oracle_optimum(left: TripleSet, right: TripleSet) -> SmatchResult:
         score = context.count(images)
         if score > best:
             best, best_images = score, images
-    mapping = {v: image for v, image in context.mapping(best_images).items()
-               if image is not None}
-    return SmatchResult(best, left.total, right.total, mapping)
+    return SmatchResult(best, left.total, right.total, context.mapping(best_images))
 
 
 def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:

@@ -21,10 +21,7 @@ from amrforge.amr import (
     _adjacency,
     _joint_colors,
     _search_bijection,
-    depth_bucket,
-    reentrancy_bucket,
     require_valid,
-    size_bucket,
 )
 from amrforge.synth import random_graph
 
@@ -178,21 +175,44 @@ def test_stats_requires_valid_graph():
         compute_stats(graph)
 
 
+def _star(size: int) -> AmrGraph:
+    nodes = {f"n{i}": "x" for i in range(size)}
+    edges = tuple(("n0", ":mod", f"n{i}") for i in range(1, size))
+    return AmrGraph(nodes=nodes, edges=edges, root="n0")
+
+
+def _shared_leaves(count: int) -> AmrGraph:
+    """``count`` leaves, each under both the root and its one child."""
+    nodes = {"n0": "x", "n1": "x", **{f"t{i}": "y" for i in range(count)}}
+    edges = (("n0", ":ARG0", "n1"),) + tuple(
+        (source, f":op{i + 1}", f"t{i}") for i in range(count) for source in ("n0", "n1")
+    )
+    return AmrGraph(nodes=nodes, edges=edges, root="n0")
+
+
 def test_bucket_boundaries():
-    assert [size_bucket(n) for n in (10, 11, 20, 21)] == [
-        "1-10",
-        "11-20",
-        "11-20",
-        ">20",
+    sizes = [compute_stats(_star(n)) for n in (10, 11, 20, 21)]
+    assert [(s.size, s.size_bucket) for s in sizes] == [
+        (10, "1-10"),
+        (11, "11-20"),
+        (20, "11-20"),
+        (21, ">20"),
     ]
-    assert [depth_bucket(d) for d in (0, 3, 4, 6, 7)] == [
-        "1-3",
-        "1-3",
-        "4-6",
-        "4-6",
-        ">6",
+    depths = [compute_stats(_chain(d + 1)) for d in (0, 3, 4, 6, 7)]
+    assert [(s.depth, s.depth_bucket) for s in depths] == [
+        (0, "1-3"),
+        (3, "1-3"),
+        (4, "4-6"),
+        (6, "4-6"),
+        (7, ">6"),
     ]
-    assert [reentrancy_bucket(r) for r in (0, 1, 3, 4)] == ["0", "1-3", "1-3", ">3"]
+    reentrant = [compute_stats(_shared_leaves(r)) for r in (0, 1, 3, 4)]
+    assert [(s.reentrancies, s.reent_bucket) for s in reentrant] == [
+        (0, "0"),
+        (1, "1-3"),
+        (3, "1-3"),
+        (4, ">3"),
+    ]
 
 
 def test_isomorphic_under_renaming():

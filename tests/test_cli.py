@@ -421,7 +421,8 @@ def test_delinearize_strict_fails_on_malformed(tmp_path):
     ("linearize", "(a / boy :ARG0\n", None, "document 0: unbalanced '('"),
     ("linearize", "(a / boy :ARG0 a)\n", None, "document 0: invalid graph: cycle"),
     ("delinearize", "( <Z0> boy :ARG0\n", None, "missing close-paren (token 4)"),
-    ("build-tasks", "# ::snt \n(a / boy)\n", None, "requires a non-empty text"),
+    ("build-tasks", "# ::snt \n(a / boy)\n", None,
+     "pair 0: task mt_eg2t requires a non-empty text"),
     ("corrupt", "(a / boy)\n", "x", "AMRFORGE_SEED must be an integer"),
     ("linearize", None, None, "No such file or directory"),
 ], ids=["syntax", "invalid-graph", "structure", "task", "seed", "missing-file"])

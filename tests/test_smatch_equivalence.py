@@ -32,9 +32,12 @@ which built every seeded start before its first climb.  The search
 climbs a caller's seed (the base mapping, in a fine-grained re-run)
 before the name and greedy seeds; its counts are checked against the
 other order, kept here, and each reported mapping against a plain count
-of what it matches.  Where scipy is installed, the MILP optimum of
-``conftest.milp_optimum`` is checked against the oracle and bounds every
-search variant on the 30 small fixture pairs.
+of what it matches.  The search climbs one sequence of starts, its random
+ones drawn before the first climb; every result, mapping included, and
+every start built or drawn are checked against the attempt-indexed
+search it replaced, kept here.  Where scipy is installed, the MILP
+optimum of ``conftest.milp_optimum`` is checked against the oracle and
+bounds every search variant on the 30 small fixture pairs.
 """
 
 from __future__ import annotations
@@ -66,14 +69,7 @@ from amrforge._search import (
 )
 from amrforge.corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from amrforge.linearize import delinearize, repair
-from amrforge.metrics import (
-    TripleSet,
-    _no_wsd,
-    _reentrant_edges,
-    _restricted,
-    _srl_edges,
-    _unlabeled,
-)
+from amrforge.metrics import SEARCHED_VARIANTS, TripleSet, _no_wsd, _unlabeled
 
 from conftest import document_pair, milp_optimum, oracle_optimum, smatch_oracle
 
@@ -303,18 +299,12 @@ def test_milp_equals_the_exhaustive_oracle():
     check()
 
 
-def _searched_variants(left: AmrGraph, right: AmrGraph):
+def _searched_variants(a: TripleSet, b: TripleSet):
     """Each ``fine_grained`` key a mapping search scores, with the triple
-    sets it searches over."""
-    return _triple_variants(to_triples(left), to_triples(right))
-
-
-def _triple_variants(a: TripleSet, b: TripleSet):
+    sets it searches over: the base, then each of ``SEARCHED_VARIANTS``."""
     yield "smatch", a, b
-    yield "unlabeled", _unlabeled(a), _unlabeled(b)
-    yield "no_wsd", _no_wsd(a), _no_wsd(b)
-    for key, selected in (("reentrancy", _reentrant_edges), ("srl", _srl_edges)):
-        yield key, _restricted(a, selected(a)), _restricted(b, selected(b))
+    for key, variant in SEARCHED_VARIANTS:
+        yield key, variant(a), variant(b)
 
 
 @pytest.mark.parametrize("index", range(PAIRS))
@@ -326,7 +316,7 @@ def test_search_never_exceeds_the_milp_optimum(index):
     case = _golden_cases()[index]
     left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
     scores = fine_grained(left, right, restarts=case["restarts"], seed=case["seed"])
-    for key, a, b in _searched_variants(left, right):
+    for key, a, b in _searched_variants(to_triples(left), to_triples(right)):
         if scores[key] is not None:
             assert scores[key].matched <= milp_optimum(a, b), key
 
@@ -546,12 +536,80 @@ def test_stopping_each_climb_at_the_ceiling_keeps_every_count(monkeypatch):
     assert 0 < stopped_greedy < full_greedy
 
 
+def _attempt_indexed_best_mapping(left, right, restarts: int, rng, extra_seeds=()):
+    """``best_mapping`` as it was when it counted attempts: the attempt of
+    a random start drew it, climbed or not, a seeded start was built at
+    its attempt, and the attempts after one that reached the ceiling built
+    and climbed nothing.  The reference the one start sequence is checked
+    against; it looks up the search's functions on the module, so the call
+    counters see it."""
+    search = amrforge._search
+    context = search._MatchContext(left, right)
+    seeded = len(extra_seeds) + 2
+
+    def seeded_starts():
+        yield from map(context.images, extra_seeds)
+        yield search._name_seed(context)
+        yield search._greedy_seed(context)
+
+    starts = seeded_starts()
+    best_score, best_images = -1, [None] * len(context.vars1)
+    for attempt in range(max(restarts, seeded)):
+        if attempt >= seeded:
+            images = search._random_seed(context, rng)
+        if best_score == context.ceiling:
+            continue
+        if attempt < seeded:
+            images = next(starts)
+        score, images = search._climb_once(context, images)
+        if score > best_score:
+            best_score, best_images = score, images
+    return best_score, context.mapping(best_images)
+
+
+def test_the_start_sequence_gives_the_attempt_indexed_results(monkeypatch):
+    # the same starts climbed in the same order, the random ones drawn
+    # before the first climb: every result, mapping included, and every
+    # start built or drawn must be the attempt-indexed search's
+    search = amrforge._search
+    draws = _counted(monkeypatch, "_random_seed")
+    greedy = _counted(monkeypatch, "_greedy_seed")
+    built = [0]
+
+    class Position(_Position):
+        def __init__(self, context, images):
+            super().__init__(context, images)
+            built[0] += 1
+
+    monkeypatch.setattr(search, "_Position", Position)
+    runs = list(_searched_runs())
+    for size in (25, 60):
+        for seed in range(4):
+            prediction, gold = synth.document_pair(random.Random(seed), size, size)
+            runs += [(prediction, gold, restarts, seed) for restarts in (4, 5)]
+
+    def run():
+        draws[0] = greedy[0] = built[0] = 0
+        results = [
+            fine_grained(left, right, restarts=restarts, seed=seed)
+            for left, right, restarts, seed in runs
+        ]
+        return results, draws[0], greedy[0], built[0]
+
+    sequence, *sequence_counts = run()
+    monkeypatch.setattr(amrforge.metrics, "best_mapping", _attempt_indexed_best_mapping)
+    indexed, *indexed_counts = run()
+    assert sequence == indexed
+    assert sequence_counts == indexed_counts
+    assert all(count > 0 for count in sequence_counts)
+
+
 def test_each_reported_mapping_matches_its_count():
     # the mapping is what a re-run reports beside its count; a search that
     # kept another of the mappings it visited would still pass every count
     for left, right, restarts, seed in _searched_runs():
         scores = fine_grained(left, right, restarts=restarts, seed=seed)
-        for key, a, b in _searched_variants(left, right):
+        for key, a, b in _searched_variants(to_triples(left), to_triples(right)):
             result = scores[key]
             if result is not None:
                 assert _reference_count(a, b, result.mapping) == result.matched, key
@@ -610,7 +668,7 @@ def _check_shared_links(left: TripleSet, right: TripleSet) -> bool:
 def test_shared_links_equal_the_per_pair_tables_on_the_golden_cases():
     for case in _golden_cases():
         left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
-        for _, a, b in _searched_variants(left, right):
+        for _, a, b in _searched_variants(to_triples(left), to_triples(right)):
             _check_shared_links(a, b)
 
 
@@ -635,7 +693,7 @@ def test_shared_links_with_parallel_edges_duplicate_labels_and_self_loops():
     shared = both_ways = 0
     for _ in range(300):
         left, right = _tangled_triples(rng), _tangled_triples(rng)
-        for _, a, b in _triple_variants(left, right):
+        for _, a, b in _searched_variants(left, right):
             shared += _check_shared_links(a, b)
         edges = {(s, t) for s, _, t in left.relations if s != t}
         both_ways += any((t, s) in edges for s, t in edges)
@@ -657,7 +715,7 @@ def test_search_never_writes_the_shared_tables(monkeypatch):
     rng = random.Random(3141)
     for _ in range(100):
         left, right = _tangled_triples(rng), _tangled_triples(rng)
-        for _, a, b in _triple_variants(left, right):
+        for _, a, b in _searched_variants(left, right):
             amrforge._search.best_mapping(a, b, 4, rng)
     prediction, gold = document_pair(100)
     unlabeled = _unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from amrforge import (
     AmrGraph,
     PenmanDocument,
     PointerCapacityError,
+    SymbolInventory,
     UnknownTokenError,
     build_vocabulary,
     collect_symbols,
@@ -16,6 +18,8 @@ from amrforge import (
     parse_penman,
     save_vocabulary,
 )
+
+from amrforge.tokens import strip_sense
 
 from conftest import modal_graph
 
@@ -148,6 +152,34 @@ def test_frame_concepts_are_labeled_frame():
     vocabulary = build_vocabulary(["x"], collect_symbols([document]))
     assert vocabulary.partitions["want-01"] == "frame"
     assert vocabulary.partitions["boy"] == "base"
+
+
+# concept: what no_wsd strips it to, and its vocabulary partition, as
+# recorded when each decision had its own pattern; the two Arabic-Indic
+# digits count as digits
+SENSE_SUFFIXES = {
+    "go-01": ("go", "frame"),
+    "want-123": ("want", "frame"),
+    "x--01": ("x-", "frame"),
+    "run-01-02": ("run-01", "frame"),
+    "-01-02": ("-01", "frame"),
+    "-01": ("", "base"),
+    "a-1": ("a-1", "base"),
+    "a-01b": ("a-01b", "base"),
+    "boy": ("boy", "base"),
+    "go-\u0660\u0661": ("go", "frame"),
+    "a-0\u0661": ("a", "frame"),
+    "-\u0660\u0661": ("", "base"),
+    "a-\u0661": ("a-\u0661", "base"),
+}
+
+
+def test_one_sense_suffix_rule_strips_and_partitions():
+    inventory = SymbolInventory(relations=Counter(), concepts=Counter(SENSE_SUFFIXES))
+    vocabulary = build_vocabulary(["x"], inventory)
+    for concept, (stripped, partition) in SENSE_SUFFIXES.items():
+        assert strip_sense(concept) == stripped, concept
+        assert vocabulary.partitions[concept] == partition, concept
 
 
 def test_large_random_round_trip():
