@@ -1,8 +1,8 @@
 """The variable-mapping search behind Smatch.
 
-:func:`best_mapping` maps the variables of one ``metrics.TripleSet`` onto
-another's and returns the matched count with the mapping, which
-``metrics`` turns into scores; this module does not import ``metrics``.
+:func:`best_mapping` searches the tables of two ``metrics.TripleSet``
+objects (a :class:`_MatchContext`) and returns the matched count with the
+mapping, which ``metrics`` turns into scores; it does not import ``metrics``.
 
 As in Cai & Knight's ``smatch.py`` (ACL 2013), mappings are scored from
 integer weight tables built once per graph pair: one for what a single
@@ -11,6 +11,8 @@ adjacent variables match at each target pair, shared by every variable
 pair with the same labels.  The mappings the search visits are injective,
 which makes this split of the matched count exact (see
 :class:`_MatchContext`), so a move's gain is a sum of a few table entries.
+A fine-grained re-run's context takes the base pair's instance weights
+(every variant but ``no_wsd``) or its links (``no_wsd``) as they are.
 
 The search is hill-climbing over single reassignments and pairwise swaps
 from a sequence of start mappings.  One climb keeps one :class:`_Position`
@@ -60,61 +62,72 @@ class _MatchContext:
       entry has ``j == k``.
 
     Only nonzero entries are stored, so the keys double as the places
-    where a variable can match anything.  The tables are built once per
-    context; scoring a move then sums a few entries (see :class:`_Position`).
-    ``ceiling`` sums each variable's and each linked pair's largest entry.
+    where a variable can match anything; scoring a move sums a few entries
+    (see :class:`_Position`).  ``ceiling`` sums each variable's and each
+    linked pair's largest entry; ``link_ceiling`` is the links' part.
     ``links[v][w]`` depends only on the labels between ``v`` and ``w``, so
     all pairs with the same labels in both directions share one dict, and
-    their ``links[w][v]`` one transpose.  The tables are shared, and
-    nothing ever writes to them.
+    their ``links[w][v]`` one transpose.  ``instances[v]`` is the instance
+    part of ``unary[v]``: the right variables of ``v``'s concept.  A
+    variant pair's context takes its ``kept`` part (``"instances"``, or
+    ``"links"`` with ``link_ceiling``) from ``base``, the context of the
+    pair it varies.  The tables are shared, and nothing ever writes to them.
     """
 
-    def __init__(self, left, right):
+    def __init__(self, left, right, base=None, kept=None):
         self.vars1 = [v for v, _, _ in left.instances]
         self.vars2 = [v for v, _, _ in right.instances]
-        self.concepts1 = [c for _, _, c in left.instances]
-        self.concepts2 = [c for _, _, c in right.instances]
         self.index2 = {v: j for j, v in enumerate(self.vars2)}
-        index1 = {v: i for i, v in enumerate(self.vars1)}
-        unary1, pairs1 = _split_triples(left, index1)
+        unary1, pairs1 = _split_triples(left, {v: i for i, v in enumerate(self.vars1)})
         unary2, pairs2 = _split_triples(right, self.index2)
-
-        holders: dict = {}
+        if kept == "instances":
+            self.instances = base.instances
+        else:  # one instance triple per variable, so each weight is 1
+            holders: dict = {}
+            for j, (_, _, concept) in enumerate(right.instances):
+                holders.setdefault(concept, []).append(j)
+            self.instances = [dict.fromkeys(holders.get(c, ()), 1)
+                              for _, _, c in left.instances]
+        holders = {}
         for j, forms in enumerate(unary2):
             for form, count in forms.items():
                 holders.setdefault(form, []).append((j, count))
         self.unary: list[dict[int, int]] = []
-        for forms in unary1:
-            weights: dict[int, int] = {}
-            for form, count in forms.items():
-                for j, other in holders.get(form, ()):
-                    weights[j] = weights.get(j, 0) + min(count, other)
+        for weights, forms in zip(self.instances, unary1):
+            if forms:  # else the instance weights themselves
+                weights = dict(weights)
+                for form, count in forms.items():
+                    for j, other in holders.get(form, ()):
+                        weights[j] = weights.get(j, 0) + min(count, other)
             self.unary.append(weights)
-
-        carriers: dict[str, list] = {}
-        for (j, k), labels in pairs2.items():
-            for label, count in labels.items():
-                carriers.setdefault(label, []).append((j, k, count))
-        self.links: list[dict[int, dict[int, dict]]] = [{} for _ in self.vars1]
-        groups: dict[tuple, tuple[dict, dict, int]] = {}  # by labels both ways
-        self.ceiling = sum(max(weights.values(), default=0) for weights in self.unary)
-        for v, w in pairs1:
-            if w in self.links[v]:
-                continue  # built with (w, v)
-            key = (frozenset(pairs1[v, w].items()),
-                   frozenset(pairs1.get((w, v), _NO_MATCHES).items()))
-            if key not in groups:
-                groups[key] = _pair_tables(*key, carriers)
-            forward, backward, best = groups[key]
-            self.links[v][w], self.links[w][v] = forward, backward
-            self.ceiling += best
+        if kept == "links":
+            self.links, self.link_ceiling = base.links, base.link_ceiling
+        else:
+            carriers: dict[str, list] = {}
+            for (j, k), labels in pairs2.items():
+                for label, count in labels.items():
+                    carriers.setdefault(label, []).append((j, k, count))
+            self.links, self.link_ceiling = [{} for _ in self.vars1], 0
+            groups: dict[tuple, tuple[dict, dict, int]] = {}  # by labels both ways
+            for v, w in pairs1:
+                if w in self.links[v]:
+                    continue  # built with (w, v)
+                key = (frozenset(pairs1[v, w].items()),
+                       frozenset(pairs1.get((w, v), _NO_MATCHES).items()))
+                if key not in groups:
+                    groups[key] = _pair_tables(*key, carriers)
+                forward, backward, best = groups[key]
+                self.links[v][w], self.links[w][v] = forward, backward
+                self.link_ceiling += best
+        self.ceiling = self.link_ceiling + sum(
+            max(weights.values(), default=0) for weights in self.unary
+        )
 
     def images(self, mapping: dict[str, str]) -> list[int | None]:
         return [self.index2.get(mapping.get(v)) for v in self.vars1]
 
     def mapping(self, images) -> dict[str, str]:
-        vars2 = self.vars2
-        return {v: vars2[j] for v, j in zip(self.vars1, images) if j is not None}
+        return {v: self.vars2[j] for v, j in zip(self.vars1, images) if j is not None}
 
     def count(self, images) -> int:
         """Matched triples under an injective mapping."""
@@ -130,13 +143,12 @@ class _MatchContext:
 
 
 def _split_triples(triples: TripleSet, index: dict[str, int]):
-    """Per-variable counts of unary forms, and per ordered variable pair
-    counts of relation labels."""
+    """Per-variable counts of attribute and self-loop forms, and per
+    ordered variable pair counts of relation labels."""
     unary: list[dict] = [{} for _ in index]
-    for kind, group in (("i", triples.instances), ("a", triples.attributes)):
-        for first, rel, value in group:
-            forms, form = unary[index[first]], (kind, rel, value)
-            forms[form] = forms.get(form, 0) + 1
+    for first, rel, value in triples.attributes:
+        forms, form = unary[index[first]], ("a", rel, value)
+        forms[form] = forms.get(form, 0) + 1
     pairs: dict[tuple[int, int], dict[str, int]] = {}
     for first, rel, third in triples.relations:
         if first == third:
@@ -420,19 +432,12 @@ def _name_seed(context: _MatchContext) -> list[int | None]:
 
 
 def _greedy_seed(context: _MatchContext) -> list[int | None]:
-    """Match same-concept variables first; the rest stay unmapped."""
-    pool: dict[str, list[int]] = {}
-    for j, concept in enumerate(context.concepts2):
-        pool.setdefault(concept, []).append(j)
-    taken: set[int] = set()
+    """Each variable at the first same-concept variable not taken, if any."""
+    taken: set[int | None] = {None}
     images: list[int | None] = []
-    for concept in context.concepts1:
-        options = [j for j in pool.get(concept, ()) if j not in taken]
-        if options:
-            images.append(options[0])
-            taken.add(options[0])
-        else:
-            images.append(None)
+    for weights in context.instances:
+        images.append(next((j for j in weights if j not in taken), None))
+        taken.add(images[-1])
     return images
 
 
@@ -480,15 +485,14 @@ def _starts(context: _MatchContext, extra_seeds, drawn):
     yield from drawn
 
 
-def best_mapping(left, right, restarts: int, rng, extra_seeds=()):
-    """The matched count and mapping of the best climb from the start
-    sequence: the ``extra_seeds`` mappings, the name and greedy starts,
-    then random ones up to ``restarts`` climbs.  The random starts are all
-    drawn from ``rng`` before the first climb, so ``rng`` ends in the same
-    place however many are climbed; a climb replaces the best only when it
-    scores higher, and the search stops after the first climb that
-    reaches ``context.ceiling``."""
-    context = _MatchContext(left, right)
+def best_mapping(context: _MatchContext, restarts: int, rng, extra_seeds=()):
+    """The matched count and mapping of the best climb over ``context``
+    from the start sequence: the ``extra_seeds`` mappings, the name and
+    greedy starts, then random ones up to ``restarts`` climbs.  The random
+    starts are all drawn from ``rng`` before the first climb, so ``rng``
+    ends in the same place however many are climbed; a climb replaces the
+    best only when it scores higher, and the search stops after the first
+    climb that reaches ``context.ceiling``."""
     drawn = [_random_seed(context, rng) for _ in range(restarts - len(extra_seeds) - 2)]
     best_score = -1
     for images in _starts(context, extra_seeds, drawn):

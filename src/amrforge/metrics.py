@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ._bleu import BleuResult, corpus_bleu_details
-from ._search import best_mapping
+from ._search import _MatchContext, best_mapping
 from .amr import AmrGraph, _by_source, require_valid
 from .tokens import strip_sense
 
@@ -77,14 +77,6 @@ class SmatchResult:
         return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def _scored_smatch(
-    left: TripleSet, right: TripleSet, restarts: int, rng, extra_seeds=()
-) -> SmatchResult:
-    """Scores under the best mapping :func:`best_mapping` finds."""
-    matched, mapping = best_mapping(left, right, restarts, rng, extra_seeds)
-    return SmatchResult(matched, left.total, right.total, mapping)
-
-
 def smatch(
     graph1: AmrGraph, graph2: AmrGraph, restarts: int = 4, seed: int = 0
 ) -> SmatchResult:
@@ -96,10 +88,17 @@ def smatch(
     matched triples until none gains.  Precision is measured against
     ``graph1`` (the prediction side), recall against ``graph2``.
     """
+    return _base_smatch(graph1, graph2, restarts, seed)[-1]
+
+
+def _base_smatch(graph1: AmrGraph, graph2: AmrGraph, restarts: int, seed: int):
+    """Both graphs' triples, their context and :func:`smatch`'s result."""
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     left, right = to_triples(graph1), to_triples(graph2)
-    return _scored_smatch(left, right, restarts, random.Random(seed))
+    context = _MatchContext(left, right)
+    matched, mapping = best_mapping(context, restarts, random.Random(seed))
+    return left, right, context, SmatchResult(matched, left.total, right.total, mapping)
 
 
 def _unlabeled(triples: TripleSet) -> TripleSet:
@@ -138,13 +137,14 @@ def _srl(triples: TripleSet) -> TripleSet:
 
 
 # The variants that re-run the mapping search, in the order they draw from
-# fine_grained's shared generator.  A variant whose gold side keeps only its
+# fine_grained's shared generator, with the part of the base context each
+# keeps (see ``_MatchContext``).  A variant whose gold side keeps only its
 # instance triples is absent; only the last two can, as the others keep TOP.
 SEARCHED_VARIANTS = (
-    ("unlabeled", _unlabeled),
-    ("no_wsd", _no_wsd),
-    ("reentrancy", _reentrancy),
-    ("srl", _srl),
+    ("unlabeled", _unlabeled, "instances"),
+    ("no_wsd", _no_wsd, "links"),
+    ("reentrancy", _reentrancy, "instances"),
+    ("srl", _srl, "instances"),
 )
 
 
@@ -195,22 +195,24 @@ def fine_grained(
 ) -> dict[str, SmatchResult | None]:
     """Smatch plus the standard fine-grained sub-metrics.
 
-    Sub-metrics whose reference subset is empty are reported as ``None``
-    (absent) rather than 0 or 1.  The base is :func:`smatch`; then each of
-    ``SEARCHED_VARIANTS`` re-runs the search on one generator, climbing the
-    base mapping, the name and greedy starts and the random starts it drew,
-    up to the first climb that reaches the ceiling.  So removing edge
-    labels or senses never lowers the score below the base Smatch.
+    Sub-metrics whose gold (``graph2``) subset is empty are reported as
+    ``None`` (absent) rather than 0 or 1.  Each graph's triples are read
+    once.  The base is :func:`smatch`'s search; then each of
+    ``SEARCHED_VARIANTS`` re-runs it on one generator, climbing the base
+    mapping, the name and greedy starts and the random starts it drew, up
+    to the first climb that reaches the ceiling.  A re-run's tables share
+    the base's instance weights (all but ``no_wsd``) or links (``no_wsd``).
+    So removing edge labels or senses never lowers the score below Smatch.
     """
-    base = smatch(graph1, graph2, restarts, seed)
-    left, right = to_triples(graph1), to_triples(graph2)
+    left, right, context, base = _base_smatch(graph1, graph2, restarts, seed)
     rng = random.Random(seed)
     results: dict[str, SmatchResult | None] = {"smatch": base}
-    for key, variant in SEARCHED_VARIANTS:
+    for key, variant, kept in SEARCHED_VARIANTS:
         a, b = variant(left), variant(right)
-        results[key] = _scored_smatch(
-            a, b, restarts, rng, (base.mapping,)
-        ) if b.attributes or b.relations else None
+        if b.attributes or b.relations:  # else absent
+            shared = _MatchContext(a, b, context, kept)
+            matched, mapping = best_mapping(shared, restarts, rng, (base.mapping,))
+            results[key] = SmatchResult(matched, a.total, b.total, mapping)
     # The TOP triple among the attributes counts in no multiset: its relation
     # is never :wiki or :polarity, and no :name edge ends at the root.
     for key, multiset in (
@@ -220,7 +222,7 @@ def fine_grained(
         ("negation", _negation_multiset),
     ):
         results[key] = _multiset_f(multiset(left), multiset(right))
-    return {key: results[key] for key in FINE_GRAINED_KEYS}
+    return {key: results.get(key) for key in FINE_GRAINED_KEYS}
 
 
 FINE_GRAINED_KEYS = (

@@ -18,6 +18,7 @@ from amrforge.metrics import SmatchResult, aggregate
 from amrforge.synth import random_graph
 
 from conftest import modal_graph, smatch_oracle
+from test_smatch_equivalence import _searched_runs
 
 WANT_BOY = "(w / want-01 :ARG0 (b / boy))"
 WANT_GIRL = "(w / want-01 :ARG0 (g / girl))"
@@ -137,6 +138,8 @@ def test_asymmetric_sizes():
 def test_restarts_validation():
     with pytest.raises(ValueError):
         smatch(_graph(WANT_BOY), _graph(WANT_BOY), restarts=0)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        fine_grained(_graph(WANT_BOY), _graph(WANT_BOY), restarts=0)
 
 
 def test_invalid_graph_rejected():
@@ -157,20 +160,12 @@ def test_fine_grained_identical():
         assert scores[key].f1 == 1.0, key
 
 
-def test_fine_grained_scores_its_base_through_smatch(monkeypatch):
-    left, right = _graph(WANT_BOY), _graph(WANT_GIRL)
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return smatch(*args, **kwargs)
-
-    monkeypatch.setattr(amrforge.metrics, "smatch", spy)
-    scores = fine_grained(left, right, restarts=3, seed=7)
-    assert len(calls) == 1
-    bound = inspect.signature(smatch).bind(*calls[0][0], **calls[0][1])
-    assert bound.arguments == {"graph1": left, "graph2": right, "restarts": 3, "seed": 7}
-    assert scores["smatch"] == smatch(left, right, restarts=3, seed=7)
+def test_fine_grained_scores_its_base_through_smatch():
+    # the same search as smatch(), on the same generator: every base
+    # result, mapping included, is smatch's
+    for left, right, restarts, seed in _searched_runs():
+        scores = fine_grained(left, right, restarts=restarts, seed=seed)
+        assert scores["smatch"] == smatch(left, right, restarts=restarts, seed=seed)
 
 
 def test_fine_grained_absent_metrics_on_plain_pair():
@@ -180,6 +175,18 @@ def test_fine_grained_absent_metrics_on_plain_pair():
     assert scores["negation"] is None
     assert scores["reentrancy"] is None
     assert scores["srl"] is not None
+
+
+def test_the_gold_side_alone_decides_an_absent_sub_metric():
+    # an :ARG0 edge only on the prediction side scores no srl or
+    # reentrancy; on the gold side it makes srl present, with nothing to
+    # match on the prediction side but the two instances
+    with_arg, without_arg = _graph(WANT_BOY), _graph("(w / want-01 :mod (b / boy))")
+    scores = fine_grained(with_arg, without_arg)
+    assert scores["srl"] is None and scores["reentrancy"] is None
+    scores = fine_grained(without_arg, with_arg)
+    assert (scores["srl"].matched, scores["srl"].left_total, scores["srl"].right_total) == (2, 2, 3)
+    assert scores["reentrancy"] is None
 
 
 def test_sense_difference_only_affects_wsd():

@@ -26,18 +26,19 @@ a write to one shared table would change every pair that holds it.
 
 A climb stops once it reaches the context's ceiling, and the search
 skips the climbs after it; the ceiling is checked against the exhaustive
-oracle, and the counts against a search with no ceiling and against the
-earlier search, kept here, whose climbs ran on past the ceiling and
-which built every seeded start before its first climb.  The search
-climbs a caller's seed (the base mapping, in a fine-grained re-run)
-before the name and greedy seeds; its counts are checked against the
-other order, kept here, and each reported mapping against a plain count
-of what it matches.  The search climbs one sequence of starts, its random
-ones drawn before the first climb; every result, mapping included, and
-every start built or drawn are checked against the attempt-indexed
-search it replaced, kept here.  Where scipy is installed, the MILP
-optimum of ``conftest.milp_optimum`` is checked against the oracle and
-bounds every search variant on the 30 small fixture pairs.
+oracle.  Every ``fine_grained`` search calls ``best_mapping``, and one
+reference search patched in there climbs every start that
+``_search._starts`` yields, with no ceiling stop: every result, mapping
+included, must be the reference's.  A record of each search checks the
+rest of the start sequence's rules: the random starts are drawn before
+the first climb, a seeded start is built only when it is climbed, the
+search stops after the first climb that reaches the ceiling, and no
+climb works at it.  Each reported mapping is checked against a plain
+count of what it matches.  A re-run's context takes a part of the base
+context; it is checked against a context built from scratch.  Where
+scipy is installed, the MILP optimum of ``conftest.milp_optimum`` is
+checked against the oracle and bounds every search variant on the 30
+small fixture pairs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import copy
 import functools
 import itertools
 import json
-import math
 import random
 import re
 import sys
@@ -303,7 +303,7 @@ def _searched_variants(a: TripleSet, b: TripleSet):
     """Each ``fine_grained`` key a mapping search scores, with the triple
     sets it searches over: the base, then each of ``SEARCHED_VARIANTS``."""
     yield "smatch", a, b
-    for key, variant in SEARCHED_VARIANTS:
+    for key, variant, _ in SEARCHED_VARIANTS:
         yield key, variant(a), variant(b)
 
 
@@ -336,65 +336,41 @@ def _eval_small_pairs(count: int = 40, seed: int = 5150):
         yield delinearize(repair(noisy)), gold, index
 
 
-class _Unbounded(_MatchContext):
-    def __init__(self, left, right):
-        super().__init__(left, right)
-        self.ceiling = math.inf
+def _reference_climb(context, images):
+    """A climb with no ceiling stop: it builds a position for every start
+    and takes sideways steps until its budget runs out, whatever its
+    score.  Up to the ceiling its path is the stopped climb's, so it
+    returns its end score with the mapping the search reports: the first
+    one on its path that scores the ceiling, or where it ended."""
+    position = amrforge._search._Position(context, list(images))
+    score = context.count(images)
+    reported = list(images)
+    sideways = _SIDEWAYS_BUDGET
+    visited = {tuple(images)}
+    while True:
+        gain, changes = position.best_move()
+        if changes is None and sideways > 0:
+            changes = position.sideways(visited)
+            if changes is not None:
+                sideways -= 1
+        if changes is None:
+            return score, reported
+        position.apply(changes)
+        visited.add(tuple(position.images))
+        score += gain
+        if score < context.ceiling or gain:
+            reported = list(position.images)
 
 
-def _counts(scores) -> dict:
-    """The matched and total counts of each ``fine_grained`` key."""
-    return {
-        key: None if result is None
-        else (result.matched, result.left_total, result.right_total)
-        for key, result in scores.items()
-    }
-
-
-def test_stopping_at_the_ceiling_changes_no_result(monkeypatch):
-    # an unbounded climb also takes the sideways steps a stopped one skips,
-    # so it can end on another mapping of the same count; the mappings are
-    # checked by test_each_reported_mapping_matches_its_count
-    climbs = _counted(monkeypatch, "_climb_once")
-    draws = _counted(monkeypatch, "_random_seed")
-    pairs = list(_eval_small_pairs())
-
-    def run():
-        climbs[0] = draws[0] = 0
-        results = [
-            _counts(fine_grained(left, right, restarts=restarts, seed=index))
-            for left, right, index in pairs
-            for restarts in (1, 2, 4, 5)
-        ]
-        return results, climbs[0], draws[0]
-
-    stopping, stopped_climbs, stopped_draws = run()
-    monkeypatch.setattr(amrforge._search, "_MatchContext", _Unbounded)
-    full, full_climbs, full_draws = run()
-    assert stopping == full
-    # every random start is drawn, so a shared generator ends where it did
-    assert stopped_draws == full_draws > 0
-    assert stopped_climbs < full_climbs
-
-
-def _seeds_last_best_mapping(left, right, restarts: int, rng, extra_seeds=()):
-    """``best_mapping`` as it was when it climbed the name and greedy
-    seeds before ``extra_seeds``: the reference order the seed-first
-    search is checked against.  It looks up the search's functions on the
-    module, so the call counters see it."""
+def _reference_best_mapping(context, restarts: int, rng, extra_seeds=()):
+    """The full search: it draws the random starts as ``best_mapping``
+    does, climbs every start that ``_search._starts`` yields with
+    :func:`_reference_climb`, and keeps the first of the best."""
     search = amrforge._search
-    context = search._MatchContext(left, right)
-    seeds = [_name_seed(context), _greedy_seed(context)]
-    seeds.extend(context.images(seed) for seed in extra_seeds)
-    best_score, best_images = -1, [None] * len(context.vars1)
-    for attempt in range(max(restarts, len(seeds))):
-        if attempt < len(seeds):
-            images = seeds[attempt]
-        else:
-            images = search._random_seed(context, rng)
-        if best_score == context.ceiling:
-            continue
-        score, images = search._climb_once(context, images)
+    drawn = [search._random_seed(context, rng) for _ in range(restarts - len(extra_seeds) - 2)]
+    best_score = -1
+    for images in search._starts(context, extra_seeds, drawn):
+        score, images = _reference_climb(context, images)
         if score > best_score:
             best_score, best_images = score, images
     return best_score, context.mapping(best_images)
@@ -411,197 +387,154 @@ def _searched_runs():
             yield left, right, restarts, index
 
 
-def test_climbing_the_seed_first_keeps_every_count(monkeypatch):
-    # the same starts, each climbed from the same context and start, and
-    # the same random draws: where a climb reaches the ceiling both orders
-    # return it, and where none does both climb every start
-    climbs = _counted(monkeypatch, "_climb_once")
-    draws = _counted(monkeypatch, "_random_seed")
-    runs = list(_searched_runs())
-
-    def run():
-        climbs[0] = draws[0] = 0
-        counts = [
-            _counts(fine_grained(left, right, restarts=restarts, seed=seed))
-            for left, right, restarts, seed in runs
-        ]
-        return counts, climbs[0], draws[0]
-
-    seed_first, seed_first_climbs, seed_first_draws = run()
-    monkeypatch.setattr(amrforge.metrics, "best_mapping", _seeds_last_best_mapping)
-    seeds_last, seeds_last_climbs, seeds_last_draws = run()
-    assert seed_first == seeds_last
-    # the shared generator of fine_grained moves as it did
-    assert seed_first_draws == seeds_last_draws > 0
-    assert seed_first_climbs < seeds_last_climbs
+def _reference_runs():
+    """``_searched_runs()``, then document pairs of 25 and 60 nodes at
+    seeds 0 and 1 and 4 restarts, where fewer climbs reach the ceiling."""
+    yield from _searched_runs()
+    for size in (25, 60):
+        for seed in range(2):
+            yield *synth.document_pair(random.Random(seed), size, size), 4, seed
 
 
-def _unstopped_climb_once(context, images):
-    """``_climb_once`` as it was when a climb ran on at the ceiling: it
-    builds a position for every start, and takes sideways steps until its
-    budget runs out, whatever its score."""
-    search = amrforge._search
-    position = search._Position(context, list(images))
-    score = context.count(images)
-    sideways = _SIDEWAYS_BUDGET
-    visited = {tuple(images)}
-    while True:
-        gain, changes = position.best_move()
-        if changes is None and sideways > 0:
-            changes = position.sideways(visited)
-            if changes is not None:
-                sideways -= 1
-        if changes is None:
-            return score, position.images
-        position.apply(changes)
-        visited.add(tuple(position.images))
-        score += gain
+@functools.cache
+def _recorded_searches():
+    """``fine_grained`` over ``_reference_runs()``, first as it is and
+    then with :func:`_reference_best_mapping` patched in at the one search
+    every ``fine_grained`` search calls.  Returns, per run, its results
+    each way, the number of reference calls, and a record of each search
+    run as it is: ``(restarts, len(extra_seeds), events)``, the events in
+    order.  An event names a start built (with its kind), drawn or
+    climbed (with whether the climb reached the ceiling), or a position
+    built or a sideways step looked for (with whether its mapping scored
+    the ceiling).  Every start is kept alive in the events, so a start is
+    named by its identity."""
+    search, metrics = amrforge._search, amrforge.metrics
+    searches: list[tuple[int, int, list]] = []
 
+    def log(*event):
+        searches[-1][2].append(event)
 
-def _unstopped_best_mapping(left, right, restarts: int, rng, extra_seeds=()):
-    """``best_mapping`` as it was when it built every seeded start before
-    its first climb and climbed with :func:`_unstopped_climb_once`: the
-    reference the ceiling stop is checked against.  It looks up the
-    search's functions on the module, so the call counters see it."""
-    search = amrforge._search
-    context = search._MatchContext(left, right)
-    seeds = [context.images(seed) for seed in extra_seeds]
-    seeds += [search._name_seed(context), search._greedy_seed(context)]
-    best_score, best_images = -1, [None] * len(context.vars1)
-    for attempt in range(max(restarts, len(seeds))):
-        if attempt < len(seeds):
-            images = seeds[attempt]
-        else:
-            images = search._random_seed(context, rng)
-        if best_score == context.ceiling:
-            continue
-        score, images = _unstopped_climb_once(context, images)
-        if score > best_score:
-            best_score, best_images = score, images
-    return best_score, context.mapping(best_images)
+    def best_mapping(context, restarts, rng, extra_seeds=()):
+        searches.append((restarts, len(extra_seeds), []))
+        return search.best_mapping(context, restarts, rng, extra_seeds)
 
+    def built(kind, inner):
+        def spy(*args):
+            start = inner(*args)
+            log("built", kind, start)
+            return start
+        return spy
 
-def test_stopping_each_climb_at_the_ceiling_keeps_every_count(monkeypatch):
-    # a climb that reaches the ceiling returns it with or without the steps
-    # after it, so only which of the mappings that score it is reported can
-    # change; the counts, and the draws of the shared generator, cannot
-    search = amrforge._search
-    draws = _counted(monkeypatch, "_random_seed")
-    built, at_ceiling, greedy, climbed = [0], [0], [], []
-
-    class Position(_Position):
-        def __init__(self, context, images):
-            super().__init__(context, images)
-            built[0] += 1
-
-        def sideways(self, visited):
-            at_ceiling[0] += self.context.count(self.images) == self.context.ceiling
-            return super().sideways(visited)
-
-    def greedy_seed(context, inner=search._greedy_seed):
-        greedy.append(inner(context))
-        return greedy[-1]
+    def random_seed(context, rng, inner=search._random_seed):
+        log("drawn")
+        return inner(context, rng)
 
     def climb_once(context, images, inner=search._climb_once):
-        climbed.append(images)
-        return inner(context, images)
+        score, end = inner(context, images)
+        log("climbed", images, score == context.ceiling)
+        return score, end
 
-    monkeypatch.setattr(search, "_Position", Position)
-    monkeypatch.setattr(search, "_greedy_seed", greedy_seed)
-    monkeypatch.setattr(search, "_climb_once", climb_once)
-    runs = list(_searched_runs())
-
-    def run():
-        built[0] = at_ceiling[0] = draws[0] = 0
-        greedy.clear()
-        climbed.clear()
-        counts = [
-            _counts(fine_grained(left, right, restarts=restarts, seed=seed))
-            for left, right, restarts, seed in runs
-        ]
-        # every start is kept alive in the lists, so an id names one start
-        unclimbed = {id(start) for start in greedy} - {id(start) for start in climbed}
-        return counts, draws[0], built[0], at_ceiling[0], len(greedy), unclimbed
-
-    stopped, stopped_draws, stopped_built, stopped_at_ceiling, stopped_greedy, unclimbed = run()
-    monkeypatch.setattr(amrforge.metrics, "best_mapping", _unstopped_best_mapping)
-    full, full_draws, full_built, full_at_ceiling, full_greedy, _ = run()
-    assert stopped == full
-    assert stopped_draws == full_draws > 0
-    assert stopped_built < full_built
-    # no climb looks for a sideways step once it scores the ceiling
-    assert stopped_at_ceiling == 0 < full_at_ceiling
-    # the greedy start is built only for an attempt that climbs it
-    assert not unclimbed
-    assert 0 < stopped_greedy < full_greedy
-
-
-def _attempt_indexed_best_mapping(left, right, restarts: int, rng, extra_seeds=()):
-    """``best_mapping`` as it was when it counted attempts: the attempt of
-    a random start drew it, climbed or not, a seeded start was built at
-    its attempt, and the attempts after one that reached the ceiling built
-    and climbed nothing.  The reference the one start sequence is checked
-    against; it looks up the search's functions on the module, so the call
-    counters see it."""
-    search = amrforge._search
-    context = search._MatchContext(left, right)
-    seeded = len(extra_seeds) + 2
-
-    def seeded_starts():
-        yield from map(context.images, extra_seeds)
-        yield search._name_seed(context)
-        yield search._greedy_seed(context)
-
-    starts = seeded_starts()
-    best_score, best_images = -1, [None] * len(context.vars1)
-    for attempt in range(max(restarts, seeded)):
-        if attempt >= seeded:
-            images = search._random_seed(context, rng)
-        if best_score == context.ceiling:
-            continue
-        if attempt < seeded:
-            images = next(starts)
-        score, images = search._climb_once(context, images)
-        if score > best_score:
-            best_score, best_images = score, images
-    return best_score, context.mapping(best_images)
-
-
-def test_the_start_sequence_gives_the_attempt_indexed_results(monkeypatch):
-    # the same starts climbed in the same order, the random ones drawn
-    # before the first climb: every result, mapping included, and every
-    # start built or drawn must be the attempt-indexed search's
-    search = amrforge._search
-    draws = _counted(monkeypatch, "_random_seed")
-    greedy = _counted(monkeypatch, "_greedy_seed")
-    built = [0]
-
-    class Position(_Position):
+    class Position(search._Position):
         def __init__(self, context, images):
+            log("position", context.count(images) == context.ceiling)
             super().__init__(context, images)
-            built[0] += 1
 
-    monkeypatch.setattr(search, "_Position", Position)
-    runs = list(_searched_runs())
-    for size in (25, 60):
-        for seed in range(4):
-            prediction, gold = synth.document_pair(random.Random(seed), size, size)
-            runs += [(prediction, gold, restarts, seed) for restarts in (4, 5)]
+        def sideways(self, visited):
+            log("sideways", self.context.count(self.images) == self.context.ceiling)
+            return super().sideways(visited)
 
-    def run():
-        draws[0] = greedy[0] = built[0] = 0
-        results = [
-            fine_grained(left, right, restarts=restarts, seed=seed)
-            for left, right, restarts, seed in runs
-        ]
-        return results, draws[0], greedy[0], built[0]
+    runs = list(_reference_runs())
+    real = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "best_mapping", best_mapping)
+        patch.setattr(search._MatchContext, "images", built("seed", search._MatchContext.images))
+        patch.setattr(search, "_name_seed", built("name", search._name_seed))
+        patch.setattr(search, "_greedy_seed", built("greedy", search._greedy_seed))
+        patch.setattr(search, "_random_seed", random_seed)
+        patch.setattr(search, "_climb_once", climb_once)
+        patch.setattr(search, "_Position", Position)
+        for left, right, restarts, seed in runs:
+            first = len(searches)
+            scores = fine_grained(left, right, restarts=restarts, seed=seed)
+            real.append((scores, searches[first:]))
 
-    sequence, *sequence_counts = run()
-    monkeypatch.setattr(amrforge.metrics, "best_mapping", _attempt_indexed_best_mapping)
-    indexed, *indexed_counts = run()
-    assert sequence == indexed
-    assert sequence_counts == indexed_counts
-    assert all(count > 0 for count in sequence_counts)
+    calls = [0]
+
+    def reference(*args):
+        calls[0] += 1
+        return _reference_best_mapping(*args)
+
+    recorded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "best_mapping", reference)
+        for (left, right, restarts, seed), (scores, records) in zip(runs, real):
+            calls[0] = 0
+            reference_scores = fine_grained(left, right, restarts=restarts, seed=seed)
+            recorded.append((scores, reference_scores, calls[0], records))
+    return recorded
+
+
+def _searches():
+    """The record of every search ``_recorded_searches`` ran as it is."""
+    return [search for *_, records in _recorded_searches() for search in records]
+
+
+def test_every_result_equals_the_full_search():
+    # a climb that stops at the ceiling, and the starts skipped after it,
+    # change no count; the mapping reported is the first that scores the
+    # ceiling, or the first climb's of the best score below it
+    for scores, reference, calls, records in _recorded_searches():
+        assert scores == reference
+        searched = 1 + sum(scores[key] is not None for key, *_ in SEARCHED_VARIANTS)
+        assert calls == len(records) == searched
+
+
+def test_the_random_starts_are_all_drawn_before_the_first_climb():
+    # so fine_grained's shared generator moves the same however many of
+    # its starts a search climbs
+    drawn = 0
+    for restarts, seeds, events in _searches():
+        kinds = [event[0] for event in events]
+        assert kinds.count("drawn") == max(0, restarts - seeds - 2)
+        if "drawn" in kinds:
+            last_draw = max(i for i, kind in enumerate(kinds) if kind == "drawn")
+            assert last_draw < kinds.index("climbed")
+        drawn += kinds.count("drawn")
+    assert drawn > 0
+
+
+def test_the_search_stops_after_the_first_climb_that_reaches_the_ceiling():
+    # and climbs every start when none does
+    stopped = 0
+    for restarts, seeds, events in _searches():
+        reached = [event[2] for event in events if event[0] == "climbed"]
+        if True in reached:
+            assert len(reached) == reached.index(True) + 1
+            stopped += len(reached) < max(restarts, seeds + 2)
+        else:
+            assert len(reached) == max(restarts, seeds + 2)
+    assert stopped > 0
+
+
+def test_no_climb_works_at_the_ceiling():
+    # a start that scores the ceiling builds no position, and no climb
+    # looks for a sideways step once it scores the ceiling
+    events = [event for *_, events in _searches() for event in events]
+    assert ("position", True) not in events and ("sideways", True) not in events
+    assert ("position", False) in events and ("sideways", False) in events
+
+
+def test_a_seeded_start_is_built_only_when_it_is_climbed():
+    # in the order the caller's seeds, the name start, the greedy start,
+    # so a re-run climbs the base mapping first
+    skipped = 0
+    for _, seeds, events in _searches():
+        built = [(event[1], event[2]) for event in events if event[0] == "built"]
+        climbed = [event[1] for event in events if event[0] == "climbed"]
+        assert [kind for kind, _ in built] == (["seed"] * seeds + ["name", "greedy"])[:len(built)]
+        assert [id(start) for _, start in built] == [id(start) for start in climbed[:len(built)]]
+        skipped += seeds + 2 - len(built)
+    assert skipped > 0
 
 
 def test_each_reported_mapping_matches_its_count():
@@ -700,29 +633,100 @@ def test_shared_links_with_parallel_edges_duplicate_labels_and_self_loops():
     assert shared > 0 and both_ways > 0
 
 
+def _contexts(left: TripleSet, right: TripleSet):
+    """The base context of two triple sets, then each of
+    ``SEARCHED_VARIANTS``' contexts built from it as ``fine_grained``
+    builds them, with the variant triple sets."""
+    base = _MatchContext(left, right)
+    yield "smatch", base, left, right
+    for key, variant, kept in SEARCHED_VARIANTS:
+        a, b = variant(left), variant(right)
+        yield key, _MatchContext(a, b, base, kept), a, b
+
+
+_SEARCHED_KEYS = ("smatch", *(key for key, *_ in SEARCHED_VARIANTS))
+
+
+def _fine_grained_contexts(left: AmrGraph, right: AmrGraph):
+    """Each key ``fine_grained`` searches, with the context it searched."""
+    searched, inner = [], amrforge.metrics.best_mapping
+
+    def spy(context, *args):
+        searched.append(context)
+        return inner(context, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amrforge.metrics, "best_mapping", spy)
+        scores = fine_grained(left, right)
+    keys = [key for key in _SEARCHED_KEYS if scores[key] is not None]
+    assert len(keys) == len(searched)
+    return zip(keys, searched)
+
+
 def test_search_never_writes_the_shared_tables(monkeypatch):
     contexts = []
 
     class Recorded(_MatchContext):
-        def __init__(self, left, right):
-            super().__init__(left, right)
+        def __init__(self, left, right, base=None, kept=None):
+            super().__init__(left, right, base, kept)
             contexts.append((self, copy.deepcopy((self.unary, self.links, self.ceiling))))
 
-    monkeypatch.setattr(amrforge._search, "_MatchContext", Recorded)
+    monkeypatch.setattr(amrforge.metrics, "_MatchContext", Recorded)
     for case in _golden_cases():
         left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
         fine_grained(left, right, restarts=case["restarts"], seed=case["seed"])
+    assert len(contexts) > 150
     rng = random.Random(3141)
     for _ in range(100):
         left, right = _tangled_triples(rng), _tangled_triples(rng)
-        for _, a, b in _searched_variants(left, right):
-            amrforge._search.best_mapping(a, b, 4, rng)
+        for _, context, _, _ in _contexts(left, right):
+            contexts.append((context, copy.deepcopy((context.unary, context.links, context.ceiling))))
+            amrforge._search.best_mapping(context, 4, rng)
     prediction, gold = document_pair(100)
-    unlabeled = _unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold))
-    amrforge._search.best_mapping(*unlabeled, 4, rng)
-    assert len(contexts) > 500
+    unlabeled = Recorded(_unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold)))
+    amrforge._search.best_mapping(unlabeled, 4, rng)
+    assert len(contexts) > 650
     for context, before in contexts:
         assert (context.unary, context.links, context.ceiling) == before
+
+
+def _check_kept_parts(key: str, context, base, left: TripleSet, right: TripleSet):
+    """A re-run's context against one built from scratch, and its kept
+    part against the base context's own."""
+    scratch = _MatchContext(left, right)
+    assert context.unary == scratch.unary, key
+    assert context.links == scratch.links, key
+    assert context.ceiling == scratch.ceiling, key
+    if key == "no_wsd":
+        assert context.links is base.links
+    else:
+        assert context.instances is base.instances, key
+
+
+def test_kept_parts_equal_tables_built_from_scratch():
+    # the re-runs take the instance weights (all but no_wsd) or the links
+    # (no_wsd) from the base context; everything else they build
+    pairs = [
+        (_graph_from_json(case["left"]), _graph_from_json(case["right"]))
+        for case in _golden_cases()
+    ]
+    pairs += [synth.document_pair(random.Random(0), size, size) for size in (25, 60)]
+    checked = Counter()
+    for prediction, gold in pairs:
+        contexts = dict(_fine_grained_contexts(prediction, gold))
+        left, right = to_triples(prediction), to_triples(gold)
+        for key, variant, _ in SEARCHED_VARIANTS:
+            if key in contexts:
+                _check_kept_parts(key, contexts[key], contexts["smatch"],
+                                  variant(left), variant(right))
+                checked[key] += 1
+    rng = random.Random(1618)
+    for _ in range(300):
+        contexts = list(_contexts(_tangled_triples(rng), _tangled_triples(rng)))
+        for key, context, a, b in contexts[1:]:
+            _check_kept_parts(key, context, contexts[0][1], a, b)
+            checked[key] += 1
+    assert min(checked.values()) > 300 and len(checked) == len(SEARCHED_VARIANTS)
 
 
 def test_unlabeled_pairs_share_a_few_tables():
