@@ -28,10 +28,10 @@ a search that rescored the whole list after each step.
 No injective mapping matches more than each variable's best unary entry
 plus each linked pair's best pairwise entry: the context's ceiling, the
 root bound of exact solvers such as Smatch++.  The search climbs a
-caller's seeds, the name start, the greedy start, then the random starts
-it drew before its first climb, and stops after the first climb that
-reaches the ceiling.  Every count is the full search's, and the mapping
-is the first one found that scores the ceiling.
+caller's seeds, the greedy start (first, as in ``smatch.py``), the name
+start, then the random starts drawn before its first climb, and stops at
+the first climb that reaches the ceiling: in either start order every
+count is the full search's; only which best mapping comes first differs.
 """
 
 from __future__ import annotations
@@ -477,22 +477,22 @@ def _climb_once(context, images):
 
 
 def _starts(context: _MatchContext, extra_seeds, drawn):
-    """The caller's seeds, the name and greedy starts, each built when it
+    """The caller's seeds, the greedy and name starts, each built when it
     is reached, then the ``drawn`` random starts."""
     yield from map(context.images, extra_seeds)
-    yield _name_seed(context)
     yield _greedy_seed(context)
+    yield _name_seed(context)
     yield from drawn
 
 
 def best_mapping(context: _MatchContext, restarts: int, rng, extra_seeds=()):
     """The matched count and mapping of the best climb over ``context``
-    from the start sequence: the ``extra_seeds`` mappings, the name and
-    greedy starts, then random ones up to ``restarts`` climbs.  The random
+    from the start sequence: the ``extra_seeds`` mappings, the greedy and
+    name starts, then random ones up to ``restarts`` climbs.  The random
     starts are all drawn from ``rng`` before the first climb, so ``rng``
     ends in the same place however many are climbed; a climb replaces the
     best only when it scores higher, and the search stops after the first
-    climb that reaches ``context.ceiling``."""
+    climb that reaches ``context.ceiling``: the start order moves no count."""
     drawn = [_random_seed(context, rng) for _ in range(restarts - len(extra_seeds) - 2)]
     best_score = -1
     for images in _starts(context, extra_seeds, drawn):

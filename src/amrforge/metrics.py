@@ -82,11 +82,11 @@ def smatch(
 ) -> SmatchResult:
     """Triple-overlap F-score under the best mapping hill-climbing finds.
 
-    The climbs start from the name and greedy mappings, then random ones up
-    to ``restarts`` climbs (``_search.best_mapping``); each climb applies
-    the single reassignment or pairwise swap with the largest gain in
-    matched triples until none gains.  Precision is measured against
-    ``graph1`` (the prediction side), recall against ``graph2``.
+    Climbs start at the greedy (concept-matched) and name mappings, then
+    random ones up to ``restarts`` (``_search.best_mapping``); each takes
+    its best move, then a few sideways steps, and the first to reach the
+    ceiling ends the search, so the start order moves no count.  Precision
+    is against ``graph1`` (the prediction side), recall against ``graph2``.
     """
     return _base_smatch(graph1, graph2, restarts, seed)[-1]
 
@@ -199,10 +199,11 @@ def fine_grained(
     ``None`` (absent) rather than 0 or 1.  Each graph's triples are read
     once.  The base is :func:`smatch`'s search; then each of
     ``SEARCHED_VARIANTS`` re-runs it on one generator, climbing the base
-    mapping, the name and greedy starts and the random starts it drew, up
+    mapping, the greedy and name starts and the random starts it drew, up
     to the first climb that reaches the ceiling.  A re-run's tables share
     the base's instance weights (all but ``no_wsd``) or links (``no_wsd``).
     So removing edge labels or senses never lowers the score below Smatch.
+    The start order can move only a re-run's count, via the base mapping.
     """
     left, right, context, base = _base_smatch(graph1, graph2, restarts, seed)
     rng = random.Random(seed)

@@ -11,6 +11,8 @@ must reproduce exactly.  The counts were recorded with the earlier
 ``Counter``-based move scoring; the mappings of the sub-metrics that
 re-run the search were re-recorded when they began to climb the base
 mapping first, and again when a climb began to stop at the ceiling.
+Seven mappings, base ones among them, were re-recorded when the greedy
+start began to be climbed before the name start.
 Three more pairs pin the order in which ``fine_grained`` draws from its
 generator: scoring ``srl`` before ``reentrancy`` changes their ``srl``
 counts.  Two more, of 80-120-node gold graphs, pin long climbs that take
@@ -33,9 +35,11 @@ included, must be the reference's.  A record of each search checks the
 rest of the start sequence's rules: the random starts are drawn before
 the first climb, a seeded start is built only when it is climbed, the
 search stops after the first climb that reaches the ceiling, and no
-climb works at it.  Each reported mapping is checked against a plain
-count of what it matches.  A re-run's context takes a part of the base
-context; it is checked against a context built from scratch.  Where
+climb works at it.  Climbing the name start before the greedy one
+changes no count, and a renamed copy is certified at its first start.
+Each reported mapping is checked against a plain count of what it
+matches.  A re-run's context takes a part of the base context; it is
+checked against a context built from scratch.  Where
 scipy is installed, the MILP optimum of ``conftest.milp_optimum`` is
 checked against the oracle and bounds every search variant on the 30
 small fixture pairs.
@@ -71,7 +75,13 @@ from amrforge.corrupt import CorruptionConfig, corrupt_graph, derive_rng
 from amrforge.linearize import delinearize, repair
 from amrforge.metrics import SEARCHED_VARIANTS, TripleSet, _no_wsd, _unlabeled
 
-from conftest import document_pair, milp_optimum, oracle_optimum, smatch_oracle
+from conftest import (
+    document_pair,
+    milp_optimum,
+    oracle_optimum,
+    rename_nodes,
+    smatch_oracle,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "smatch_golden.json"
 FIXTURE_SEED = 2203
@@ -525,16 +535,53 @@ def test_no_climb_works_at_the_ceiling():
 
 
 def test_a_seeded_start_is_built_only_when_it_is_climbed():
-    # in the order the caller's seeds, the name start, the greedy start,
-    # so a re-run climbs the base mapping first
+    # in the order the caller's seeds, the greedy start, the name start,
+    # so a re-run climbs the base mapping first and a search climbs the
+    # concept-matched start before the name-matched one
     skipped = 0
     for _, seeds, events in _searches():
         built = [(event[1], event[2]) for event in events if event[0] == "built"]
         climbed = [event[1] for event in events if event[0] == "climbed"]
-        assert [kind for kind, _ in built] == (["seed"] * seeds + ["name", "greedy"])[:len(built)]
+        assert [kind for kind, _ in built] == (["seed"] * seeds + ["greedy", "name"])[:len(built)]
         assert [id(start) for _, start in built] == [id(start) for start in climbed[:len(built)]]
         skipped += seeds + 2 - len(built)
     assert skipped > 0
+
+
+def _name_start_first(context, extra_seeds, drawn):
+    """``_search._starts`` with the name start before the greedy one."""
+    yield from map(context.images, extra_seeds)
+    yield _name_seed(context)
+    yield _greedy_seed(context)
+    yield from drawn
+
+
+def test_the_start_order_changes_no_count():
+    # the draws come first and a climb that reaches the ceiling ends the
+    # search in either order, so only ties between mappings can differ
+    runs = list(_reference_runs())
+    counts = [smatch(left, right, restarts, seed).matched
+              for left, right, restarts, seed in runs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amrforge._search, "_starts", _name_start_first)
+        assert [smatch(left, right, restarts, seed).matched
+                for left, right, restarts, seed in runs] == counts
+
+
+def test_a_renamed_copy_is_certified_at_its_first_start(monkeypatch):
+    # the names are disjoint, so the name start matches nothing, while the
+    # greedy start of a copy in node order is the identity: the ceiling
+    graph = synth.random_graph(random.Random(100), 100, 100, max_reentrancies=10,
+                               attribute_prob=0.2)
+    renamed = rename_nodes(graph, {n: f"r{k}" for k, n in enumerate(graph.nodes)})
+    climbs = _counted(monkeypatch, "_climb_once")
+
+    def no_position(*args):
+        raise AssertionError("a position was built")
+
+    monkeypatch.setattr(amrforge._search, "_Position", no_position)
+    assert smatch(graph, renamed).f1 == 1.0
+    assert climbs[0] == 1
 
 
 def test_each_reported_mapping_matches_its_count():
