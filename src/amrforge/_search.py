@@ -11,8 +11,9 @@ adjacent variables match at each target pair, shared by every variable
 pair with the same labels.  The mappings the search visits are injective,
 which makes this split of the matched count exact (see
 :class:`_MatchContext`), so a move's gain is a sum of a few table entries.
-A fine-grained re-run's context takes the base pair's instance weights
-(every variant but ``no_wsd``) or its links (``no_wsd``) as they are.
+A fine-grained re-run's context takes the base pair's variable numbering,
+and its instance weights (every variant but ``no_wsd``) or its links
+(``no_wsd``), as they are.
 
 The search is hill-climbing over single reassignments and pairwise swaps
 from a sequence of start mappings.  One climb keeps one :class:`_Position`
@@ -69,17 +70,23 @@ class _MatchContext:
     all pairs with the same labels in both directions share one dict, and
     their ``links[w][v]`` one transpose.  ``instances[v]`` is the instance
     part of ``unary[v]``: the right variables of ``v``'s concept.  A
-    variant pair's context takes its ``kept`` part (``"instances"``, or
-    ``"links"`` with ``link_ceiling``) from ``base``, the context of the
+    variant pair's context takes the variable numbering (``vars1``,
+    ``vars2`` and both index maps) and its ``kept`` part (``"instances"``,
+    or ``"links"`` with ``link_ceiling``) from ``base``, the context of the
     pair it varies.  The tables are shared, and nothing ever writes to them.
     """
 
     def __init__(self, left, right, base=None, kept=None):
-        self.vars1 = [v for v, _, _ in left.instances]
-        self.vars2 = [v for v, _, _ in right.instances]
-        self.index2 = {v: j for j, v in enumerate(self.vars2)}
-        unary1, pairs1 = _split_triples(left, {v: i for i, v in enumerate(self.vars1)})
-        unary2, pairs2 = _split_triples(right, self.index2)
+        if base is None:
+            self.vars1 = [v for v, _, _ in left.instances]
+            self.vars2 = [v for v, _, _ in right.instances]
+            self.index1 = {v: i for i, v in enumerate(self.vars1)}
+            self.index2 = {v: j for j, v in enumerate(self.vars2)}
+        else:  # a variant keeps the instance variables, in order
+            self.vars1, self.vars2 = base.vars1, base.vars2
+            self.index1, self.index2 = base.index1, base.index2
+        unary1, pairs1 = _split_triples(left, self.index1, kept != "links")
+        unary2, pairs2 = _split_triples(right, self.index2, kept != "links")
         if kept == "instances":
             self.instances = base.instances
         else:  # one instance triple per variable, so each weight is 1
@@ -93,12 +100,14 @@ class _MatchContext:
             for form, count in forms.items():
                 holders.setdefault(form, []).append((j, count))
         self.unary: list[dict[int, int]] = []
+        ceiling = 0  # each variable's best unary entry, summed as it is built
         for weights, forms in zip(self.instances, unary1):
-            if forms:  # else the instance weights themselves
+            if forms:  # else the instance weights themselves, each 1
                 weights = dict(weights)
                 for form, count in forms.items():
                     for j, other in holders.get(form, ()):
                         weights[j] = weights.get(j, 0) + min(count, other)
+            ceiling += max(weights.values(), default=0) if forms else bool(weights)
             self.unary.append(weights)
         if kept == "links":
             self.links, self.link_ceiling = base.links, base.link_ceiling
@@ -119,9 +128,7 @@ class _MatchContext:
                 forward, backward, best = groups[key]
                 self.links[v][w], self.links[w][v] = forward, backward
                 self.link_ceiling += best
-        self.ceiling = self.link_ceiling + sum(
-            max(weights.values(), default=0) for weights in self.unary
-        )
+        self.ceiling = self.link_ceiling + ceiling
 
     def images(self, mapping: dict[str, str]) -> list[int | None]:
         return [self.index2.get(mapping.get(v)) for v in self.vars1]
@@ -142,9 +149,9 @@ class _MatchContext:
         return total
 
 
-def _split_triples(triples: TripleSet, index: dict[str, int]):
+def _split_triples(triples: TripleSet, index: dict[str, int], links: bool):
     """Per-variable counts of attribute and self-loop forms, and per
-    ordered variable pair counts of relation labels."""
+    ordered variable pair counts of relation labels (none unless ``links``)."""
     unary: list[dict] = [{} for _ in index]
     for first, rel, value in triples.attributes:
         forms, form = unary[index[first]], ("a", rel, value)
@@ -153,8 +160,10 @@ def _split_triples(triples: TripleSet, index: dict[str, int]):
     for first, rel, third in triples.relations:
         if first == third:
             forms, form = unary[index[first]], ("r", rel)
-        else:
+        elif links:
             forms, form = pairs.setdefault((index[first], index[third]), {}), rel
+        else:
+            continue
         forms[form] = forms.get(form, 0) + 1
     return unary, pairs
 

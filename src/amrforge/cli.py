@@ -7,7 +7,8 @@ write one result per corpus, take in their whole input first.  The randomized
 commands (corrupt, build-tasks, smatch) resolve one seed (flag, then the
 AMRFORGE_SEED environment variable, then 0), echo it on standard error,
 and derive all per-document randomness from it, so identical invocations
-produce byte-identical outputs.
+produce byte-identical outputs.  :func:`run` builds its argument parser
+once per process, on its first call; a parse keeps nothing for the next.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import atexit
 import contextlib
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -208,10 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # every parse starts a new namespace
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_request:
         return int(exit_request.code or 0)
     try:

@@ -55,26 +55,13 @@ _LAYOUT: dict[TaskTag, tuple[str, str, str]] = {
     TaskTag.T_EG2G: ("plain", "empty", "graph"),
 }
 
-PRETRAINING_TAGS = (
-    TaskTag.MT_EG2T,
-    TaskTag.ET_MG2G,
-    TaskTag.MT_G2T,
-    TaskTag.T_MG2G,
-    TaskTag.MT_MG2T,
-    TaskTag.MT_MG2G,
-)
-FINETUNING_TAGS = (TaskTag.ET_G2T, TaskTag.T_EG2G)
-ALL_TAGS = PRETRAINING_TAGS + FINETUNING_TAGS
+# in declaration order: the six pre-training tasks, then the two fine-tuning ones
+ALL_TAGS = tuple(TaskTag)
+PRETRAINING_TAGS, FINETUNING_TAGS = ALL_TAGS[:6], ALL_TAGS[6:]
 
 # Only these two tasks follow the dynamic schedule, on their one masked
 # side; the doubly-masked tasks keep the static rates.
 DYNAMIC_TAGS = frozenset((TaskTag.MT_G2T, TaskTag.T_MG2G))
-
-_TAG_ORDER = {tag: i for i, tag in enumerate(ALL_TAGS)}
-
-
-def layout(tag: TaskTag) -> tuple[str, str, str]:
-    return _LAYOUT[tag]
 
 
 class TaskError(ValueError):
@@ -185,7 +172,7 @@ def build_corpus(
     parallel without changing the output.  Each graph is validated and
     walked once: it keeps its linearization for all of its samples.
     """
-    selected = sorted(set(tasks), key=_TAG_ORDER.__getitem__)
+    selected = sorted(set(tasks), key=ALL_TAGS.index)
     if not selected:
         raise ValueError("no tasks selected")
     for index, (text, graph) in enumerate(pairs):

@@ -26,7 +26,7 @@ from amrforge import (
 from amrforge.cli import run
 from amrforge.penman import PenmanDocument
 from amrforge.synth import random_graph, random_sentence
-from amrforge.tasks import ALL_TAGS, build_sample, layout
+from amrforge.tasks import ALL_TAGS, TaskTag, build_sample
 from amrforge.tokens import MASK, to_text
 
 from conftest import GOLDEN_SEQUENCE, modal_graph, smatch_oracle
@@ -115,6 +115,20 @@ def test_schedule_exactness():
         assert max(abs(s) for s in seconds) < 1e-12
 
 
+# each tag's (text segment, graph segment, target side), as the paper's
+# eight layouts read: m = masked, e = empty, no mark = the plain sequence
+EXPECTED_LAYOUTS = {
+    TaskTag.MT_EG2T: ("masked", "empty", "text"),
+    TaskTag.ET_MG2G: ("empty", "masked", "graph"),
+    TaskTag.MT_G2T: ("masked", "plain", "text"),
+    TaskTag.T_MG2G: ("plain", "masked", "graph"),
+    TaskTag.MT_MG2T: ("masked", "masked", "text"),
+    TaskTag.MT_MG2G: ("masked", "masked", "graph"),
+    TaskTag.ET_G2T: ("empty", "plain", "text"),
+    TaskTag.T_EG2G: ("plain", "empty", "graph"),
+}
+
+
 def test_sample_format_conformance():
     with _Timer("task layout conformance (8 tags)", 5.0):
         text = ["the", "boy", "can", "not", "go", "home", "today", "."]
@@ -132,7 +146,7 @@ def test_sample_format_conformance():
             assert toks[split + 1] == "<g>"
             text_part = toks[1:split]
             graph_part = toks[split + 2 : -1]
-            text_mode, graph_mode, target = layout(tag)
+            text_mode, graph_mode, target = EXPECTED_LAYOUTS[tag]
             if text_mode == "plain":
                 assert text_part == text
             elif text_mode == "empty":

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -27,7 +28,8 @@ from amrforge import (
 )
 from amrforge._files import lines
 from amrforge.cli import _read_lines, run
-from amrforge.tokens import from_text
+from amrforge.metrics import FINE_GRAINED_KEYS
+from amrforge.tokens import from_text, to_text
 
 from conftest import CONTRAST_TEXT, GOLDEN_SEQUENCE
 
@@ -501,6 +503,77 @@ def test_missing_input_file_exits_one(tmp_path):
 def test_usage_error_exits_two():
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+
+
+def _synth_corpus(path):
+    rng = random.Random(33)
+    graphs = [synth.random_graph(rng, 8, 20, attribute_prob=0.2) for _ in range(10)]
+    path.write_text("".join(graph_to_penman(g) + "\n\n" for g in graphs),
+                    encoding="utf-8")
+    return graphs
+
+
+def _corrupted(graphs, seed, **rates) -> str:
+    config = CorruptionConfig(seed=seed, **rates)
+    return "".join(
+        to_text(corrupt_graph(graph, config, derive_rng(seed, index))[0]) + "\n"
+        for index, graph in enumerate(graphs)
+    )
+
+
+def test_a_rate_flag_does_not_outlive_its_call(tmp_path):
+    # run parses with one parser per process: a rate given once must not
+    # become the next call's default
+    path, out = tmp_path / "c.amr", tmp_path / "out.txt"
+    graphs = _synth_corpus(path)
+    default, halved = _corrupted(graphs, 3), _corrupted(graphs, 3, node_rate=0.5)
+    assert default != halved
+    for flags, expected in (([], default), (["--node-rate", "0.5"], halved),
+                            ([], default)):
+        assert run(["corrupt", str(path), "--seed", "3", *flags, "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+
+
+def test_a_fine_report_does_not_outlive_its_call(corpus, capsys):
+    for flags, keys in (([], {"smatch"}), (["--fine"], set(FINE_GRAINED_KEYS)),
+                        ([], {"smatch"})):
+        assert run(["smatch", str(corpus), str(corpus), *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"seed", "pairs"} | keys
+
+
+def test_a_usage_error_does_not_outlive_its_call(tmp_path):
+    path, out = tmp_path / "c.amr", tmp_path / "out.txt"
+    graphs = _synth_corpus(path)
+    assert run(["corrupt", str(path), "--node-rate", "2", "-o", str(out)]) == 2
+    assert run(["corrupt", str(path), "--seed", "3", "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == _corrupted(graphs, 3)
+
+
+def test_a_mode_flag_does_not_outlive_its_call(tmp_path):
+    # strict is the default again after a --lenient call and a usage error
+    bad = tmp_path / "bad.amr"
+    bad.write_text("(b / boy)\n\n(broken / x :mod\n", encoding="utf-8")
+    assert run(["stats", str(bad), "--lenient"]) == 0
+    assert run(["stats", str(bad), "--strict", "--lenient"]) == 2
+    assert run(["stats", str(bad)]) == 1
+
+
+def test_the_parser_is_built_once_per_process(corpus, monkeypatch):
+    assert run(["linearize", str(corpus)]) == 0  # builds it if no call has
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["linearize", str(corpus)], ["stats", str(corpus)],
+                 ["smatch", str(corpus), str(corpus), "--fine"],
+                 ["no-such-command"], ["corrupt", str(corpus), "--node-rate", "2"]):
+        run(argv)
+    assert built == []
 
 
 def test_strict_corpus_error_reports_index(tmp_path):

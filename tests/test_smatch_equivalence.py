@@ -739,11 +739,15 @@ def test_search_never_writes_the_shared_tables(monkeypatch):
 
 def _check_kept_parts(key: str, context, base, left: TripleSet, right: TripleSet):
     """A re-run's context against one built from scratch, and its kept
-    part against the base context's own."""
+    part and variable numbering against the base context's own."""
     scratch = _MatchContext(left, right)
     assert context.unary == scratch.unary, key
     assert context.links == scratch.links, key
     assert context.ceiling == scratch.ceiling, key
+    assert (context.vars1, context.vars2, context.index2) == (
+        scratch.vars1, scratch.vars2, scratch.index2), key
+    for name in ("vars1", "vars2", "index1", "index2"):
+        assert getattr(context, name) is getattr(base, name), (key, name)
     if key == "no_wsd":
         assert context.links is base.links
     else:
@@ -751,8 +755,9 @@ def _check_kept_parts(key: str, context, base, left: TripleSet, right: TripleSet
 
 
 def test_kept_parts_equal_tables_built_from_scratch():
-    # the re-runs take the instance weights (all but no_wsd) or the links
-    # (no_wsd) from the base context; everything else they build
+    # the re-runs take the variable numbering, and the instance weights (all
+    # but no_wsd) or the links (no_wsd), from the base context; everything
+    # else they build
     pairs = [
         (_graph_from_json(case["left"]), _graph_from_json(case["right"]))
         for case in _golden_cases()
