@@ -381,18 +381,18 @@ def is_isomorphic(first: AmrGraph, second: AmrGraph) -> bool:
     """True iff some node-id bijection preserves root, concepts, edges and
     attributes.
 
-    Node colors are refined jointly (a Weisfeiler-Leman style partition
-    seeded with concept, distance from the root, degrees and attribute
-    multiset); a mismatch of the refined color signatures rejects early,
-    and any match is confirmed by an exact backtracking search restricted
-    to same-color candidates, so the answer is exact at every size.
-    Runtime can degenerate only on automorphism-heavy graphs.
+    Node colours are refined jointly (a Weisfeiler-Leman style partition
+    seeded with concept, distance from the root, degrees and attributes;
+    a refined colour keeps its previous one), so unequal colour histograms
+    reject early; a backtracking search over same-colour candidates
+    confirms that every edge maps onto an edge, so the answer is exact at
+    every size.  Runtime can degenerate only on automorphism-heavy graphs.
     """
     require_valid(first)
     require_valid(second)
     adjacency1, adjacency2 = _adjacency(first), _adjacency(second)
     colors1, colors2 = _joint_colors(first, second, adjacency1, adjacency2)
-    if _color_signature(first, colors1) != _color_signature(second, colors2):
+    if Counter(colors1.values()) != Counter(colors2.values()):
         return False
     return _search_bijection(first, second, adjacency1, colors1, colors2)
 
@@ -408,11 +408,7 @@ def _joint_colors(first: AmrGraph, second: AmrGraph, adjacency1, adjacency2):
     interned: dict = {}
 
     def intern(key):
-        value = interned.get(key)
-        if value is None:
-            value = len(interned)
-            interned[key] = value
-        return value
+        return interned.setdefault(key, len(interned))
 
     def initial(graph, out, inn):
         attrs = _by_source(graph.attributes)
@@ -462,20 +458,11 @@ def _joint_colors(first: AmrGraph, second: AmrGraph, adjacency1, adjacency2):
     return colors1, colors2
 
 
-def _color_signature(graph: AmrGraph, colors):
-    return (
-        colors[graph.root],
-        tuple(sorted(Counter(colors.values()).items())),
-        tuple(sorted((colors[s], r, colors[t]) for s, r, t in graph.edges)),
-        tuple(sorted((colors[s], r, v) for s, r, v in graph.attributes)),
-    )
-
-
 def _search_bijection(first, second, adjacency1, colors1, colors2) -> bool:
     by_color: dict[int, list[str]] = {}
     for n in second.nodes:
         by_color.setdefault(colors2[n], []).append(n)
-    # equal color signatures: every color of first has nodes in second
+    # equal colour histograms: every colour of first has nodes in second
     candidates = {n: by_color[colors1[n]] for n in first.nodes}
     order = sorted(first.nodes, key=lambda n: len(candidates[n]))
 

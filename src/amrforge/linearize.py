@@ -169,10 +169,9 @@ _OPEN, _CLOSE, _RELATION, _POINTER, _VALUE = "(", ")", ":", "<Z", ""
 
 def _classify(token: str, prefix: str) -> tuple[str, object]:
     """A token's kind in :func:`_walk`, with its usability or node id."""
-    if tk.is_pointer(token):  # named by its digits: str() refuses a long int
-        digits = token[2:-1]
-        digits = digits if digits.isascii() else "".join(map(str, map(int, digits)))
-        return _POINTER, prefix + (digits.lstrip("0") or "0")
+    digits = tk.pointer_digits(token)
+    if digits is not None:
+        return _POINTER, prefix + digits
     if token == tk.OPEN:
         return _OPEN, None
     if token == tk.CLOSE:

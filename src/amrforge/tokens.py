@@ -52,26 +52,24 @@ def pointer(index: int) -> str:
     return f"<Z{index}>"
 
 
-def pointer_index(token: str) -> int | None:
-    """``k`` for a pointer token ``<Zk>``, else None.
+def pointer_digits(token: str) -> str | None:
+    """``k`` of a pointer token ``<Zk>``, in ASCII digits without leading
+    zeros (``"0"`` for zero), else None.
 
     ``k`` is one or more decimal digits of any script: ``str.isdecimal``
     accepts exactly the Unicode Nd digits that the regex class ``\\d``
-    matches, so this agrees with every pattern that spells a pointer.
-    ``int()`` reads at most ``sys.get_int_max_str_digits()`` digits, a
-    limit never below 640, so ``k`` is read 640 digits at a time.
+    matches, so this agrees with every pattern that spells a pointer.  No
+    ``int()`` of ``k`` is taken: it refuses over 4,300 digits by default.
     """
-    if not is_pointer(token):
+    digits = token[2:-1]
+    if not (token.startswith("<Z") and token.endswith(">") and digits.isdecimal()):
         return None
-    index, digits = 0, token[2:-1]
-    for start in range(0, len(digits), 640):
-        part = digits[start:start + 640]
-        index = index * 10 ** len(part) + int(part)
-    return index
+    digits = digits if digits.isascii() else "".join(map(str, map(int, digits)))
+    return digits.lstrip("0") or "0"
 
 
 def is_pointer(token: str) -> bool:
-    return token.startswith("<Z") and token.endswith(">") and token[2:-1].isdecimal()
+    return pointer_digits(token) is not None
 
 
 def strip_sense(concept: str) -> str:

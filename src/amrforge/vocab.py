@@ -122,8 +122,8 @@ def encode(toks: list[str], vocabulary: Vocabulary) -> list[int]:
     for token in toks:
         index = vocabulary.id_of.get(token)
         if index is None:
-            pointer = tk.pointer_index(token)
-            if pointer is not None and pointer >= vocabulary.max_pointers:
+            digits, cap = tk.pointer_digits(token), str(vocabulary.max_pointers)
+            if digits is not None and (len(digits), digits) >= (len(cap), cap):
                 raise PointerCapacityError(token, vocabulary.max_pointers)
             unknown.append(token)
         else:

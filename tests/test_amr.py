@@ -1,7 +1,7 @@
 import itertools
 import pickle
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -340,6 +340,83 @@ def test_bijection_search_backtracks_like_brute_force():
         colors2 = dict.fromkeys(second.nodes, 0)
         assert _search_bijection(first, second, _adjacency(first), colors1,
                                  colors2) == expected
+
+
+def _isomorphic_by_definition(first: AmrGraph, second: AmrGraph) -> bool:
+    """Some node bijection maps the root to the root and carries the
+    concepts, the edge set and the attribute set onto the other graph's."""
+    if len(first.nodes) != len(second.nodes):
+        return False
+    edges, attributes = set(second.edges), set(second.attributes)
+    for order in itertools.permutations(second.nodes):
+        image = dict(zip(first.nodes, order))
+        if (image[first.root] == second.root
+                and all(second.nodes[image[n]] == c for n, c in first.nodes.items())
+                and {(image[s], r, image[t]) for s, r, t in first.edges} == edges
+                and {(image[n], r, v) for n, r, v in first.attributes} == attributes):
+            return True
+    return False
+
+
+def _small_graph(rng: random.Random, low: int, high: int) -> AmrGraph:
+    return random_graph(rng, low, high, max_reentrancies=3, attribute_prob=0.3,
+                        concepts=("a", "b"), relations=(":r", ":s"))
+
+
+def _perturbed(graph: AmrGraph, rng: random.Random) -> AmrGraph:
+    """``graph`` changed once and still valid: an edge relabelled, a concept
+    changed, an attribute moved or dropped, an edge added, or an independent
+    graph of the same size in its place."""
+    while True:
+        nodes, edges = dict(graph.nodes), list(graph.edges)
+        attributes = list(graph.attributes)
+        kind = rng.randrange(6)
+        if kind == 0 and edges:
+            s, r, t = edges.pop(rng.randrange(len(edges)))
+            edges.append((s, ":s" if r == ":r" else ":r", t))
+        elif kind == 1:
+            node = rng.choice(list(nodes))
+            nodes[node] = "b" if nodes[node] == "a" else "a"
+        elif kind == 2 and attributes:
+            _, r, v = attributes.pop(rng.randrange(len(attributes)))
+            attributes.append((rng.choice(list(nodes)), r, v))
+        elif kind == 3 and attributes:
+            attributes.pop(rng.randrange(len(attributes)))
+        elif kind == 4:
+            s, t = rng.choice(list(nodes)), rng.choice(list(nodes))
+            edges.append((s, rng.choice((":r", ":s")), t))
+        elif kind == 5:
+            return _small_graph(rng, len(nodes), len(nodes))
+        else:
+            continue
+        other = AmrGraph(nodes=nodes, edges=tuple(edges),
+                         attributes=tuple(attributes), root=graph.root)
+        if not validate(other):  # a duplicate triple or a cycle: draw again
+            return other
+
+
+def test_isomorphism_agrees_with_brute_force_on_whole_graphs():
+    # The colours reject most pairs before any search, so the verdict is
+    # checked against the definition itself.  The second graph is a renamed,
+    # shuffled copy of the first, perturbed once half of the time.
+    rng = random.Random(34)
+    outcomes = Counter()
+    for _ in range(600):
+        first = _small_graph(rng, 1, 6)
+        copy = _perturbed(first, rng) if rng.random() < 0.5 else first
+        names = [f"w{i}" for i in range(len(copy.nodes))]
+        rng.shuffle(names)
+        renamed = rename_nodes(copy, dict(zip(copy.nodes, names)))
+        nodes, edges = list(renamed.nodes.items()), list(renamed.edges)
+        attributes = list(renamed.attributes)
+        for items in (nodes, edges, attributes):
+            rng.shuffle(items)
+        second = AmrGraph(nodes=dict(nodes), edges=tuple(edges),
+                          attributes=tuple(attributes), root=renamed.root)
+        expected = _isomorphic_by_definition(first, second)
+        assert is_isomorphic(first, second) == expected, (first, second)
+        outcomes[expected] += 1
+    assert min(outcomes[True], outcomes[False]) >= 100, outcomes
 
 
 def test_isomorphism_builds_each_table_once(monkeypatch):

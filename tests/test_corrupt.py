@@ -20,7 +20,7 @@ from amrforge import (
 from amrforge.corrupt import _half_up
 from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph
-from amrforge.tokens import MASK, OPEN, pointer_index, to_text
+from amrforge.tokens import MASK, OPEN, pointer_digits, to_text
 
 from conftest import edge_relations, replay_edits
 
@@ -80,7 +80,7 @@ def test_pointers_and_parens_never_masked():
         toks, _ = mask_nodes_edges(graph, config, rng)
         clean = linearize(graph)
         for before, after in zip(clean, toks):
-            if before in ("(", ")") or pointer_index(before) is not None:
+            if before in ("(", ")") or pointer_digits(before) is not None:
                 assert after == before
 
 
@@ -165,7 +165,7 @@ def test_mask_subgraph_output_is_structurally_sound():
         for i, token in enumerate(toks):
             depth += (token == "(") - (token == ")")
             assert depth >= 0  # balanced
-            pointer = pointer_index(token)
+            pointer = pointer_digits(token)
             if pointer is not None:
                 (defined if toks[i - 1] == "(" else referenced).add(pointer)
         assert depth == 0

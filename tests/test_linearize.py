@@ -25,7 +25,7 @@ from amrforge.linearize import _walk, linearize_with_layout
 from amrforge.penman import graph_to_penman
 from amrforge.synth import random_graph
 from amrforge.tokens import (
-    from_text, is_pointer, is_relation, pointer, pointer_index, to_text,
+    from_text, is_pointer, is_relation, pointer, pointer_digits, to_text,
 )
 
 from conftest import GOLDEN_SEQUENCE
@@ -54,10 +54,10 @@ def test_pointer_indices_are_dense_in_first_visit_order():
         graph = random_graph(rng, 1, 25, max_reentrancies=4)
         seen = []
         for token in linearize(graph):
-            k = pointer_index(token)
+            k = pointer_digits(token)
             if k is not None and k not in seen:
                 seen.append(k)
-        assert seen == list(range(len(graph.nodes)))
+        assert seen == [str(k) for k in range(len(graph.nodes))]
 
 
 def test_token_counts():
@@ -208,15 +208,16 @@ def test_pointer_index_reads_the_pointer_pattern():
         for chars in itertools.product(alphabet, repeat=length):
             token = "".join(chars)
             match = re.fullmatch(r"<Z(\d+)>", token)
-            expected = int(match.group(1)) if match else None
-            assert pointer_index(token) == expected, token
+            expected = str(int(match.group(1))) if match else None
+            assert pointer_digits(token) == expected, token
+            assert is_pointer(token) == (match is not None), token
 
 
 def test_pointer_index_reads_more_digits_than_int_converts_at_once():
     # int() and str() refuse more than 4,300 digits by default
-    assert pointer_index("<Z" + "1" * 5000 + ">") == (10**5000 - 1) // 9
-    assert pointer_index("<Z" + "0" * 4999 + "\u0663>") == 3
-    assert pointer_index("<Z" + "1" * 5000 + ">>") is None
+    assert pointer_digits("<Z" + "1" * 5000 + ">") == "1" * 5000
+    assert pointer_digits("<Z" + "0" * 4999 + "\u0663>") == "3"
+    assert pointer_digits("<Z" + "1" * 5000 + ">>") is None
     graph = delinearize(["(", "<Z" + "\u0663" * 5000 + ">", "boy", ")"])
     assert graph.nodes == {"z" + "3" * 5000: "boy"}
     graph = delinearize(["(", "<Z" + "0" * 5000 + "7>", "boy", ")"])

@@ -110,6 +110,14 @@ def test_pointer_capacity_error():
     vocabulary = build_vocabulary(["a"], None, max_pointers=4)
     with pytest.raises(PointerCapacityError):
         encode(["<Z4>"], vocabulary)
+    # the number delinearize reads: any Nd digits, leading zeros dropped
+    vocabulary = build_vocabulary(["a"], None, max_pointers=10)
+    for token in ("<Z09>", "<Z\u0669>", "<Z0000000009>"):
+        with pytest.raises(UnknownTokenError):
+            encode([token], vocabulary)
+    for token in ("<Z10>", "<Z010>", "<Z\u0661\u0660>", "<Z99>", "<Z" + "1" * 5000 + ">"):
+        with pytest.raises(PointerCapacityError):
+            encode([token], vocabulary)
 
 
 def test_pointer_capacity_error_for_more_digits_than_int_converts():
