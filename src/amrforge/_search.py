@@ -20,11 +20,13 @@ from a sequence of start mappings.  One climb keeps one :class:`_Position`
 and updates it in place.  A move sets the images of one or two variables
 (a reassignment and the holder it evicts, or a swapped pair); only their
 linked neighbours' reach changes, so only moves that read what changed
-are rescored.  Each step takes the first move with the largest gain in
+are rescored: any other variable rescores only its moves to the images
+that changed.  Each step takes the first move with the largest gain in
 the order of the full move list (every reassignment, then every swap),
-and a plateau step takes the first unvisited move of gain 0 in that
-order.  Keeping that tie order keeps every score and mapping the same as
-a search that rescored the whole list after each step.
+so a swap that gains what one side's reassignment gains is never taken,
+and never scored.  A plateau step takes the first unvisited move of gain
+0 in that order.  Keeping that tie order keeps every score and mapping
+the same as a search that rescored the whole list after each step.
 
 No injective mapping matches more than each variable's best unary entry
 plus each linked pair's best pairwise entry: the context's ceiling, the
@@ -201,25 +203,32 @@ class _Position:
 
     The position also keeps the moves worth taking: ``gains[v]`` and
     ``targets[v]`` are ``v``'s first-best positive reassignment (gain 0
-    and target ``None`` if it has none), and ``swaps`` maps each pair
-    ``(v, w)``, ``v < w``, whose swap has a positive gain to that gain;
-    ``partners[v]`` lists the variables ``v`` has such a pair with.  Only
-    moves whose new side can match something can gain: a reassignment
-    into ``v``'s reach, or a swap of ``v`` with the holder of something in
-    its reach, with a watcher of its image or with a linked neighbour.
-    Any other move gives up what the moved variables match and gains
-    nothing.
+    and target ``None`` if it has none), and only one into ``v``'s reach
+    can gain.  ``swaps`` maps each pair ``(v, w)``, ``v < w``, whose swap
+    can win to its positive gain; ``partners[v]`` lists the variables
+    ``v`` has such a pair with.  A swap can win only if each side holds an
+    image in the other's reach, or if their link table matches at the
+    swapped images (``links[v][w][images[v]][images[w]]``).  Otherwise
+    one side, say ``v``, matches nothing at ``w``'s image, and the swap
+    gains what moving ``w`` to ``v``'s image and evicting ``v`` gains: at
+    most ``gains[w]``, or nothing.  :meth:`best_move` takes a swap only if
+    it beats every reassignment, so such a swap, and so every swap with an
+    unmapped side, is never taken.  :meth:`sideways` takes swaps of gain
+    0, so it scores every swap in :meth:`_swap_candidates`.
 
     :meth:`apply` sets the images of the one or two moved variables.  The
     ``reach`` of their linked neighbours changes by one table row each, so
     ``current`` changes only for the moved variables and those neighbours,
-    the *touched* set.  A reassignment's gain reads its variable's reach,
-    image and current, and the holder of its target and that holder's
-    current, so only the *dirty* variables are rescored: the touched ones
-    and the watchers of their images and of the moved variables' old
-    images.  A swap's gain reads only the reach, current and image of its
-    two variables, so only the swaps that involve a touched variable are
-    dropped and rescored.
+    the *touched* set, whose moves are all rescored.  Any other variable's
+    reassignment to ``j`` reads its unchanged reach, image and current,
+    and the holder of ``j`` and that holder's current.  So its gain changes
+    only if ``j`` is a *changed* image: a touched variable's image or a
+    moved variable's old one.  A watcher of a changed image keeps its best
+    move and rescores only its moves to changed images, unless its kept
+    best target is one of them: then that best may have lost gain, and its
+    whole reach is rescanned.  A swap's gain reads only the reach, current
+    and image of its two variables, so only the swaps that involve a
+    touched variable are dropped and rescored.
 
     :meth:`best_move` breaks ties as a scan of the full move list would,
     so the climb takes the same steps, and ends with the same score and
@@ -247,15 +256,12 @@ class _Position:
         self.targets: list[int | None] = [None] * len(images)
         self.swaps: dict[tuple[int, int], int] = {}
         self.partners: list[set[int]] = [set() for _ in images]
-        everyone = set(range(len(images)))
-        self._rescore(everyone, everyone)
+        self._rescore(set(range(len(images))), set())
 
     def apply(self, changes) -> None:
         """Move each ``(v, j)`` of ``changes`` and rescore what that touched."""
-        images, holder, reach, watchers = (
-            self.images, self.holder, self.reach, self.watchers
-        )
-        links = self.context.links
+        images, holder, reach = self.images, self.holder, self.reach
+        watchers, links = self.watchers, self.context.links
         moved = [(v, images[v], j) for v, j in changes]
         for v, old, _ in moved:
             if old is not None and holder.get(old) == v:
@@ -287,52 +293,63 @@ class _Position:
                         else:
                             reach_w[j] = weight
                             watchers[j].add(w)
-        current = self.current
-        dirty = set(touched)
         for t in touched:
-            at = images[t]
-            if at is None:
-                current[t] = 0
-            else:
-                current[t] = reach[t].get(at, 0)
-                dirty |= watchers[at]
-        for _, old, _ in moved:
-            if old is not None:
-                dirty |= watchers[old]
-        self._rescore(dirty, touched)
+            self.current[t] = reach[t].get(images[t], 0)
+        changed = {images[t] for t in touched}.union(old for _, old, _ in moved)
+        changed.discard(None)
+        self._rescore(touched, changed)
 
-    def _rescore(self, dirty: set[int], touched: set[int]) -> None:
+    def _rescore(self, touched: set[int], changed: set[int]) -> None:
         images, reach, current = self.images, self.reach, self.current
-        gains, targets = self.gains, self.targets
-        for v in dirty:
-            at, now = images[v], current[v]
-            best_gain, best = 0, None
-            for j, weight in reach[v].items():
-                most = weight - now  # evicting a holder never adds to the gain
-                # first-best in target order, as a scan in that order finds it;
-                # a move that could not win even at its most is not scored
-                if j != at and (most > best_gain or most == best_gain > 0 and j < best):
-                    gain, _ = self._reassign_gain(v, j)
-                    if gain > best_gain or gain == best_gain > 0 and j < best:
-                        best_gain, best = gain, j
-            gains[v], targets[v] = best_gain, best
-
-        swaps, partners = self.swaps, self.partners
+        watchers, gains, targets = self.watchers, self.gains, self.targets
+        rescan, kept = set(touched), []  # the changed-image rule, as above
+        for j in changed:
+            for w in watchers[j]:
+                if targets[w] in changed:
+                    rescan.add(w)
+                elif w not in touched:
+                    kept.append((w, j))
+        for v in rescan:
+            self._best_reassignment(v, reach[v], 0, None)
+        for w, j in kept:
+            if reach[w][j] - current[w] >= gains[w]:  # else it cannot win
+                self._best_reassignment(w, (j,), gains[w], targets[w])
+        swaps, partners, links = self.swaps, self.partners, self.context.links
         for t in touched:
             for p in partners[t]:
                 del swaps[(t, p) if t < p else (p, t)]
                 partners[p].discard(t)
             partners[t].clear()
         for t in touched:
-            at_t = images[t]
-            for p in self._swap_candidates(t):
-                if p == t or images[p] == at_t or (p < t and p in touched):
+            at_t, reach_t = images[t], reach[t]
+            if at_t is None:
+                continue  # a swap with an unmapped side is a reassignment
+            others = {p for p in watchers[at_t] if images[p] in reach_t}
+            for p, table in links[t].items():
+                if images[p] in table.get(at_t, _NO_MATCHES):
+                    others.add(p)
+            for p in others:
+                if p == t or (p < t and p in touched):
                     continue  # not a move, or scored from p's side
                 gain = self._swap_gain(t, p)
                 if gain > 0:
                     swaps[(t, p) if t < p else (p, t)] = gain
                     partners[t].add(p)
                     partners[p].add(t)
+
+    def _best_reassignment(self, v: int, candidates, best_gain: int, best) -> None:
+        """Set ``gains[v]`` and ``targets[v]`` to the first-best of ``best``
+        (gain ``best_gain``) and ``v``'s moves to ``candidates``, in reach."""
+        at, now, reach = self.images[v], self.current[v], self.reach[v]
+        for j in candidates:
+            most = reach[j] - now  # evicting a holder never adds to the gain
+            # first-best in target order, as a scan in that order finds it;
+            # a move that could not win even at its most is not scored
+            if j != at and (most > best_gain or most == best_gain > 0 and j < best):
+                gain, _ = self._reassign_gain(v, j)
+                if gain > best_gain or gain == best_gain > 0 and j < best:
+                    best_gain, best = gain, j
+        self.gains[v], self.targets[v] = best_gain, best
 
     def _reassign_gain(self, v: int, j: int | None) -> tuple[int, int | None]:
         """The gain of moving ``v`` to ``j``, and the holder it evicts."""
@@ -356,8 +373,8 @@ class _Position:
         return gain
 
     def _swap_candidates(self, v: int) -> set[int]:
-        """The variables a swap with ``v`` can gain from: the holders of its
-        reach, the watchers of its image and its linked neighbours."""
+        """For :meth:`sideways`, the variables a swap with ``v`` can gain
+        from: the holders of its reach, its image's watchers and its links."""
         holder = self.holder
         others = {holder[j] for j in self.reach[v] if j in holder}
         others.update(self.context.links[v])
@@ -468,8 +485,7 @@ def _climb_once(context, images):
     if score == context.ceiling:
         return score, images
     position = _Position(context, list(images))
-    sideways = _SIDEWAYS_BUDGET
-    visited = {tuple(images)}
+    sideways, visited = _SIDEWAYS_BUDGET, {tuple(images)}
     while score < context.ceiling:
         gain, changes = position.best_move()
         if changes is None and sideways > 0:

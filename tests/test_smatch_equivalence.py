@@ -1,6 +1,7 @@
 """Smatch results pinned to a golden fixture, move gains checked against
 a plain triple-overlap count, and the climb's kept tables checked against
-a freshly built position after every step.
+a freshly built position after every step; the kept swaps must hold every
+swap that beats every reassignment.
 
 ``data/smatch_golden.json`` holds 30 gold/prediction pairs of 5-30 nodes.
 Each prediction is its gold graph after seeded node, edge and sub-graph
@@ -16,8 +17,9 @@ start began to be climbed before the name start.
 Three more pairs pin the order in which ``fine_grained`` draws from its
 generator: scoring ``srl`` before ``reentrancy`` changes their ``srl``
 counts.  Two more, of 80-120-node gold graphs, pin long climbs that take
-sideways steps.  Regenerate it only when a change of results is
-intended:
+sideways steps.  The last, ``synth.document_pair`` at 300 nodes, was
+recorded before a climb step rescored only the moves to the images it
+changed.  Regenerate it only when a change of results is intended:
 
     PYTHONPATH=src python tests/test_smatch_equivalence.py --write
 
@@ -101,6 +103,10 @@ DRAW_ORDER_PAIRS = (1, 227, 316)
 # document-sized pairs: long climbs, many of them ending in sideways steps
 DOCUMENT_SEED = 1212
 DOCUMENT_PAIRS = (1, 3)
+# the 300-node pair of synth.document_pair at seed 7, whose climbs are long
+# and never reach the ceiling, searched with the default restarts and seed
+DOCUMENT_SIZE_PAIRS = ((7, 300),)
+CASES = PAIRS + len(DRAW_ORDER_PAIRS) + len(DOCUMENT_PAIRS) + len(DOCUMENT_SIZE_PAIRS)
 
 
 def _fixture_pairs(count: int = PAIRS):
@@ -145,6 +151,11 @@ def _document_pairs():
             delinearize(repair(noisy)), derive_rng(DOCUMENT_SEED + 1, index)
         )
         yield predicted, gold, 4, index
+
+
+def _document_size_pairs():
+    for seed, nodes in DOCUMENT_SIZE_PAIRS:
+        yield *synth.document_pair(random.Random(seed), nodes, nodes), 4, 0
 
 
 def _relabel(graph: AmrGraph, rng: random.Random, rate: float = 0.2) -> AmrGraph:
@@ -209,7 +220,8 @@ def _scores_json(scores) -> dict:
 def _write_fixture() -> None:
     cases = []
     for left, right, restarts, seed in (
-        *_fixture_pairs(), *_draw_order_pairs(), *_document_pairs()
+        *_fixture_pairs(), *_draw_order_pairs(), *_document_pairs(),
+        *_document_size_pairs(),
     ):
         cases.append({
             "left": _graph_json(left),
@@ -229,9 +241,7 @@ def _golden_cases():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))["cases"]
 
 
-@pytest.mark.parametrize(
-    "index", range(PAIRS + len(DRAW_ORDER_PAIRS) + len(DOCUMENT_PAIRS))
-)
+@pytest.mark.parametrize("index", range(CASES))
 def test_seeded_results_match_golden_fixture(index):
     case = _golden_cases()[index]
     left, right = _graph_from_json(case["left"]), _graph_from_json(case["right"])
@@ -1038,17 +1048,57 @@ def test_kept_tables_with_duplicate_labels_and_self_loops():
         _check_climbs(variant(left), variant(right), rng, climbs=6)
 
 
-def test_kept_tables_along_the_golden_climbs():
-    # 5-30-node pairs climb longer than the small seeded ones, and many of
-    # their climbs end on plateaus, so sideways steps are checked too
-    taken = 0
+def _golden_climbs():
+    """``(left, right, rng)`` of the golden sentence-size cases and their
+    variants, each case with its own generator for the random starts."""
     for index, case in enumerate(_golden_cases()[: PAIRS + len(DRAW_ORDER_PAIRS)]):
         left = to_triples(_graph_from_json(case["left"]))
         right = to_triples(_graph_from_json(case["right"]))
         rng = random.Random(index)
         for variant in (lambda t: t, _unlabeled, _no_wsd):
-            taken += _check_climbs(variant(left), variant(right), rng, climbs=1)
+            yield variant(left), variant(right), rng
+
+
+def test_kept_tables_along_the_golden_climbs():
+    # 5-30-node pairs climb longer than the small seeded ones, and many of
+    # their climbs end on plateaus, so sideways steps are checked too
+    taken = sum(_check_climbs(left, right, rng, climbs=1)
+                for left, right, rng in _golden_climbs())
     assert taken > 0
+
+
+def _check_winning_swaps(position: _Position) -> int:
+    """Every swap whose gain beats every reassignment's must be kept with
+    that gain.  Returns how many swaps of positive gain were left out."""
+    images, best = position.images, max(position.gains, default=0)
+    left_out = 0
+    for v, w in itertools.combinations(range(len(images)), 2):
+        if images[v] != images[w]:
+            gain = position._swap_gain(v, w)
+            if gain > best:
+                assert position.swaps.get((v, w)) == gain, (v, w, gain)
+            left_out += gain > 0 and (v, w) not in position.swaps
+    return left_out
+
+
+def test_swaps_keep_every_swap_that_can_win(monkeypatch):
+    # swaps keeps only the swaps that can beat every reassignment, which
+    # best_move compares them with; along the climbs of the kept-tables
+    # tests, after the position is built and after every apply, a swap
+    # that beats them all must be kept, and some positive ones are not
+    left_out, rescore = [0], _Position._rescore
+
+    def checked(self, *args):
+        rescore(self, *args)
+        left_out[0] += _check_winning_swaps(self)
+
+    monkeypatch.setattr(_Position, "_rescore", checked)
+    for seed in range(40):
+        test_kept_tables_equal_a_fresh_position_after_every_step(seed)
+    test_kept_tables_with_duplicate_labels_and_self_loops()
+    for left, right, rng in _golden_climbs():
+        _check_climbs(left, right, rng, climbs=1)
+    assert left_out[0] > 0
 
 
 if __name__ == "__main__":
