@@ -81,8 +81,8 @@ def _open(path: str):
     return contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
 
 
-def _json(row) -> str:
-    return json.dumps(row, ensure_ascii=False)
+# one encoder for every row, which json.dumps(row, ensure_ascii=False) builds per call
+_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _seed(args) -> int:

@@ -76,12 +76,8 @@ def node_edge_step(node_rate: float, edge_rate: float):
     """
 
     def step(toks: list[str], layout: LinearLayout, rng: random.Random):
-        # a node's concept follows its open paren and pointer; an edge
-        # relation precedes each open but the root's, at 0, or a bare pointer
-        opens = [o for o, _ in layout.span.values()]
-        concept_candidates = _unmasked(toks, (o + 2 for o in opens))
-        edge_candidates = _unmasked(toks, [o - 1 for o in opens if o]
-                                    + [pos - 1 for pos, _ in layout.ref_positions])
+        concept_candidates = _unmasked(toks, layout._concepts)
+        edge_candidates = _unmasked(toks, layout._relations)
         node_picks = rng.sample(
             concept_candidates, _half_up(node_rate * len(concept_candidates))
         )
@@ -95,8 +91,8 @@ def node_edge_step(node_rate: float, edge_rate: float):
     return step
 
 
-def _unmasked(toks: list[str], positions) -> list[int]:
-    return sorted(pos for pos in positions if toks[pos] != tk.MASK)
+def _unmasked(toks: list[str], positions: list[int]) -> list[int]:
+    return [pos for pos in positions if toks[pos] != tk.MASK]
 
 
 def _mask_each(toks: list[str], kinds: dict[int, str]):
@@ -121,41 +117,11 @@ def subgraph_step(probability: float):
 
     def step(toks: list[str], layout: LinearLayout, rng: random.Random):
         if len(layout.span) > 1 and rng.random() < probability:
-            eligible = _eligible_spans(layout)
-            if eligible:
+            if eligible := layout._eligible:
                 return _cut_span(toks, layout, eligible[rng.randrange(len(eligible))])
         return toks, layout, ()
 
     return step
-
-
-def _eligible_spans(layout: LinearLayout) -> list[str]:
-    """Non-root nodes whose span can be removed, in text order.
-
-    Spans nest along the depth-first spanning tree, so folding each
-    node's last reference up that tree gives, per span, the last
-    reference to any pointer defined inside it.  A pointer is referenced
-    only after its definition, so the span keeps all those references
-    exactly when that last one lies before its close paren.
-    """
-    # ref_positions runs in text order, so each node keeps its last reference
-    last = {node: pos for pos, node in layout.ref_positions}
-    parent: dict[str, str | None] = {}
-    enclosing: list[str] = []
-    for node in layout.span:  # in text order of the open parens
-        while enclosing and layout.span[enclosing[-1]][1] < layout.span[node][0]:
-            enclosing.pop()
-        parent[node] = enclosing[-1] if enclosing else None
-        enclosing.append(node)
-    for node in reversed(layout.span):  # descendants before their ancestors
-        up = parent[node]
-        if up is not None and node in last:
-            last[up] = max(last.get(up, -1), last[node])
-    return [
-        node
-        for node in layout.span
-        if parent[node] is not None and last.get(node, -1) <= layout.span[node][1]
-    ]
 
 
 def _cut_span(toks: list[str], layout: LinearLayout, node: str):

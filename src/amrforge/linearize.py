@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import tokens as tk
 from .amr import (
@@ -60,11 +61,49 @@ class LinearLayout:
     ``ref_positions`` lists the bare pointers, each with its node, in text
     order, each after its relation at ``position - 1``.  Targeted
     corruption and rendering read nothing else, and write nothing: a graph
-    hands one layout to every caller.
+    hands one layout to every caller.  The corruption targets derived from
+    them are computed on first use and kept, in text order.
     """
 
     span: dict[str, tuple[int, int]]
     ref_positions: list[tuple[int, str]]
+
+    @cached_property
+    def _concepts(self) -> list[int]:
+        return [o + 2 for o, _ in self.span.values()]
+
+    @cached_property
+    def _relations(self) -> list[int]:
+        # the relations before each open but the root's, at 0, and each bare pointer
+        return sorted([o - 1 for o, _ in self.span.values() if o]
+                      + [pos - 1 for pos, _ in self.ref_positions])
+
+    @cached_property
+    def _eligible(self) -> list[str]:
+        """Non-root nodes whose span can be removed: no pointer defined
+        inside it is referenced outside it.
+
+        Spans nest along the depth-first spanning tree, so folding each
+        node's last reference up that tree gives, per span, the last
+        reference to any pointer defined inside it.  A pointer is referenced
+        only after its definition, so the span keeps all those references
+        exactly when that last one lies before its close paren.
+        """
+        # ref_positions runs in text order, so each node keeps its last reference
+        last = {node: pos for pos, node in self.ref_positions}
+        parent: dict[str, str | None] = {}
+        enclosing: list[str] = []
+        for node, (start, _) in self.span.items():  # in text order of the opens
+            while enclosing and self.span[enclosing[-1]][1] < start:
+                enclosing.pop()
+            parent[node] = enclosing[-1] if enclosing else None
+            enclosing.append(node)
+        for node in reversed(self.span):  # descendants before their ancestors
+            up = parent[node]
+            if up is not None and node in last:
+                last[up] = max(last.get(up, -1), last[node])
+        return [node for node, (_, end) in self.span.items()
+                if parent[node] is not None and last.get(node, -1) <= end]
 
 
 def linearize(graph: AmrGraph) -> list[str]:

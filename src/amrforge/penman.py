@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from ._files import lines
 from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
@@ -69,6 +70,7 @@ def empty_graph() -> AmrGraph:
 _TOKEN_RE = re.compile(r'[()/]|"(?:\\[\s\S]|[^"\\\n])*"|"|[^ \t\r\n()/"]+')
 _DELIMITERS = ("(", ")", "/")
 _NOT_ATOM = '()/"'  # first characters of the tokens that are not atoms
+_PAST_END = (-1, "(")  # what the walk takes past the last token: a delimiter
 
 
 def _line_column(text: str, index: int, first_line: int) -> tuple[int, int]:
@@ -143,7 +145,6 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
     keeps every ``(source, relation, target)`` in text order to decide.
     """
     tokens = _TOKEN_RE.findall(text)
-    count = len(tokens)
 
     def fail(message: str, index: int):
         raise PenmanSyntaxError(message, *_line_column(text, index, first_line))
@@ -153,71 +154,60 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
 
     nodes: dict[str, str] = {}
     triples: list[tuple[str, str, str]] = []
-    root: str | None = None
-
     stack: list[str] = []
-    pending: int | None = None  # position of the relation awaiting a target
-    pos = 0
-    while pos < count:
-        token = tokens[pos]
+    pending: str | None = None  # the relation awaiting a target, the last token
+    walk = enumerate(tokens)
+    for pos, token in walk:
         if token == "(":
             if stack and pending is None:
                 fail("expected a relation before a nested node", pos)
-            if pos + 1 >= count or tokens[pos + 1][0] in _NOT_ATOM:
+            var = next(walk, _PAST_END)[1]
+            if var[0] in _NOT_ATOM:
                 fail("expected a variable after '('", pos)
-            var = tokens[pos + 1]
-            if pos + 2 >= count or tokens[pos + 2] != "/":
+            if next(walk, _PAST_END)[1] != "/":
                 fail(f"expected '/' after variable {var!r}", pos + 1)
-            if pos + 3 >= count or tokens[pos + 3] in _DELIMITERS:
+            if (concept := next(walk, _PAST_END)[1]) in _DELIMITERS:
                 fail("missing concept after '/'", pos + 2)
             if var in nodes:
                 fail(f"duplicate variable definition {var!r}", pos + 1)
-            nodes[var] = tokens[pos + 3]
-            if root is None:
-                root = var
+            nodes[var] = concept
             if stack:
-                triples.append((stack[-1], tokens[pending], var))
+                triples.append((stack[-1], pending, var))
                 pending = None
             stack.append(var)
-            pos += 4
-            continue
-        if token == ")":
+        elif token == ")":
             if pending is not None:
-                fail(f"relation {tokens[pending]!r} has no target", pending)
+                fail(f"relation {pending!r} has no target", pos - 1)
             if not stack:
                 fail("unbalanced ')'", pos)
             stack.pop()
-            pos += 1
             if not stack:
-                if pos < count:
-                    fail("unexpected content after the graph", pos)
+                if pos + 1 < len(tokens):
+                    fail("unexpected content after the graph", pos + 1)
                 break
-            continue
-        if token == "/":
+        elif token == "/":
             fail("unexpected '/'", pos)
-        if is_relation(token):
+        elif pending is None:
+            if not is_relation(token):
+                fail(f"unexpected token {token!r}", pos)
             if not stack:
                 fail("relation outside of a node", pos)
-            if pending is not None:
-                fail(f"relation {tokens[pending]!r} has no target", pending)
-            pending = pos
-            pos += 1
-            continue
-        # atom or string target: edge or constant is decided after the walk
-        if not stack or pending is None:
-            fail(f"unexpected token {token!r}", pos)
-        triples.append((stack[-1], tokens[pending], token))
-        pending = None
-        pos += 1
+            pending = token
+        elif is_relation(token):
+            fail(f"relation {pending!r} has no target", pos - 1)
+        else:  # an atom or string target: edge or constant is decided after the walk
+            triples.append((stack[-1], pending, token))
+            pending = None
 
-    if stack or root is None:
-        fail("unbalanced '(': expression ends before all nodes are closed", count - 1)
+    if stack or not nodes:
+        fail("unbalanced '(': expression ends before all nodes are closed",
+             len(tokens) - 1)
 
     return AmrGraph(
         nodes=nodes,
         edges=tuple(t for t in triples if t[2] in nodes),
         attributes=tuple(t for t in triples if t[2] not in nodes),
-        root=root,
+        root=next(iter(nodes)),
     )
 
 
@@ -280,22 +270,24 @@ def read_corpus(stream, strict: bool = True):
     hold) ends a line: open files ``"rb"`` or with ``newline="\n"``.
     The stream is not closed here.
 
-    Documents are separated by one or more blank lines.  In strict mode
-    the first malformed document aborts with its index; in lenient mode a
-    document with a syntax error is replaced by the fallback graph and a
-    document with validation problems is kept, both carrying diagnostics.
+    Documents are separated by one or more blank lines.  A block of plain
+    ``#`` comment lines, such as the header of an LDC release file, is not
+    a document.  In strict mode the first malformed document aborts with
+    its index; in lenient mode a document with a syntax error is replaced
+    by the fallback graph and a document with validation problems is kept,
+    both carrying diagnostics.
     """
     index = 0
     block: list[str] = []
-    for line in lines(stream):
+    for line in chain(lines(stream), [""]):  # a blank line ends the last block
         if line.strip():
             block.append(line)
-        elif block:
+            continue
+        # a block of plain comments, like an LDC file's header, is no document
+        if any(s[0] != "#" or s.startswith("# ::") for s in map(str.lstrip, block)):
             yield _parse_block(block, index, strict)
             index += 1
-            block = []
-    if block:
-        yield _parse_block(block, index, strict)
+        block = []
 
 
 def _parse_block(block: list[str], index: int, strict: bool) -> PenmanDocument:

@@ -13,10 +13,10 @@ pre-training approaches the fine-tuning format.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from json.encoder import encode_basestring as _string
 from typing import Iterable, Iterator
 
 from . import tokens as tk
@@ -188,16 +188,14 @@ def build_corpus(
 
 
 def sample_to_json(sample: TaskSample) -> str:
-    """One JSON Lines record: task, step, input and output token arrays."""
-    return json.dumps(
-        {
-            "task": sample.tag.value,
-            "step": sample.step,
-            "input": list(sample.input),
-            "output": list(sample.output),
-        },
-        ensure_ascii=False,
-    )
+    """One JSON Lines record: task, step, input and output token arrays.
+
+    The record is ``json.dumps`` of those four fields with
+    ``ensure_ascii=False``, joined from the string encoder that call uses.
+    """
+    return (f'{{"task": {_string(sample.tag.value)}, "step": {sample.step}, '
+            f'"input": [{", ".join(map(_string, sample.input))}], '
+            f'"output": [{", ".join(map(_string, sample.output))}]}}')
 
 
 def parse_tag(name: str) -> TaskTag:

@@ -582,6 +582,37 @@ def test_strict_corpus_error_reports_index(tmp_path):
     assert run(["linearize", str(path)]) == 1
 
 
+LDC_HEADER = "# AMR release (generated on Fri Jun 17, 2016 at 21:55:56); corpus: LDC\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--lenient"]])
+def test_a_header_of_plain_comments_is_not_a_document(flags, tmp_path, capsys):
+    # an LDC release file starts with a "# AMR release" block: no document
+    # is read from it, so the two graphs are documents 0 and 1
+    gold, predicted = tmp_path / "ldc.amr", tmp_path / "pred.amr"
+    gold.write_text(f"{LDC_HEADER}# another comment\n\n# ::id a.1\n(b / boy)\n\n"
+                    "# ::id a.2\n# plain\n(w / want-01 :ARG0 (g / girl))\n",
+                    encoding="utf-8")
+    predicted.write_text("(x / boy)\n\n(y / want-01 :ARG0 (z / girl))\n", encoding="utf-8")
+    assert run(["linearize", *flags, str(gold)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "( <Z0> boy )", "( <Z0> want-01 :ARG0 ( <Z1> girl ) )"]
+    assert run(["validate", str(gold)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["index"], row["id"]) for row in rows] == [(0, "a.1"), (1, "a.2")]
+    assert run(["smatch", str(gold), str(predicted)]) == 0
+    assert json.loads(capsys.readouterr().out)["smatch"]["f1"] == 1.0
+
+
+def test_a_block_of_metadata_without_a_graph_is_still_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.amr"
+    path.write_text(f"{LDC_HEADER}\n# ::id a.0\n# a comment\n\n(b / boy)\n",
+                    encoding="utf-8")
+    assert run(["linearize", str(path)]) == 1
+    assert "document 0: expected '(' to start a graph (line 3, column 1)" in (
+        capsys.readouterr().err)
+
+
 def test_build_tasks_accepts_explicit_task_names(corpus, tmp_path):
     out = tmp_path / "explicit.jsonl"
     assert run(["build-tasks", str(corpus), "--tasks", "mt_g2t,t_mg2g",

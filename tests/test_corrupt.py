@@ -17,7 +17,7 @@ from amrforge import (
     restore_tokens,
     subgraph_step,
 )
-from amrforge.corrupt import _half_up
+from amrforge.corrupt import _cut_span, _half_up
 from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph
 from amrforge.tokens import MASK, OPEN, pointer_digits, to_text
@@ -345,3 +345,42 @@ def test_reverse_order_composition_still_restores(golden):
     steps = [node_edge_step(0.5, 0.5), subgraph_step(1.0)]
     toks, edits = compose(golden, steps, derive_rng(3, 0))
     assert restore_tokens(toks, edits) == linearize(golden)
+
+
+def _fresh_targets(layout):
+    """Concept positions, edge-relation positions and removable spans,
+    computed from ``span`` and ``ref_positions`` alone, by definition."""
+    opens = [o for o, _ in layout.span.values()]
+    root = min(layout.span, key=lambda node: layout.span[node][0])
+    relations = [o - 1 for o in opens if o] + [pos - 1 for pos, _ in layout.ref_positions]
+
+    def removable(node):
+        start, end = layout.span[node]
+        inside = {n for n, (o, _) in layout.span.items() if start <= o <= end}
+        return all(start <= pos <= end for pos, n in layout.ref_positions if n in inside)
+
+    eligible = [n for n in layout.span if n != root and removable(n)]
+    return sorted(o + 2 for o in opens), sorted(relations), eligible
+
+
+def _targets(layout):
+    return layout._concepts, layout._relations, layout._eligible
+
+
+def test_layout_targets_equal_their_definition_fresh_and_after_a_cut():
+    # each layout derives its targets once and keeps them; a layout that a
+    # cut returns has moved positions and fewer spans, so derives its own
+    rng = random.Random(36)
+    config = CorruptionConfig(subgraph_rate=1.0)
+    cuts = 0
+    for _ in range(150):
+        graph = random_graph(rng, 1, 30, max_reentrancies=5, attribute_prob=0.2)
+        corrupt_graph(graph, config, rng)  # the shared layout keeps its targets
+        toks, layout = linearize_with_layout(graph)
+        assert _targets(layout) == _fresh_targets(layout)
+        for node in layout._eligible:
+            _, cut, _ = _cut_span(toks, layout, node)
+            assert _targets(cut) == _fresh_targets(cut)
+            cuts += 1
+        assert _targets(layout) == _fresh_targets(layout)
+    assert cuts > 1000

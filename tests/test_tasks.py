@@ -8,6 +8,7 @@ from amrforge import (
     CorruptionConfig,
     MaskSchedule,
     TaskError,
+    TaskSample,
     TaskTag,
     build_corpus,
     build_sample,
@@ -248,6 +249,32 @@ def test_sample_json_schema():
     assert list(row) == ["task", "step", "input", "output"]
     assert row["task"] == "et_g2t"
     assert row["input"][0] == "<s>" and row["input"][-1] == "</g>"
+
+
+# tokens that JSON escapes, or that ensure_ascii=False writes as UTF-8
+AWKWARD_TOKENS = (
+    ["caf\u00e9", "\u4e2d\u6587", "\U0001f600", '"a\\"b"', "back\\slash", "new\nline",
+     "tab\tbed", "\u2028", "\u2029", "\x7f", "\ud800", '"New York"', "", " "]
+    + [chr(code) for code in range(32)]
+)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_sample_record_is_json_dumps_of_its_fields(tag):
+    graph = AmrGraph(
+        nodes={"c": "city", "n": "name"},
+        edges=(("c", ":name", "n"),),
+        attributes=(("n", ":op1", '"New York"'), ("n", ":op2", '"S\u00e3o \\ Paulo"')),
+        root="c",
+    )
+    text = ["S\u00e3o", "Paulo", '"New York"', "\u2028"]
+    samples = [_sample(tag, step=7, text=text, graph=graph),
+               TaskSample(tag, tuple(AWKWARD_TOKENS), tuple(reversed(AWKWARD_TOKENS)), 3),
+               TaskSample(tag, (), ("[mask]",), 0)]  # an empty and a one-token segment
+    for sample in samples:
+        fields = {"task": tag.value, "step": sample.step,
+                  "input": list(sample.input), "output": list(sample.output)}
+        assert sample_to_json(sample) == json.dumps(fields, ensure_ascii=False)
 
 
 def test_tag_partitions():
