@@ -19,8 +19,6 @@ from .corrupt import (
     compose,
     corrupt_graph,
     derive_rng,
-    mask_nodes_edges,
-    mask_subgraph,
     mask_text,
     node_edge_step,
     restore_tokens,

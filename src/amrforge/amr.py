@@ -64,8 +64,9 @@ class AmrGraph:
     ``nodes`` is a read-only view of a private copy, so a graph cannot
     change once built.  :func:`validate` keeps a passing result on the
     instance, and :func:`~amrforge.linearize.linearize_with_layout` its
-    walk.  Neither is a field, so equality ignores them, and a graph made
-    by ``dataclasses.replace`` or by unpickling starts without them.
+    walk, or, in ``amrforge delinearize`` alone, the token line it came from.
+    Neither is a field, so equality ignores them, and a graph made by
+    ``dataclasses.replace`` or by unpickling starts without them.
     """
 
     nodes: Mapping[str, str]

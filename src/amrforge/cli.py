@@ -118,10 +118,9 @@ def _config_from(args, seed: int) -> CorruptionConfig:
 
 
 def _document_text(document: PenmanDocument, index: int) -> list[str]:
-    if "tok" in document.metadata:
-        return document.metadata["tok"].split()
-    if "snt" in document.metadata:
-        return document.metadata["snt"].split()
+    for key in ("tok", "snt"):
+        if key in document.metadata:
+            return document.metadata[key].split()
     raise CliError(
         f"document {index} has neither '# ::tok' nor '# ::snt' metadata; "
         "pair text is required to build task samples"
@@ -131,11 +130,7 @@ def _document_text(document: PenmanDocument, index: int) -> list[str]:
 def _json_score(result) -> dict | None:
     if result is None:
         return None
-    return {
-        "precision": round(result.precision, 6),
-        "recall": round(result.recall, 6),
-        "f1": round(result.f1, 6),
-    }
+    return {k: round(getattr(result, k), 6) for k in ("precision", "recall", "f1")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,9 +279,9 @@ def _cmd_linearize(args) -> int:
 
 def _penman_of_line(line: str, strict: bool) -> str:
     # one walk per line; lenient, it builds what delinearize(repair(toks))
-    # would, and a repaired sequence is re-linearized, which renumbers its
-    # pointers in walk order
-    graph, fault = _walk(tk.from_text(line))
+    # would.  A repaired sequence is re-linearized, renumbering its pointers
+    # in walk order; a line that is its graph's linearization is kept whole
+    graph, fault = _walk(tk.from_text(line), keep=True)
     if strict and fault is not None:
         raise fault
     return _render(graph or empty_graph(), renumber=fault is not None)

@@ -178,16 +178,6 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
     return toks, tuple(edits)
 
 
-def mask_nodes_edges(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):
-    """Mask node concepts and edge relations of a graph's linearization."""
-    return compose(graph, [node_edge_step(config.node_rate, config.edge_rate)], rng)
-
-
-def mask_subgraph(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):
-    """Remove one random subtree span of a graph's linearization."""
-    return compose(graph, [subgraph_step(config.subgraph_rate)], rng)
-
-
 def corrupt_graph(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):
     """The full graph noise: sub-graph masking, then node/edge masking on
     the remaining unmasked elements."""

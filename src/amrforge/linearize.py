@@ -114,7 +114,9 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     """Depth-first linearization plus the token-position layout.
 
     The graph keeps its first walk, so a later call costs one copy: each
-    call returns a fresh token list and the shared, read-only layout.
+    call returns a fresh token list and the shared, read-only layout.  A
+    graph that ``amrforge delinearize`` read from a line that is its
+    linearization keeps that line instead (:func:`_walk`).
     """
     if graph._linear is not None:
         toks, layout = graph._linear
@@ -220,7 +222,8 @@ def _classify(token: str, prefix: str) -> tuple[str, object]:
     return _VALUE, tk.usable_value(token) is not None
 
 
-def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
+def _walk(toks: list[str], keep: bool = False) -> tuple[
+        AmrGraph | None, StructureError | None]:
     """Read a token sequence under the delinearize grammar, salvaging as
     :func:`repair` describes.
 
@@ -230,7 +233,11 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     is valid by construction, and is returned marked so: symbols pass
     :func:`~amrforge.amr.validate`'s patterns, duplicate triples and
     cycle-closing edges are refused, no constant names a node, and every
-    node is reachable from the root.
+    node is reachable from the root.  With ``keep``, which only the command
+    line sets, it notes the layout until a rule breaks, and if ``toks`` is
+    its graph's linearization (well-formed, its ``k``-th defined pointer
+    spelled ``<Zk>``, each reference as its definition, and no attribute
+    after an edge of its node) the graph keeps both as its ``_linear``.
     """
     nodes: dict[str, str] = {}
     children: dict[str, list[str]] = {}
@@ -241,6 +248,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     stack: list[str | None] = []  # None marks a span whose node was dropped
     pending: tuple[str, int] | None = None  # relation awaiting its target
     fault: StructureError | None = None
+    span, refs, linear = {}, [], True  # noted while keep and fault is None
 
     def fail(message: str, position: int) -> None:
         nonlocal fault
@@ -297,6 +305,9 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
             elif not usable:
                 fail(f"unusable concept {concept!r}", at)
             if node not in nodes and usable:
+                if keep and fault is None:
+                    span[node] = (i, -1)
+                    linear = linear and toks[i + 1] == f"<Z{len(nodes)}>"
                 nodes[node] = concept
                 children[node] = []
                 if root is None:
@@ -316,7 +327,8 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 fail(f"relation {pending[0]!r} has no target", pending[1])
             pending = None
             if stack:
-                stack.pop()
+                if (node := stack.pop()) in span:  # opened before any fault
+                    span[node] = (span[node][0], i)
             else:
                 fail("unbalanced ')'", i)
         elif kind == _RELATION:
@@ -336,6 +348,9 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                 if not stack or pending is None:
                     fail(f"unexpected pointer {token}", i)
                 attach(detail, i)
+                if keep and fault is None:
+                    refs.append((i, detail))
+                    linear = linear and token == toks[span[detail][0] + 1]
         else:  # a plain token: an attribute constant
             if not stack or pending is None:
                 fail(f"unexpected token {token!r}", i)
@@ -347,6 +362,7 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
                     fail(f"duplicate attribute {triple}", i)
                 else:
                     attributes[triple] = None
+                    linear = linear and not children[stack[-1]]
             pending = None
         i += 1
 
@@ -365,4 +381,6 @@ def _walk(toks: list[str]) -> tuple[AmrGraph | None, StructureError | None]:
     graph = _trusted(AmrGraph(
         nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root,
     ))
+    if keep and fault is None and linear:  # toks is kept as it is, not copied
+        object.__setattr__(graph, "_linear", (toks, LinearLayout(span, refs)))
     return graph, fault

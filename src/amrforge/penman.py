@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 
 from ._files import lines
 from .amr import AmrGraph, Diagnostic, InvalidGraphError, validate
@@ -62,33 +62,40 @@ def empty_graph() -> AmrGraph:
     return AmrGraph(nodes={"z0": EMPTY_CONCEPT}, root="z0")
 
 
-# One match per token: a delimiter, a string literal (a backslash escapes
-# any next character, a newline included), a lone quote that opens a
-# string without an end, or an atom.  Whitespace matches nothing.  A
-# string literal outside the quoted symbol rule of tokens, such as
-# "a\"b", fails validation.
-_TOKEN_RE = re.compile(r'[()/]|"(?:\\[\s\S]|[^"\\\n])*"|"|[^ \t\r\n()/"]+')
+# A token is a string literal (a backslash escapes any next character, a
+# newline included), a lone quote that opens a string without an end, one of
+# ( ) /, or a run of other characters; space, tab, CR and LF separate tokens.
+# One regex split finds the literals, and string builtins the tokens between.
+# A literal outside the quoted symbol rule of tokens, like "a\"b", fails validation.
+_LITERAL_RE = re.compile(r'("(?:\\[\s\S]|[^"\\\n])*"|")')
 _DELIMITERS = ("(", ")", "/")
 _NOT_ATOM = '()/"'  # first characters of the tokens that are not atoms
 _PAST_END = (-1, "(")  # what the walk takes past the last token: a delimiter
 
 
-def _line_column(text: str, index: int, first_line: int) -> tuple[int, int]:
-    """Line and column of the ``index``-th token of ``text``.
+def _tokens(text: str) -> list[str]:
+    pieces = _LITERAL_RE.split(text) if '"' in text else [text]
+    tokens: list[str] = []
+    for piece, literal in zip_longest(pieces[::2], pieces[1::2]):
+        piece = piece.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+        piece = piece.replace("(", " ( ").replace(")", " ) ").replace("/", " / ")
+        tokens += piece.split(" ")
+        tokens.append(literal)
+    return list(filter(None, tokens))  # no empty string, and no literal past the last
 
-    Only the newlines between tokens start a line; an escaped newline
-    inside a string literal is counted as a column.
-    """
-    line, line_start, end = first_line, 0, 0
-    for number, match in enumerate(_TOKEN_RE.finditer(text)):
-        newlines = text.count("\n", end, match.start())
-        if newlines:
+
+def _line_column(text: str, tokens: list[str], index: int, line: int) -> tuple[int, int]:
+    """Line and column of ``tokens[index]``, ``text``'s tokens from line
+    ``line`` on, found by ``str.find`` as only separators lie between them.
+    An escaped newline in a literal counts as a column, not a line."""
+    line_start = end = 0
+    for token in tokens[: index + 1]:
+        start = text.find(token, end)
+        if newlines := text.count("\n", end, start):
             line += newlines
-            line_start = text.rindex("\n", end, match.start()) + 1
-        if number == index:
-            return line, match.start() - line_start + 1
-        end = match.end()
-    raise IndexError(index)
+            line_start = text.rindex("\n", end, start) + 1
+        end = start + len(token)
+    return line, start - line_start + 1
 
 
 def _split_metadata(text: str) -> tuple[dict[str, str], str, int]:
@@ -144,10 +151,10 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
     anywhere in the expression, and a constant otherwise: the one walk
     keeps every ``(source, relation, target)`` in text order to decide.
     """
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _tokens(text)
 
     def fail(message: str, index: int):
-        raise PenmanSyntaxError(message, *_line_column(text, index, first_line))
+        raise PenmanSyntaxError(message, *_line_column(text, tokens, index, first_line))
 
     if '"' in tokens:
         fail("unterminated string literal", tokens.index('"'))

@@ -48,12 +48,8 @@ def collect_symbols(documents: Iterable[PenmanDocument]) -> SymbolInventory:
     concepts: Counter = Counter()
     for document in documents:
         graph = document.graph
-        for _, rel, _ in graph.edges:
-            relations[rel] += 1
-        for _, rel, _ in graph.attributes:
-            relations[rel] += 1
-        for concept in graph.nodes.values():
-            concepts[concept] += 1
+        relations.update(rel for _, rel, _ in graph.edges + graph.attributes)
+        concepts.update(graph.nodes.values())
     return SymbolInventory(relations=relations, concepts=concepts)
 
 

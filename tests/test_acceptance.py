@@ -11,17 +11,18 @@ from amrforge import (
     AmrGraph,
     CorruptionConfig,
     MaskSchedule,
+    compose,
     compute_stats,
     delinearize,
     fine_grained,
     is_isomorphic,
     linearize,
-    mask_nodes_edges,
-    mask_subgraph,
+    node_edge_step,
     parse_penman,
     schedule_rate,
     serialize_penman,
     smatch,
+    subgraph_step,
 )
 from amrforge.cli import run
 from amrforge.penman import PenmanDocument
@@ -85,11 +86,12 @@ def test_corruption_statistics():
         runs = 10000
         for _ in range(runs):
             graph = random_graph(rng, 20, 32, max_reentrancies=3)
-            _, edits = mask_nodes_edges(graph, config, rng)
+            _, edits = compose(graph, [node_edge_step(config.node_rate, config.edge_rate)],
+                               rng)
             kinds = Counter(kind for kind, _, _ in edits)
             node_fraction += kinds["node"] / len(graph.nodes)
             edge_fraction += kinds["edge"] / len(graph.edges)
-            _, sub_edits = mask_subgraph(graph, config, rng)
+            _, sub_edits = compose(graph, [subgraph_step(config.subgraph_rate)], rng)
             subgraph_hits += 1 if sub_edits else 0
         assert abs(node_fraction / runs - 0.15) < 0.01
         assert abs(edge_fraction / runs - 0.15) < 0.01

@@ -10,8 +10,6 @@ from amrforge import (
     corrupt_graph,
     derive_rng,
     linearize,
-    mask_nodes_edges,
-    mask_subgraph,
     mask_text,
     node_edge_step,
     restore_tokens,
@@ -49,7 +47,8 @@ def test_rounding_is_half_up():
 
 def test_zero_rates_are_identity(golden):
     config = CorruptionConfig(node_rate=0.0, edge_rate=0.0)
-    toks, edits = mask_nodes_edges(golden, config, random.Random(0))
+    toks, edits = compose(golden, [node_edge_step(config.node_rate, config.edge_rate)],
+                          random.Random(0))
     assert toks == linearize(golden)
     assert not edits
 
@@ -61,7 +60,8 @@ def test_masking_concept_and_relation_tokens(golden):
     concept, relation = layout.span["z1"][0] + 2, layout.span["z2"][0] - 1
     assert relation in edge_relations(clean)
     config = CorruptionConfig(node_rate=0.25, edge_rate=1 / 3)
-    toks, edits = mask_nodes_edges(golden, config, random.Random(4))
+    toks, edits = compose(golden, [node_edge_step(config.node_rate, config.edge_rate)],
+                          random.Random(4))
     assert to_text(toks) == (
         "( <Z0> possible :domain ( <Z1> [mask] [mask] ( <Z2> boy ) ) "
         ":polarity ( <Z3> negative ) )"
@@ -77,7 +77,8 @@ def test_pointers_and_parens_never_masked():
     config = CorruptionConfig(node_rate=1.0, edge_rate=1.0)
     for _ in range(30):
         graph = random_graph(rng, 2, 20, max_reentrancies=3)
-        toks, _ = mask_nodes_edges(graph, config, rng)
+        toks, _ = compose(graph, [node_edge_step(config.node_rate, config.edge_rate)],
+                          rng)
         clean = linearize(graph)
         for before, after in zip(clean, toks):
             if before in ("(", ")") or pointer_digits(before) is not None:
@@ -89,7 +90,8 @@ def test_mask_count_exactness():
     config = CorruptionConfig()
     for _ in range(100):
         graph = random_graph(rng, 2, 30, max_reentrancies=4, attribute_prob=0.3)
-        toks, edits = mask_nodes_edges(graph, config, rng)
+        toks, edits = compose(graph, [node_edge_step(config.node_rate, config.edge_rate)],
+                              rng)
         n, e = len(graph.nodes), len(graph.edges)
         expected = _half_up(0.15 * n) + _half_up(0.15 * e)
         assert toks.count(MASK) == expected
@@ -103,7 +105,8 @@ def test_seven_node_graph_masks_exactly_one_node():
     rng = random.Random(1)
     config = CorruptionConfig(edge_rate=0.0)
     graph = random_graph(rng, 7, 7, max_reentrancies=0)
-    toks, edits = mask_nodes_edges(graph, config, rng)
+    toks, edits = compose(graph, [node_edge_step(config.node_rate, config.edge_rate)],
+                          rng)
     assert [kind for kind, _, _ in edits] == ["node"]
     assert replay_edits(graph, edits)[0] == toks  # a concept
     assert toks.count(MASK) == 1
@@ -112,7 +115,8 @@ def test_seven_node_graph_masks_exactly_one_node():
 def test_subgraph_removal_collapses_whole_span(golden):
     # this seed removes the span of "go", which holds "boy"
     config = CorruptionConfig(subgraph_rate=1.0)
-    toks, edits = mask_subgraph(golden, config, random.Random(1))
+    toks, edits = compose(golden, [subgraph_step(config.subgraph_rate)],
+                          random.Random(1))
     assert to_text(toks) == "( <Z0> possible [mask] :polarity ( <Z3> negative ) )"
     assert toks.count(MASK) == 1
     clean, layout = linearize_with_layout(golden)
@@ -131,7 +135,8 @@ def test_subgraph_removal_skips_root_and_orphaning_spans(contrast):
     opening = {o: node for node, (o, _) in layout.span.items()}
     removed = set()
     for seed in range(200):
-        toks, edits = mask_subgraph(contrast, config, random.Random(seed))
+        toks, edits = compose(contrast, [subgraph_step(config.subgraph_rate)],
+                              random.Random(seed))
         assert toks.count(MASK) == 1
         [(kind, start, original)] = edits
         assert kind == "subgraph"
@@ -147,8 +152,7 @@ def test_subgraph_removal_skips_root_and_orphaning_spans(contrast):
 
 def test_mask_subgraph_on_single_node_is_identity():
     graph = AmrGraph(nodes={"z0": "boy"}, root="z0")
-    toks, edits = mask_subgraph(graph, CorruptionConfig(subgraph_rate=1.0),
-                                random.Random(0))
+    toks, edits = compose(graph, [subgraph_step(1.0)], random.Random(0))
     assert toks == linearize(graph)
     assert not edits
 
@@ -159,7 +163,7 @@ def test_mask_subgraph_output_is_structurally_sound():
     masked = 0
     for _ in range(200):
         graph = random_graph(rng, 2, 25, max_reentrancies=4, attribute_prob=0.2)
-        toks, edits = mask_subgraph(graph, config, rng)
+        toks, edits = compose(graph, [subgraph_step(config.subgraph_rate)], rng)
         depth = 0
         defined, referenced = set(), set()
         for i, token in enumerate(toks):
@@ -187,7 +191,7 @@ def test_mask_subgraph_selection_frequency():
     selected = 0
     graph = random_graph(random.Random(2), 20, 20, max_reentrancies=2)
     for _ in range(trials):
-        _, edits = mask_subgraph(graph, config, rng)
+        _, edits = compose(graph, [subgraph_step(config.subgraph_rate)], rng)
         selected += 1 if edits else 0
     assert abs(selected / trials - 0.35) < 0.025
 
@@ -308,7 +312,8 @@ def test_compose_records_each_subgraph_removal(golden, contrast):
 
 def test_restore_rejects_mismatched_record(golden):
     config = CorruptionConfig(subgraph_rate=1.0)
-    toks, edits = mask_subgraph(golden, config, random.Random(1))
+    toks, edits = compose(golden, [subgraph_step(config.subgraph_rate)],
+                          random.Random(1))
     with pytest.raises(ValueError, match="record mismatch"):
         restore_tokens(linearize(golden), edits)
 
@@ -334,7 +339,8 @@ def test_statistical_node_mask_fraction():
     runs = 2000
     for _ in range(runs):
         graph = random_graph(rng, 20, 40, max_reentrancies=3)
-        _, edits = mask_nodes_edges(graph, config, rng)
+        _, edits = compose(graph, [node_edge_step(config.node_rate, config.edge_rate)],
+                           rng)
         total_fraction += _kinds(edits)["node"] / len(graph.nodes)
     assert abs(total_fraction / runs - 0.15) < 0.01
 

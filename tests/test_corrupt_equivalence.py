@@ -4,9 +4,10 @@
 nodes with up to 8 reentrancies and 20% attributes, each with its own
 rates (sub-graph rate 0.35 or 1.0, random node and edge rates).  For each
 graph it stores the corrupted tokens, and a digest of the ``edits``, of
-``corrupt_graph``, ``mask_subgraph``, ``mask_nodes_edges`` and of
-``compose`` in reverse order (node/edge masking, then sub-graph masking),
-each run on its own seeded generator.  Four graphs of 300-800 nodes get
+``corrupt_graph``, of ``compose`` with the sub-graph step alone (stored
+as ``mask_subgraph``) and with the node/edge step alone (stored as
+``mask_nodes_edges``), and of ``compose`` in reverse order (node/edge
+masking, then sub-graph masking), each run on its own seeded generator.  Four graphs of 300-800 nodes get
 the same four corruptions, stored as one digest each.  The 300 graphs
 also form a corpus with seeded sentences; it is built in six chunks of
 50 pairs, each with its own rates and seed, for all eight task tags, and
@@ -36,8 +37,6 @@ from amrforge.corrupt import (
     compose,
     corrupt_graph,
     derive_rng,
-    mask_nodes_edges,
-    mask_subgraph,
     node_edge_step,
     subgraph_step,
 )
@@ -82,11 +81,13 @@ def _corruptions(graph, config: CorruptionConfig, index: int) -> dict:
     ]
     runs = {
         "corrupt_graph": corrupt_graph(graph, config, derive_rng(FIXTURE_SEED, index)),
-        "mask_subgraph": mask_subgraph(
-            graph, config, derive_rng(FIXTURE_SEED + 1, index)
+        "mask_subgraph": compose(
+            graph, [subgraph_step(config.subgraph_rate)],
+            derive_rng(FIXTURE_SEED + 1, index),
         ),
-        "mask_nodes_edges": mask_nodes_edges(
-            graph, config, derive_rng(FIXTURE_SEED + 2, index)
+        "mask_nodes_edges": compose(
+            graph, [node_edge_step(config.node_rate, config.edge_rate)],
+            derive_rng(FIXTURE_SEED + 2, index),
         ),
         "compose_reverse": compose(
             graph, reverse, derive_rng(FIXTURE_SEED + 3, index)

@@ -20,6 +20,7 @@ from amrforge import (
     repair,
     validate,
 )
+from amrforge import cli, penman
 from amrforge.corrupt import CorruptionConfig, corrupt_graph
 from amrforge.linearize import _walk, linearize_with_layout
 from amrforge.penman import graph_to_penman
@@ -416,3 +417,94 @@ def test_copies_of_a_graph_start_without_its_linearization(contrast):
     for copy in (replace(contrast), pickle.loads(pickle.dumps(contrast))):
         assert copy._linear is None
         assert copy == contrast
+
+
+def _handed_to_render(line, monkeypatch):
+    """The graph that ``amrforge delinearize --lenient`` renders for a line,
+    and the linearization it holds when handed on (the render keeps one)."""
+    handed = []
+
+    def spy(graph, renumber):
+        handed.append((graph, graph._linear))
+        return penman._render(graph, renumber)
+
+    monkeypatch.setattr(cli, "_render", spy)
+    cli._penman_of_line(line, strict=False)
+    return handed[0]
+
+
+def _respelled(toks, rng):
+    """A token-level edit that may keep the line well-formed: a pointer
+    spelled with a leading zero, or an attribute moved to the end of the
+    root's span, after its edges."""
+    toks = list(toks)
+    pointers = [i for i, t in enumerate(toks) if is_pointer(t)]
+    attributes = [i for i in range(1, len(toks) - 1)
+                  if is_relation(toks[i]) and toks[i + 1] not in "()"
+                  and not is_pointer(toks[i + 1])]
+    if attributes and rng.random() < 0.5:
+        at = rng.choice(attributes)
+        toks[-1:-1] = toks[at : at + 2]
+        del toks[at : at + 2]
+    elif pointers:
+        at = rng.choice(pointers)
+        toks[at] = f"<Z0{toks[at][2:]}"
+    return toks
+
+
+def test_a_kept_layout_is_the_linearization_of_its_graph(monkeypatch):
+    fuzz_pieces = pytest.importorskip("test_fuzz").PIECES
+    rng = random.Random(53)
+    lines = []
+    for _ in range(300):
+        graph = random_graph(rng, 1, 30, max_reentrancies=6, attribute_prob=0.3)
+        toks = linearize(graph)
+        lines.append(to_text(toks))
+        lines.append(" ".join(_respelled(toks, rng)))
+        text = to_text(toks)
+        for _ in range(rng.randint(1, 3)):  # as test_fuzz edits the text
+            start = rng.randint(0, len(text))
+            end = rng.randint(start, min(len(text), start + 3))
+            text = text[:start] + rng.choice(fuzz_pieces) + text[end:]
+        lines.append(text)
+    kept = 0
+    for line in lines:
+        graph, linear = _handed_to_render(line, monkeypatch)
+        if linear is not None:
+            kept += 1
+            toks, layout = linear
+            assert (list(toks), layout) == linearize_with_layout(replace(graph)), line
+    assert 300 < kept < len(lines) - 300
+
+
+# well-formed lines that are not their graph's linearization, and a faulty one
+NOT_LINEARIZATIONS = {
+    "an attribute after an edge": "( <Z0> a :ARG0 ( <Z1> b ) :mod x )",
+    "a <Z007> definition": "( <Z0> a :ARG0 ( <Z007> b ) )",
+    "<Z1> defined before <Z0>": "( <Z1> a :ARG0 ( <Z0> b ) )",
+    "a reference spelled <Z01>": "( <Z0> a :ARG0 ( <Z1> b ) :ARG1 <Z01> )",
+    "a faulty line": "( <Z0> a :ARG0 ( <Z1> b ) :ARG1 )",
+}
+
+
+@pytest.mark.parametrize("line", NOT_LINEARIZATIONS.values(), ids=NOT_LINEARIZATIONS)
+def test_a_line_that_is_not_the_linearization_keeps_no_layout(line, monkeypatch):
+    assert _walk(from_text(line), keep=True)[0]._linear is None
+    assert _handed_to_render(line, monkeypatch)[1] is None
+    # the same line spelled as the linearization keeps its layout
+    canonical = to_text(linearize(delinearize(repair(from_text(line)))))
+    toks = from_text(canonical)
+    assert _walk(toks, keep=True)[0]._linear == linearize_with_layout(delinearize(toks))
+    assert _handed_to_render(canonical, monkeypatch)[1] is not None
+
+
+def test_library_results_keep_no_line():
+    line = from_text("( <Z0> a :mod x :ARG0 ( <Z1> b ) :ARG1 <Z1> )")
+    assert _walk(line, keep=True)[0]._linear is not None  # as the command line keeps it
+    assert _walk(line)[0]._linear is None
+    assert delinearize(line)._linear is None
+    repaired = repair(line)
+    assert repaired == line and repaired is not line
+    assert delinearize(repaired)._linear is None
+    faulty = line[:-1]
+    assert delinearize(repair(faulty))._linear is None

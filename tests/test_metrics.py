@@ -314,7 +314,7 @@ PACKAGE_EXPORTS = (
     "compose", "compute_stats", "corpus_bleu_details", "corrupt_graph",
     "decode", "delinearize", "derive_rng", "empty_graph", "encode",
     "fine_grained", "graph_to_penman", "is_isomorphic", "linearize",
-    "load_vocabulary", "mask_nodes_edges", "mask_subgraph", "mask_text",
+    "load_vocabulary", "mask_text",
     "node_edge_step", "parse_penman", "read_corpus", "repair",
     "restore_tokens", "sample_to_json", "save_vocabulary", "schedule_rate",
     "serialize_penman", "smatch", "subgraph_step", "to_triples", "validate",

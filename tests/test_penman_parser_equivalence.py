@@ -11,9 +11,12 @@ then mutated: characters deleted or inserted (parentheses, ``/``, quotes,
 backslashes, a backslash before a newline), stretches duplicated, the
 text truncated, content appended after the graph, or a backslash put at
 the very end.  The results were recorded with the earlier tokenizer,
-which walked the text one character at a time, so a regex tokenizer must
-reproduce every message and position exactly.  Regenerate the fixture
-only when a change of results is intended:
+which walked the text one character at a time, so the tokenizer of
+today, which splits at string literals with a regex and between them
+with string builtins, must reproduce every message and position exactly.
+The regex tokenizer that came between, one ``findall`` of one pattern,
+is kept here as the reference of the tokens and of their positions.
+Regenerate the fixture only when a change of results is intended:
 
     PYTHONPATH=src python tests/test_penman_parser_equivalence.py --write
 """
@@ -24,12 +27,14 @@ import functools
 import hashlib
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
 from amrforge import (
     InvalidGraphError, PenmanSyntaxError, graph_to_penman, parse_penman, synth,
 )
+from amrforge.penman import _line_column, _tokens
 
 FIXTURE = Path(__file__).parent / "data" / "penman_errors_golden.json"
 FIXTURE_SEED = 7919
@@ -218,6 +223,45 @@ def test_fixture_covers_every_kind_of_outcome():
     assert any(isinstance(r, list) and r[0] == "syntax" and r[2] > 3 for r in outcomes)
     assert any("\\\n" in text and isinstance(r, list) and r[0] == "syntax"
                for text, r in _golden())
+
+
+# The reference tokenizer: one match per token, a delimiter, a string
+# literal, a lone quote or an atom; whitespace matches nothing.
+REFERENCE_TOKEN_RE = re.compile(r'[()/]|"(?:\\[\s\S]|[^"\\\n])*"|"|[^ \t\r\n()/"]+')
+# the grammar's characters, the four separators and the whitespace that
+# separates nothing: vertical tab, form feed, no-break space, U+2028
+ALPHABET = ("(", ")", "/", '"', "\\", " ", "\t", "\r", "\n", "\v", "\f",
+            "\xa0", "\u2028", ":", "a", "é")
+
+
+def _reference_positions(text: str, first_line: int) -> list[tuple[int, int]]:
+    """Line and column of each token by the reference, counting only the
+    newlines between tokens."""
+    positions = []
+    line, line_start, end = first_line, 0, 0
+    for match in REFERENCE_TOKEN_RE.finditer(text):
+        newlines = text.count("\n", end, match.start())
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", end, match.start()) + 1
+        positions.append((line, match.start() - line_start + 1))
+        end = match.end()
+    return positions
+
+
+def test_tokens_and_positions_equal_the_regex_reference():
+    rng = random.Random(2028)
+    bases = _base_texts(rng)
+    texts = [next(bases) for _ in range(50)] + list(EDGE_CASES)
+    for _ in range(20000):
+        texts.append("".join(rng.choices(ALPHABET, k=rng.randint(0, 24))))
+    for text in texts:
+        tokens = _tokens(text)
+        assert tokens == REFERENCE_TOKEN_RE.findall(text), text
+        first_line = rng.randint(1, 5)
+        positions = [_line_column(text, tokens, index, first_line)
+                     for index in range(len(tokens))]
+        assert positions == _reference_positions(text, first_line), text
 
 
 if __name__ == "__main__":

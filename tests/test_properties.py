@@ -26,8 +26,6 @@ from amrforge import (
     graph_to_penman,
     is_isomorphic,
     linearize,
-    mask_nodes_edges,
-    mask_subgraph,
     mask_text,
     node_edge_step,
     parse_penman,
@@ -80,7 +78,8 @@ def test_corrupt_graph_restores(graph, config, seed):
 @settings(max_examples=60, deadline=None)
 @given(graphs(), configs(), seeds)
 def test_mask_subgraph_restores(graph, config, seed):
-    toks, edits = mask_subgraph(graph, config, random.Random(seed))
+    toks, edits = compose(graph, [subgraph_step(config.subgraph_rate)],
+                          random.Random(seed))
     assert [kind for kind, _, _ in edits] in ([], ["subgraph"])
     _check_graph_record(graph, toks, edits)
 
@@ -88,7 +87,8 @@ def test_mask_subgraph_restores(graph, config, seed):
 @settings(max_examples=60, deadline=None)
 @given(graphs(), configs(), seeds)
 def test_mask_nodes_edges_restores(graph, config, seed):
-    toks, edits = mask_nodes_edges(graph, config, random.Random(seed))
+    toks, edits = compose(graph, [node_edge_step(config.node_rate, config.edge_rate)],
+                          random.Random(seed))
     assert {kind for kind, _, _ in edits} <= {"node", "edge"}
     _check_graph_record(graph, toks, edits)
 
