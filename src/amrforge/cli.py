@@ -117,14 +117,11 @@ def _config_from(args, seed: int) -> CorruptionConfig:
     return CorruptionConfig(seed=seed, **rates)
 
 
-def _document_text(document: PenmanDocument, index: int) -> list[str]:
+def _document_text(document: PenmanDocument) -> list[str] | None:
     for key in ("tok", "snt"):
         if key in document.metadata:
             return document.metadata[key].split()
-    raise CliError(
-        f"document {index} has neither '# ::tok' nor '# ::snt' metadata; "
-        "pair text is required to build task samples"
-    )
+    return None  # build_sample decides which tasks need text
 
 
 def _json_score(result) -> dict | None:
@@ -320,10 +317,8 @@ def _parse_task_set(names: str):
 def _cmd_build_tasks(args) -> int:
     seed = _seed(args)
     tags = _parse_task_set(args.tasks)
-    pairs = (
-        (_document_text(document, index), graph)
-        for index, (document, graph) in enumerate(_read(args.input, args.strict))
-    )
+    documents = _read(args.input, args.strict)
+    pairs = ((_document_text(document), graph) for document, graph in documents)
     schedule = MaskSchedule(total_steps=args.total_steps)
     samples = build_corpus(pairs, schedule, _config_from(args, seed), tags)
     write(args.output, map(sample_to_json, samples))

@@ -16,6 +16,9 @@ import amrforge
 from amrforge import (
     AmrGraph,
     CorruptionConfig,
+    MaskSchedule,
+    TaskTag,
+    build_corpus,
     corrupt_graph,
     derive_rng,
     graph_to_penman,
@@ -24,6 +27,7 @@ from amrforge import (
     parse_penman,
     read_corpus,
     restore_tokens,
+    sample_to_json,
     synth,
 )
 from amrforge._files import lines
@@ -246,10 +250,35 @@ def test_build_tasks_finetune_subset(corpus, tmp_path):
     assert [r["task"] for r in rows] == ["et_g2t", "t_eg2g", "et_g2t", "t_eg2g"]
 
 
-def test_build_tasks_requires_text_metadata(tmp_path):
-    path = tmp_path / "no_text.amr"
-    path.write_text("(a / boy)\n", encoding="utf-8")
-    assert run(["build-tasks", str(path)]) == 1
+# graphs with no text: a metadata block without '# ::tok' or '# ::snt', and none
+GRAPH_ONLY = "# ::id g1\n(p / possible :domain (g / go :arg0 (b / boy)))\n\n(b / boy)\n"
+
+
+def test_build_tasks_takes_documents_without_text_for_et_mg2g(tmp_path):
+    path, empty = tmp_path / "graphs.amr", tmp_path / "empty_snt.amr"
+    path.write_text(GRAPH_ONLY, encoding="utf-8")
+    empty.write_text("# ::id g1\n# ::snt \n(p / possible :domain (g / go :arg0 (b / boy)))\n"
+                     "\n# ::snt \n(b / boy)\n", encoding="utf-8")
+    outputs = []
+    for source in (path, empty):
+        out = tmp_path / f"{source.stem}.jsonl"
+        assert run(["build-tasks", str(source), "--tasks", "et_mg2g", "--seed", "3",
+                    "--T", "10", "-o", str(out)]) == 0
+        outputs.append(out.read_text(encoding="utf-8"))
+    pairs = [(None, document.graph) for document in read_corpus(GRAPH_ONLY)]
+    samples = build_corpus(pairs, MaskSchedule(total_steps=10), CorruptionConfig(seed=3),
+                           [TaskTag.ET_MG2G])
+    assert outputs == ["".join(sample_to_json(s) + "\n" for s in samples)] * 2
+    assert outputs[0].count("\n") == 2
+
+
+@pytest.mark.parametrize("tasks", [["--tasks", "mt_eg2t"], []], ids=["mt_eg2t", "all"])
+def test_build_tasks_text_task_fails_on_documents_without_text(tasks, tmp_path, capsys):
+    path, out = tmp_path / "graphs.amr", tmp_path / "out.jsonl"
+    path.write_text(GRAPH_ONLY, encoding="utf-8")
+    assert run(["build-tasks", str(path), *tasks, "-o", str(out)]) == 1
+    assert "pair 0: task mt_eg2t requires a non-empty text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_is_deterministic(corpus, tmp_path):

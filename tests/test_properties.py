@@ -7,7 +7,8 @@ table of a linearization layout must describe its tokens, before and
 after a sub-graph cut.  ``validate``
 must accept exactly the graphs that a definition-by-DFS reference accepts,
 and each graph it accepts, with symbols drawn from the grammar's hard
-characters, must read back from its token text and from its PENMAN text.
+characters, must read back from its token text and from its PENMAN text,
+and its corruptions from their token text.
 """
 
 import random
@@ -23,6 +24,7 @@ from amrforge import (
     compose,
     corrupt_graph,
     delinearize,
+    empty_graph,
     graph_to_penman,
     is_isomorphic,
     linearize,
@@ -341,6 +343,12 @@ def test_every_valid_graph_has_a_text_and_a_penman_form(graph):
     toks = linearize(graph)
     read = from_text(to_text(toks))
     assert read == toks
+    # so do its corruptions, a whole-sub-graph one included, and the fallback's
+    sequences = [corrupt_graph(graph, config, random.Random(seed))[0]
+                 for seed, config in ((0, CorruptionConfig(node_rate=0.5, edge_rate=0.5)),
+                                      (1, CorruptionConfig(subgraph_rate=1.0)))]
+    for seq in sequences + [linearize(empty_graph())]:
+        assert from_text(to_text(seq)) == seq
     rebuilt = delinearize(read)
     assert is_isomorphic(rebuilt, graph)
     # each PENMAN text, of linearize | delinearize as well, reads back
