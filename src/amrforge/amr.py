@@ -65,8 +65,10 @@ class AmrGraph:
     change once built.  :func:`validate` keeps a passing result on the
     instance, and :func:`~amrforge.linearize.linearize_with_layout` its
     walk, or, in ``amrforge delinearize`` alone, the token line it came from.
-    Neither is a field, so equality ignores them, and a graph made by
-    ``dataclasses.replace`` or by unpickling starts without them.
+    :func:`~amrforge.penman.parse_penman` marks a graph whose nesting proves
+    it rooted, connected and acyclic.  None is a field, so equality ignores
+    them, and a graph made by ``dataclasses.replace`` or by unpickling
+    starts without them.
     """
 
     nodes: Mapping[str, str]
@@ -76,6 +78,7 @@ class AmrGraph:
 
     _valid = False  # set on an instance by validate or _trusted
     _linear = None  # set on an instance by linearize_with_layout
+    _nested = False  # set on an instance by parse_penman: see _diagnose
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
@@ -146,7 +149,10 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
     that explains it runs only when that check fails: the duplicate
     counts when a set of the triples is smaller than the triples, and the
     connectivity, reachability and cycle walks when a topological peel
-    from the root does not take every node.
+    from the root does not take every node.  A graph marked ``_nested``
+    by :func:`~amrforge.penman.parse_penman` is rooted, connected and
+    acyclic, and its endpoints are nodes, so it takes the duplicate and
+    symbol checks alone: no child table, endpoint loop or peel.
     """
     nodes = graph.nodes
     if not nodes:
@@ -157,30 +163,23 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
             Diagnostic("missing-root", f"root {graph.root!r} is not a node")
         )
 
-    # child lists in edge order, duplicates kept: the one adjacency that
-    # the peel, connectivity, reachability and the cycle search all read
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    in_degree = dict.fromkeys(nodes, 0)
-    for s, r, t in graph.edges:
-        if s in children and t in children:
-            children[s].append(t)
-            in_degree[t] += 1
-        else:
-            unknown = [v for v in (s, t) if v not in nodes]
-            diags.append(
-                Diagnostic(
-                    "dangling-edge",
-                    f"edge ({s}, {r}, {t}) references unknown node(s) {unknown}",
-                )
-            )
-    for s, r, v in graph.attributes:
-        if s not in nodes:
-            diags.append(
-                Diagnostic(
-                    "dangling-attribute",
-                    f"attribute ({s}, {r}, {v}) references unknown node {s!r}",
-                )
-            )
+    if not graph._nested:  # a nested graph's endpoints are all nodes
+        # child lists in edge order, duplicates kept: the one adjacency that
+        # the peel, connectivity, reachability and the cycle search all read
+        children: dict[str, list[str]] = {n: [] for n in nodes}
+        in_degree = dict.fromkeys(nodes, 0)
+        for s, r, t in graph.edges:
+            if s in children and t in children:
+                children[s].append(t)
+                in_degree[t] += 1
+            else:
+                unknown = [v for v in (s, t) if v not in nodes]
+                message = f"edge ({s}, {r}, {t}) references unknown node(s) {unknown}"
+                diags.append(Diagnostic("dangling-edge", message))
+        for s, r, v in graph.attributes:
+            if s not in nodes:
+                message = f"attribute ({s}, {r}, {v}) references unknown node {s!r}"
+                diags.append(Diagnostic("dangling-attribute", message))
 
     for kind, triples in (("edge", graph.edges), ("attribute", graph.attributes)):
         if len(set(triples)) != len(triples):
@@ -191,7 +190,7 @@ def _diagnose(graph: AmrGraph) -> list[Diagnostic]:
 
     diags.extend(_check_symbols(graph))
 
-    if _peels_from_root(graph.root, children, in_degree):
+    if graph._nested or _peels_from_root(graph.root, children, in_degree):
         return diags  # connected, reachable from the root and acyclic
     if graph.root in nodes:
         undirected = {n: set(targets) for n, targets in children.items()}

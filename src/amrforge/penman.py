@@ -132,6 +132,13 @@ def parse_penman(text: str, strict: bool = True) -> PenmanDocument:
     a variable reference, a duplicate triple) raises
     :class:`~amrforge.amr.InvalidGraphError`; in lenient mode the document
     is returned carrying the diagnostics.
+
+    A graph whose every reference names a node already closed by its
+    ``)`` is valid but for duplicates and symbols, so validation skips
+    the structural walk for it: each node opens under its parent, so the
+    root reaches every node, and each edge runs to a node that closed
+    first, so closing order falls along every edge and there is no cycle.
+    A reference to an open node (a cycle) or to a later one proves nothing.
     """
     metadata, body, body_line = _split_metadata(text)
     if not body:  # every line is metadata, a comment or blank, so no token
@@ -162,6 +169,7 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
     nodes: dict[str, str] = {}
     triples: list[tuple[str, str, str]] = []
     stack: list[str] = []
+    closed, unproven = set(), set()  # nodes past their ')', other bare targets
     pending: str | None = None  # the relation awaiting a target, the last token
     walk = enumerate(tokens)
     for pos, token in walk:
@@ -187,7 +195,7 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
                 fail(f"relation {pending!r} has no target", pos - 1)
             if not stack:
                 fail("unbalanced ')'", pos)
-            stack.pop()
+            closed.add(stack.pop())
             if not stack:
                 if pos + 1 < len(tokens):
                     fail("unexpected content after the graph", pos + 1)
@@ -205,17 +213,22 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
         else:  # an atom or string target: edge or constant is decided after the walk
             triples.append((stack[-1], pending, token))
             pending = None
+            if token not in closed:  # an open or a later node, or a constant
+                unproven.add(token)
 
     if stack or not nodes:
         fail("unbalanced '(': expression ends before all nodes are closed",
              len(tokens) - 1)
 
-    return AmrGraph(
+    graph = AmrGraph(
         nodes=nodes,
         edges=tuple(t for t in triples if t[2] in nodes),
         attributes=tuple(t for t in triples if t[2] not in nodes),
         root=next(iter(nodes)),
     )
+    if nodes.keys().isdisjoint(unproven):  # see parse_penman
+        object.__setattr__(graph, "_nested", True)
+    return graph
 
 
 def serialize_penman(document: PenmanDocument) -> str:

@@ -525,6 +525,36 @@ def test_each_graph_is_validated_once(command, checks_per_document, tmp_path,
     assert len(diagnose_calls) == checks_per_document * documents
 
 
+@pytest.mark.parametrize("command", [
+    ["linearize"], ["corrupt"], ["build-tasks", "--tasks", "everything"],
+    ["vocab"], ["validate"],
+])
+@pytest.mark.parametrize("forward, peels_per_document", [(False, 0), (True, 1)])
+def test_nested_penman_skips_the_structural_walk(command, forward,
+                                                 peels_per_document, tmp_path,
+                                                 monkeypatch):
+    rng = random.Random(61)
+    documents = 6
+    corpus = tmp_path / "corpus.amr"
+    with open(corpus, "w", encoding="utf-8") as out:
+        for index in range(documents):
+            graph = synth.random_graph(rng, 3, 25, max_reentrancies=3,
+                                       attribute_prob=0.2)
+            words = " ".join(synth.random_sentence(rng))
+            text = graph_to_penman(graph)
+            if forward:  # a reference to the rendered root, before its paren
+                text = f"(w / and :op1 z0 :op2 {text})"
+            out.write(f"# ::id {index}\n# ::tok {words}\n{text}\n\n")
+    # only a reference to a node whose paren has not closed leaves the
+    # structure to validate's peel
+    peels = []
+    peel = amrforge.amr._peels_from_root
+    monkeypatch.setattr(amrforge.amr, "_peels_from_root",
+                        lambda *args: peels.append(args) or peel(*args))
+    assert run([*command, str(corpus), "-o", str(tmp_path / "out")]) == 0
+    assert len(peels) == peels_per_document * documents
+
+
 def test_missing_input_file_exits_one(tmp_path):
     assert run(["linearize", str(tmp_path / "nope.amr")]) == 1
 

@@ -14,17 +14,27 @@ them exactly, order included.  Regenerate the fixture only when a change
 of diagnostics is intended:
 
     PYTHONPATH=src python tests/test_validate_equivalence.py --write
+
+The PENMAN reader marks a graph whose references all name closed nodes,
+and validation skips the structural walk for it.  Hand cases and seeded
+mutations of ``synth`` renderings that make references check that the
+lenient reader's diagnostics are those of the full walk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import random
+import re
+from collections import Counter
 import sys
 from pathlib import Path
 
-from amrforge import AmrGraph, synth, validate
+import pytest
+
+from amrforge import AmrGraph, graph_to_penman, parse_penman, synth, validate
 
 FIXTURE = Path(__file__).parent / "data" / "validate_golden.json"
 FIXTURE_SEED = 1414
@@ -169,6 +179,79 @@ def test_fixture_covers_every_diagnostic_code():
     # happen to leave a valid graph
     assert sum(len(case["diagnostics"]) > 1 for case in _golden()) > GRAPHS // 3
     assert any(not case["diagnostics"] for case in _golden())
+
+
+# A graph parsed from PENMAN whose references all name closed nodes skips
+# the structural walk; each text below must get the diagnostics of the
+# full walk, which a graph rebuilt by dataclasses.replace takes.
+REFERENCE_CASES = {
+    "self-reference": "(a / x :mod a)",
+    "reference to an open ancestor": "(a / x :ARG0 (b / y :ARG1 a))",
+    "forward reference, valid": "(a / x :ARG0 b :ARG1 (b / y))",
+    "forward reference, cycle": "(a / x :ARG0 (b / y :ARG1 c) :ARG1 (c / z :ARG2 b))",
+    "closed reference, repeated": "(a / x :ARG0 (b / y) :ARG1 b :ARG1 b)",
+    "closed reference, bad symbol": "(a / <Z3> :ARG0 (b / y) :ARG0 b)",
+    "closed reference, repeated constant": "(a / x :ARG0 (b / y) :ARG1 b :mod - :mod -)",
+}
+# an inserted edge makes a self-reference, a reference to an ancestor, to
+# a closed or to a later node, or an unusable constant, by where it lands;
+# a replacing piece is a bare id, a repeated reference or a stray symbol
+TARGETS = tuple(f"z{k}" for k in range(6)) + ("<Z3>",)
+PIECES = TARGETS + (" :mod z1", " :ARG0 z0 :ARG0 z0", " :x", ")", "(", "")
+
+
+def _agrees(document) -> bool:
+    return list(document.diagnostics) == validate(dataclasses.replace(document.graph))
+
+
+@pytest.mark.parametrize("text", REFERENCE_CASES.values(), ids=REFERENCE_CASES)
+def test_penman_references_get_the_full_walks_diagnostics(text):
+    assert _agrees(parse_penman(text, strict=False))
+
+
+def _reference_mutant(rng: random.Random) -> str:
+    """A ``synth`` rendering after one to three edits: a reference edge put
+    before a ``)`` or a relation, a bare reference repeated, or up to three
+    characters replaced by a piece."""
+    graph = synth.random_graph(rng, 1, 12, max_reentrancies=2,
+                               attribute_prob=0.3)
+    text = graph_to_penman(graph)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            places = [m.start() for m in re.finditer(r"\)| :", text)]
+            start = end = rng.choice(places or [len(text)])
+            piece = f" {rng.choice((':ARG1', ':mod'))} {rng.choice(TARGETS)}"
+        elif kind == 1 and (bare := re.findall(r" :\S+ z\d+(?=[ )])", text)):
+            piece = rng.choice(bare)
+            start = end = text.index(piece)
+        else:
+            start = rng.randrange(len(text) + 1)
+            end = min(len(text), start + rng.randrange(4))
+            piece = rng.choice(PIECES)
+        text = text[:start] + piece + text[end:]
+    return text
+
+
+def test_fuzzed_penman_references_get_the_full_walks_diagnostics():
+    rng = random.Random(39)
+    outcomes, marked_codes = Counter(), Counter()
+    for _ in range(3000):
+        text = _reference_mutant(rng)
+        try:
+            document = parse_penman(text, strict=False)
+        except ValueError:  # a syntax error: no graph to validate
+            continue
+        assert _agrees(document), text
+        marked = document.graph._nested
+        outcomes[marked, not document.diagnostics] += 1
+        if marked:
+            marked_codes.update(d.code for d in document.diagnostics)
+    # each route meets valid and invalid graphs, and the short one meets
+    # every kind of fault it can hold
+    assert len(outcomes) == 4 and min(outcomes.values()) > 50, outcomes
+    assert set(marked_codes) == {"duplicate-edge", "duplicate-attribute",
+                                 "bad-symbol"}, marked_codes
 
 
 if __name__ == "__main__":
