@@ -12,8 +12,8 @@ pair with the same labels.  The mappings the search visits are injective,
 which makes this split of the matched count exact (see
 :class:`_MatchContext`), so a move's gain is a sum of a few table entries.
 A fine-grained re-run's context takes the base pair's variable numbering,
-and its instance weights (every variant but ``no_wsd``) or its links
-(``no_wsd``), as they are.
+and the tables of the triples its rewrite passes through on both sides, as
+they are.
 
 The search is hill-climbing over single reassignments and pairwise swaps
 from a sequence of start mappings.  One climb keeps one :class:`_Position`
@@ -72,24 +72,31 @@ class _MatchContext:
     all pairs with the same labels in both directions share one dict, and
     their ``links[w][v]`` one transpose.  ``instances[v]`` is the instance
     part of ``unary[v]``: the right variables of ``v``'s concept.  A
-    variant pair's context takes the variable numbering (``vars1``,
-    ``vars2`` and both index maps) and its ``kept`` part (``"instances"``,
-    or ``"links"`` with ``link_ceiling``) from ``base``, the context of the
-    pair it varies.  The tables are shared, and nothing ever writes to them.
+    variant pair's context takes from ``base``, the context of the pair it
+    varies, the variable numbering (``vars1``, ``vars2`` and both index maps),
+    ``instances`` if both sides' ``instances`` are ``base.left``'s and
+    ``base.right``'s own tuples, and ``links`` with ``link_ceiling`` if both
+    ``relations`` are.  The tables are shared, and nothing writes to them.
     """
 
-    def __init__(self, left, right, base=None, kept=None):
+    def __init__(self, left, right, base=None):
+        self.left, self.right = left, right
         if base is None:
             self.vars1 = [v for v, _, _ in left.instances]
             self.vars2 = [v for v, _, _ in right.instances]
             self.index1 = {v: i for i, v in enumerate(self.vars1)}
             self.index2 = {v: j for j, v in enumerate(self.vars2)}
+            same_instances = same_relations = False
         else:  # a variant keeps the instance variables, in order
             self.vars1, self.vars2 = base.vars1, base.vars2
             self.index1, self.index2 = base.index1, base.index2
-        unary1, pairs1 = _split_triples(left, self.index1, kept != "links")
-        unary2, pairs2 = _split_triples(right, self.index2, kept != "links")
-        if kept == "instances":
+            same_instances = (left.instances is base.left.instances
+                              and right.instances is base.right.instances)
+            same_relations = (left.relations is base.left.relations
+                              and right.relations is base.right.relations)
+        unary1, pairs1 = _split_triples(left, self.index1, not same_relations)
+        unary2, pairs2 = _split_triples(right, self.index2, not same_relations)
+        if same_instances:
             self.instances = base.instances
         else:  # one instance triple per variable, so each weight is 1
             holders: dict = {}
@@ -111,7 +118,7 @@ class _MatchContext:
                         weights[j] = weights.get(j, 0) + min(count, other)
             ceiling += max(weights.values(), default=0) if forms else bool(weights)
             self.unary.append(weights)
-        if kept == "links":
+        if same_relations:
             self.links, self.link_ceiling = base.links, base.link_ceiling
         else:
             carriers: dict[str, list] = {}

@@ -52,10 +52,6 @@ from .vocab import build_vocabulary, collect_symbols, save_vocabulary
 ENV_SEED = "AMRFORGE_SEED"
 
 
-class CliError(ValueError):
-    pass
-
-
 def _read(path: str, strict: bool) -> Iterator[tuple[PenmanDocument, AmrGraph]]:
     """Each document of a corpus with the graph to use, read as it is
     consumed: the input stays open until the last one is taken.
@@ -93,7 +89,7 @@ def _seed(args) -> int:
         try:
             seed = int(env)
         except ValueError:
-            raise CliError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
     print(f"amrforge: seed {seed}", file=sys.stderr)
     return seed
 
@@ -351,7 +347,7 @@ def _cmd_smatch(args) -> int:
     gold = list(_read(args.gold, args.strict))
     predicted = list(_read(args.predicted, args.strict))
     if len(gold) != len(predicted):
-        raise CliError(f"gold has {len(gold)} documents, predicted has {len(predicted)}")
+        raise ValueError(f"gold has {len(gold)} documents, predicted has {len(predicted)}")
     payloads = [
         (pred_graph, gold_graph, args.restarts, seed, args.fine)
         for (_, gold_graph), (_, pred_graph) in zip(gold, predicted)

@@ -246,7 +246,7 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
     attributes: dict[Attribute, None] = {}
     root: str | None = None
     stack: list[str | None] = []  # None marks a span whose node was dropped
-    pending: tuple[str, int] | None = None  # relation awaiting its target
+    pending: str | None = None  # the relation before toks[i], awaiting its target
     fault: StructureError | None = None
     span, refs, linear = {}, [], True  # noted while keep and fault is None
 
@@ -255,18 +255,18 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
         if fault is None:
             fault = StructureError(message, position)
 
-    def attach(target: str, position: int) -> None:
+    def attach(target: str) -> None:  # at toks[i]
         nonlocal pending
         if pending is not None and stack and stack[-1] is not None:
-            source, rel = stack[-1], pending[0]
+            source, rel = stack[-1], pending
             edge = (source, rel, target)
             if edge in edges:
-                fail(f"duplicate edge ({source}, {rel}, {target})", position)
+                fail(f"duplicate edge ({source}, {rel}, {target})", i)
             elif target == source or (
                 # a node without children reaches nothing but itself
                 children[target] and source in _closure({target}, children)
             ):
-                fail(f"edge ({source}, {rel}, {target}) would close a cycle", position)
+                fail(f"edge ({source}, {rel}, {target}) would close a cycle", i)
             else:
                 edges[edge] = None
                 children[source].append(target)
@@ -315,7 +315,7 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
             if node in nodes:
                 # a re-defined pointer keeps its first concept, and children
                 # attach to the original node
-                attach(node, i)
+                attach(node)
                 stack.append(node)
             else:
                 pending = None
@@ -324,7 +324,7 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
             continue
         if kind == _CLOSE:
             if pending is not None:
-                fail(f"relation {pending[0]!r} has no target", pending[1])
+                fail(f"relation {pending!r} has no target", i - 1)
             pending = None
             if stack:
                 if (node := stack.pop()) in span:  # opened before any fault
@@ -335,11 +335,10 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
             if not stack:
                 fail("relation outside of a node", i)
             if pending is not None:
-                fail(f"relation {pending[0]!r} has no target", pending[1])
-            pending = (token, i) if stack else None
+                fail(f"relation {pending!r} has no target", i - 1)
+            pending = token if stack and detail else None
             if not detail:
                 fail(f"unusable relation {token!r}", i)
-                pending = None
         elif kind == _POINTER:
             if detail not in nodes:
                 fail(f"pointer {token} used before definition", i)
@@ -347,7 +346,7 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
             else:
                 if not stack or pending is None:
                     fail(f"unexpected pointer {token}", i)
-                attach(detail, i)
+                attach(detail)
                 if keep and fault is None:
                     refs.append((i, detail))
                     linear = linear and token == toks[span[detail][0] + 1]
@@ -357,7 +356,7 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
             elif not detail:
                 fail(f"unusable constant {token!r}", i)
             elif stack[-1] is not None:
-                triple = (stack[-1], pending[0], token)
+                triple = (stack[-1], pending, token)
                 if triple in attributes:
                     fail(f"duplicate attribute {triple}", i)
                 else:
@@ -373,11 +372,11 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
     if root is None:
         return None, fault
     if fault is not None:  # only a broken rule leaves a node unattached
-        # keep is closed under children, so a kept source has a kept target
-        keep = _closure({root}, children)
-        nodes = {node: concept for node, concept in nodes.items() if node in keep}
-        edges = {edge: None for edge in edges if edge[0] in keep}
-        attributes = {attr: None for attr in attributes if attr[0] in keep}
+        # reached is closed under children: a reached source has a reached target
+        reached = _closure({root}, children)
+        nodes = {node: concept for node, concept in nodes.items() if node in reached}
+        edges = {edge: None for edge in edges if edge[0] in reached}
+        attributes = {attr: None for attr in attributes if attr[0] in reached}
     graph = _trusted(AmrGraph(
         nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root,
     ))

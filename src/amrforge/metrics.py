@@ -137,14 +137,14 @@ def _srl(triples: TripleSet) -> TripleSet:
 
 
 # The variants that re-run the mapping search, in the order they draw from
-# fine_grained's shared generator, with the part of the base context each
-# keeps (see ``_MatchContext``).  A variant whose gold side keeps only its
-# instance triples is absent; only the last two can, as the others keep TOP.
+# fine_grained's shared generator; a re-run shares the base tables of the
+# triples it passes through on both sides (see ``_MatchContext``).  One whose
+# gold side keeps only instance triples is absent: only the last two can.
 SEARCHED_VARIANTS = (
-    ("unlabeled", _unlabeled, "instances"),
-    ("no_wsd", _no_wsd, "links"),
-    ("reentrancy", _reentrancy, "instances"),
-    ("srl", _srl, "instances"),
+    ("unlabeled", _unlabeled),
+    ("no_wsd", _no_wsd),
+    ("reentrancy", _reentrancy),
+    ("srl", _srl),
 )
 
 
@@ -201,17 +201,17 @@ def fine_grained(
     ``SEARCHED_VARIANTS`` re-runs it on one generator, climbing the base
     mapping, the greedy and name starts and the random starts it drew, up
     to the first climb that reaches the ceiling.  A re-run's tables share
-    the base's instance weights (all but ``no_wsd``) or links (``no_wsd``).
+    the base's for the triples its variant passes through unchanged.
     So removing edge labels or senses never lowers the score below Smatch.
     The start order can move only a re-run's count, via the base mapping.
     """
     left, right, context, base = _base_smatch(graph1, graph2, restarts, seed)
     rng = random.Random(seed)
     results: dict[str, SmatchResult | None] = {"smatch": base}
-    for key, variant, kept in SEARCHED_VARIANTS:
+    for key, variant in SEARCHED_VARIANTS:
         a, b = variant(left), variant(right)
         if b.attributes or b.relations:  # else absent
-            shared = _MatchContext(a, b, context, kept)
+            shared = _MatchContext(a, b, context)
             matched, mapping = best_mapping(shared, restarts, rng, (base.mapping,))
             results[key] = SmatchResult(matched, a.total, b.total, mapping)
     # The TOP triple among the attributes counts in no multiset: its relation
@@ -240,17 +240,11 @@ FINE_GRAINED_KEYS = (
 
 
 def aggregate(results) -> SmatchResult | None:
-    """Micro-average: matched and total counts summed across pairs."""
-    matched = left_total = right_total = 0
-    seen = False
-    for result in results:
-        if result is None:
-            continue
-        seen = True
-        matched += result.matched
-        left_total += result.left_total
-        right_total += result.right_total
-    if not seen:
+    """Micro-average: the counts of the present results summed, or None."""
+    present = [result for result in results if result is not None]
+    if not present:
         return None
-    return SmatchResult(matched, left_total, right_total)
+    return SmatchResult(sum(r.matched for r in present),
+                        sum(r.left_total for r in present),
+                        sum(r.right_total for r in present))
 

@@ -130,32 +130,5 @@ def random_graph(
     )
 
 
-def document_pair(rng: random.Random, min_nodes: int, max_nodes: int):
-    """A ``(prediction, gold)`` pair for Smatch at document size, scored as
-    ``smatch(prediction, gold)`` (the climb is not symmetric).  The gold
-    graph is a :func:`random_graph` with ``max_nodes // 10`` reentrancies
-    and attributes at rate 0.2, 40% of its concepts then set to ``dog``.
-    The prediction sets 40% of the gold concepts to ``dog`` again, redraws
-    20% of the edge labels unless that repeats an edge, and renames ``zK``
-    to ``pK``."""
-    graph = random_graph(rng, min_nodes, max_nodes, max_nodes // 10, 0.2)
-    nodes = {n: "dog" if rng.random() < 0.4 else c for n, c in graph.nodes.items()}
-    gold = AmrGraph(nodes, graph.edges, graph.attributes, graph.root)
-    concepts = ["dog" if rng.random() < 0.4 else c for c in nodes.values()]
-    edges, present = list(gold.edges), set(gold.edges)
-    for i, (source, _, target) in enumerate(edges):
-        if rng.random() < 0.2:
-            edge = (source, rng.choice(RELATIONS), target)
-            if edge not in present:
-                present ^= {edges[i], edge}  # the old edge out, the new one in
-                edges[i] = edge
-    name = {n: "p" + n[1:] for n in nodes}
-    return AmrGraph(
-        dict(zip(name.values(), concepts)),
-        tuple((name[s], r, name[t]) for s, r, t in edges),
-        tuple((name[n], r, v) for n, r, v in gold.attributes), name[gold.root],
-    ), gold
-
-
 def random_sentence(rng: random.Random, min_len: int = 3, max_len: int = 20) -> list[str]:
     return [rng.choice(WORDS) for _ in range(rng.randint(min_len, max_len))]

@@ -7,10 +7,11 @@ import random
 
 import pytest
 
-from amrforge import AmrGraph, amr, synth
+from amrforge import AmrGraph, amr
 from amrforge._search import _applied, _MatchContext
 from amrforge.linearize import linearize_with_layout
 from amrforge.metrics import SmatchResult, TripleSet, to_triples
+from amrforge.synth import RELATIONS, random_graph
 from amrforge.tokens import MASK, OPEN, is_pointer, is_relation
 
 GOLDEN_SEQUENCE = (
@@ -66,12 +67,39 @@ def smatch_oracle(graph1: AmrGraph, graph2: AmrGraph) -> SmatchResult:
     return oracle_optimum(to_triples(graph1), to_triples(graph2))
 
 
+def document_pair(rng: random.Random, min_nodes: int, max_nodes: int):
+    """A ``(prediction, gold)`` pair for Smatch at document size, scored as
+    ``smatch(prediction, gold)`` (the climb is not symmetric).  The gold
+    graph is a :func:`random_graph` with ``max_nodes // 10`` reentrancies
+    and attributes at rate 0.2, 40% of its concepts then set to ``dog``.
+    The prediction sets 40% of the gold concepts to ``dog`` again, redraws
+    20% of the edge labels unless that repeats an edge, and renames ``zK``
+    to ``pK``."""
+    graph = random_graph(rng, min_nodes, max_nodes, max_nodes // 10, 0.2)
+    nodes = {n: "dog" if rng.random() < 0.4 else c for n, c in graph.nodes.items()}
+    gold = AmrGraph(nodes, graph.edges, graph.attributes, graph.root)
+    concepts = ["dog" if rng.random() < 0.4 else c for c in nodes.values()]
+    edges, present = list(gold.edges), set(gold.edges)
+    for i, (source, _, target) in enumerate(edges):
+        if rng.random() < 0.2:
+            edge = (source, rng.choice(RELATIONS), target)
+            if edge not in present:
+                present ^= {edges[i], edge}  # the old edge out, the new one in
+                edges[i] = edge
+    name = {n: "p" + n[1:] for n in nodes}
+    return AmrGraph(
+        dict(zip(name.values(), concepts)),
+        tuple((name[s], r, name[t]) for s, r, t in edges),
+        tuple((name[n], r, v) for n, r, v in gold.attributes), name[gold.root],
+    ), gold
+
+
 @functools.cache
-def document_pair(nodes: int) -> tuple[AmrGraph, AmrGraph]:
-    """The ``(prediction, gold)`` pair of ``synth.document_pair`` with
+def seed_7_pair(nodes: int) -> tuple[AmrGraph, AmrGraph]:
+    """The ``(prediction, gold)`` pair of :func:`document_pair` with
     exactly ``nodes`` gold nodes at seed 7, to be scored as
     ``smatch(prediction, gold)``."""
-    return synth.document_pair(random.Random(7), nodes, nodes)
+    return document_pair(random.Random(7), nodes, nodes)
 
 
 def milp_optimum(left: TripleSet, right: TripleSet) -> int:

@@ -238,6 +238,7 @@ def test_aggregate_micro_average():
         first.left_total + second.left_total
     )
     assert aggregate([None, None]) is None
+    assert aggregate([]) is None
 
 
 def test_bleu_identity():

@@ -17,7 +17,7 @@ start began to be climbed before the name start.
 Three more pairs pin the order in which ``fine_grained`` draws from its
 generator: scoring ``srl`` before ``reentrancy`` changes their ``srl``
 counts.  Two more, of 80-120-node gold graphs, pin long climbs that take
-sideways steps.  The last, ``synth.document_pair`` at 300 nodes, was
+sideways steps.  The last, conftest's ``document_pair`` at 300 nodes, was
 recorded before a climb step rescored only the moves to the images it
 changed.  Regenerate it only when a change of results is intended:
 
@@ -82,6 +82,7 @@ from conftest import (
     milp_optimum,
     oracle_optimum,
     rename_nodes,
+    seed_7_pair,
     smatch_oracle,
 )
 
@@ -103,7 +104,7 @@ DRAW_ORDER_PAIRS = (1, 227, 316)
 # document-sized pairs: long climbs, many of them ending in sideways steps
 DOCUMENT_SEED = 1212
 DOCUMENT_PAIRS = (1, 3)
-# the 300-node pair of synth.document_pair at seed 7, whose climbs are long
+# the 300-node pair of conftest's document_pair at seed 7, whose climbs are long
 # and never reach the ceiling, searched with the default restarts and seed
 DOCUMENT_SIZE_PAIRS = ((7, 300),)
 CASES = PAIRS + len(DRAW_ORDER_PAIRS) + len(DOCUMENT_PAIRS) + len(DOCUMENT_SIZE_PAIRS)
@@ -155,7 +156,7 @@ def _document_pairs():
 
 def _document_size_pairs():
     for seed, nodes in DOCUMENT_SIZE_PAIRS:
-        yield *synth.document_pair(random.Random(seed), nodes, nodes), 4, 0
+        yield *document_pair(random.Random(seed), nodes, nodes), 4, 0
 
 
 def _relabel(graph: AmrGraph, rng: random.Random, rate: float = 0.2) -> AmrGraph:
@@ -323,7 +324,7 @@ def _searched_variants(a: TripleSet, b: TripleSet):
     """Each ``fine_grained`` key a mapping search scores, with the triple
     sets it searches over: the base, then each of ``SEARCHED_VARIANTS``."""
     yield "smatch", a, b
-    for key, variant, _ in SEARCHED_VARIANTS:
+    for key, variant in SEARCHED_VARIANTS:
         yield key, variant(a), variant(b)
 
 
@@ -413,7 +414,7 @@ def _reference_runs():
     yield from _searched_runs()
     for size in (25, 60):
         for seed in range(2):
-            yield *synth.document_pair(random.Random(seed), size, size), 4, seed
+            yield *document_pair(random.Random(seed), size, size), 4, seed
 
 
 @functools.cache
@@ -696,9 +697,9 @@ def _contexts(left: TripleSet, right: TripleSet):
     builds them, with the variant triple sets."""
     base = _MatchContext(left, right)
     yield "smatch", base, left, right
-    for key, variant, kept in SEARCHED_VARIANTS:
+    for key, variant in SEARCHED_VARIANTS:
         a, b = variant(left), variant(right)
-        yield key, _MatchContext(a, b, base, kept), a, b
+        yield key, _MatchContext(a, b, base), a, b
 
 
 _SEARCHED_KEYS = ("smatch", *(key for key, *_ in SEARCHED_VARIANTS))
@@ -724,8 +725,8 @@ def test_search_never_writes_the_shared_tables(monkeypatch):
     contexts = []
 
     class Recorded(_MatchContext):
-        def __init__(self, left, right, base=None, kept=None):
-            super().__init__(left, right, base, kept)
+        def __init__(self, left, right, base=None):
+            super().__init__(left, right, base)
             contexts.append((self, copy.deepcopy((self.unary, self.links, self.ceiling))))
 
     monkeypatch.setattr(amrforge.metrics, "_MatchContext", Recorded)
@@ -739,7 +740,7 @@ def test_search_never_writes_the_shared_tables(monkeypatch):
         for _, context, _, _ in _contexts(left, right):
             contexts.append((context, copy.deepcopy((context.unary, context.links, context.ceiling))))
             amrforge._search.best_mapping(context, 4, rng)
-    prediction, gold = document_pair(100)
+    prediction, gold = seed_7_pair(100)
     unlabeled = Recorded(_unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold)))
     amrforge._search.best_mapping(unlabeled, 4, rng)
     assert len(contexts) > 650
@@ -747,9 +748,9 @@ def test_search_never_writes_the_shared_tables(monkeypatch):
         assert (context.unary, context.links, context.ceiling) == before
 
 
-def _check_kept_parts(key: str, context, base, left: TripleSet, right: TripleSet):
-    """A re-run's context against one built from scratch, and its kept
-    part and variable numbering against the base context's own."""
+def _check_built_tables(key: str, context, base, left: TripleSet, right: TripleSet):
+    """A re-run's context against one built from scratch, and its variable
+    numbering against the base context's own."""
     scratch = _MatchContext(left, right)
     assert context.unary == scratch.unary, key
     assert context.links == scratch.links, key
@@ -758,6 +759,12 @@ def _check_kept_parts(key: str, context, base, left: TripleSet, right: TripleSet
         scratch.vars1, scratch.vars2, scratch.index2), key
     for name in ("vars1", "vars2", "index1", "index2"):
         assert getattr(context, name) is getattr(base, name), (key, name)
+
+
+def _check_kept_parts(key: str, context, base, left: TripleSet, right: TripleSet):
+    """A re-run's context against one built from scratch, and its kept
+    part and variable numbering against the base context's own."""
+    _check_built_tables(key, context, base, left, right)
     if key == "no_wsd":
         assert context.links is base.links
     else:
@@ -772,12 +779,12 @@ def test_kept_parts_equal_tables_built_from_scratch():
         (_graph_from_json(case["left"]), _graph_from_json(case["right"]))
         for case in _golden_cases()
     ]
-    pairs += [synth.document_pair(random.Random(0), size, size) for size in (25, 60)]
+    pairs += [document_pair(random.Random(0), size, size) for size in (25, 60)]
     checked = Counter()
     for prediction, gold in pairs:
         contexts = dict(_fine_grained_contexts(prediction, gold))
         left, right = to_triples(prediction), to_triples(gold)
-        for key, variant, _ in SEARCHED_VARIANTS:
+        for key, variant in SEARCHED_VARIANTS:
             if key in contexts:
                 _check_kept_parts(key, contexts[key], contexts["smatch"],
                                   variant(left), variant(right))
@@ -791,10 +798,41 @@ def test_kept_parts_equal_tables_built_from_scratch():
     assert min(checked.values()) > 300 and len(checked) == len(SEARCHED_VARIANTS)
 
 
+def test_a_rerun_shares_only_what_both_sides_pass_through():
+    # a rewrite passes a tuple through when it returns that very object:
+    # _unlabeled the instances, _no_wsd the relations, and their composition
+    # neither.  A re-run shares the base's instance weights or links only
+    # when both sides pass their tuple through; one side is not enough
+    def rewritten(triples):
+        return _no_wsd(_unlabeled(triples))
+
+    cases = (  # left rewrite, right rewrite, instances shared, links shared
+        (_unlabeled, _unlabeled, True, False),
+        (_unlabeled, rewritten, False, False),
+        (_no_wsd, _no_wsd, False, True),
+        (rewritten, _no_wsd, False, False),
+    )
+    rng = random.Random(1414)
+    checked = 0
+    for _ in range(200):
+        left, right = _tangled_triples(rng), _tangled_triples(rng)
+        if not (left.relations and right.relations):
+            continue  # rewriting no relation gives the empty tuple itself
+        base = _MatchContext(left, right)
+        for index, (rewrite1, rewrite2, instances, links) in enumerate(cases):
+            a, b = rewrite1(left), rewrite2(right)
+            context = _MatchContext(a, b, base)
+            _check_built_tables(f"case {index}", context, base, a, b)
+            assert (context.instances is base.instances) == instances, index
+            assert (context.links is base.links) == links, index
+            checked += 1
+    assert checked > 600
+
+
 def test_unlabeled_pairs_share_a_few_tables():
     # every relation reads :label, so a pair's table depends only on how
     # many edges join it each way: 216 entries, 4 distinct tables
-    prediction, gold = document_pair(100)
+    prediction, gold = seed_7_pair(100)
     context = _MatchContext(_unlabeled(to_triples(prediction)), _unlabeled(to_triples(gold)))
     tables = [table for links in context.links for table in links.values()]
     assert len(tables) == 216
@@ -804,8 +842,8 @@ def test_unlabeled_pairs_share_a_few_tables():
 def test_document_pairs_match_the_recorded_counts():
     # recorded with the per-pair tables; the climb is not symmetric, so the
     # other scoring order matches one more triple at 100 nodes
-    assert smatch(*document_pair(25)).matched == 51
-    prediction, gold = document_pair(100)
+    assert smatch(*seed_7_pair(25)).matched == 51
+    prediction, gold = seed_7_pair(100)
     assert smatch(prediction, gold).matched == 182
     assert smatch(gold, prediction).matched == 183
 
