@@ -270,8 +270,8 @@ class _Position:
         images, holder, reach = self.images, self.holder, self.reach
         watchers, links = self.watchers, self.context.links
         moved = [(v, images[v], j) for v, j in changes]
-        for v, old, _ in moved:
-            if old is not None and holder.get(old) == v:
+        for _, old, _ in moved:  # holder inverts the injective images
+            if old is not None:
                 del holder[old]
         for v, _, new in moved:
             images[v] = new
@@ -385,9 +385,8 @@ class _Position:
         holder = self.holder
         others = {holder[j] for j in self.reach[v] if j in holder}
         others.update(self.context.links[v])
-        if self.images[v] is not None:
-            others |= self.watchers[self.images[v]]
-        return others
+        # v matches something where it stands, so it has an image
+        return others | self.watchers[self.images[v]]
 
     def best_move(self):
         """The first move in search order with the largest positive gain.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import dropwhile, filterfalse
 from types import MappingProxyType
 
 from .tokens import usable_node_id, usable_relation, usable_value
@@ -296,32 +296,25 @@ def _closure(start: set[str], adjacency: Mapping[str, Iterable[str]]) -> set[str
 
 def _find_cycles(adjacency: dict[str, list[str]]) -> list[Diagnostic]:
     """Report one diagnostic per back edge found by depth-first search."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in adjacency}
+    finished: set[str] = set()
     diags: list[Diagnostic] = []
     for start in adjacency:
-        if color[start] != WHITE:
+        if start in finished:
             continue
-        path: list[str] = []
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            node, child_index = stack.pop()
-            if child_index == 0:
-                color[node] = GRAY
-                path.append(node)
-            if child_index < len(adjacency[node]):
-                stack.append((node, child_index + 1))
-                child = adjacency[node][child_index]
-                if color[child] == GRAY:
-                    cycle = path[path.index(child):] + [child]
+        # the open nodes in path order, each with an iterator over its edges left
+        path = {start: iter(adjacency[start])}
+        while path:
+            for child in next(reversed(path.values())):
+                if child in path:  # a back edge: the path from child on is a cycle
+                    cycle = [*dropwhile(child.__ne__, path), child]
                     diags.append(
                         Diagnostic("cycle", "cycle: " + " -> ".join(cycle))
                     )
-                elif color[child] == WHITE:
-                    stack.append((child, 0))
+                elif child not in finished:
+                    path[child] = iter(adjacency[child])
+                    break
             else:
-                color[node] = BLACK
-                path.pop()
+                finished.add(path.popitem()[0])
     return diags
 
 

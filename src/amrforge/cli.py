@@ -2,9 +2,10 @@
 building and evaluation into reproducible pipelines.
 
 Every command reads a document, runs one function on it and writes the
-resulting lines before it reads the next; smatch, bleu and vocab, which
-write one result per corpus, take in their whole input first.  The randomized
-commands (corrupt, build-tasks, smatch) resolve one seed (flag, then the
+resulting lines before it reads the next; smatch and bleu, which write one
+result per corpus, take in their whole input first, and vocab holds only
+the symbol counts of the documents it has read.  The randomized commands
+(corrupt, build-tasks, smatch) resolve one seed (flag, then the
 AMRFORGE_SEED environment variable, then 0), echo it on standard error,
 and derive all per-document randomness from it, so identical invocations
 produce byte-identical outputs.  :func:`run` builds its argument parser
@@ -300,14 +301,10 @@ def _cmd_corrupt(args) -> int:
 
 
 def _parse_task_set(names: str):
-    lowered = names.strip().lower()
-    if lowered == "all":
-        return PRETRAINING_TAGS
-    if lowered in ("finetune", "fine-tune", "finetuning"):
-        return FINETUNING_TAGS
-    if lowered == "everything":
-        return ALL_TAGS
-    return tuple(parse_tag(part.strip()) for part in names.split(",") if part.strip())
+    group = {"all": PRETRAINING_TAGS, "finetune": FINETUNING_TAGS,
+             "everything": ALL_TAGS}.get(names.strip().lower())
+    parts = (part.strip() for part in names.split(","))
+    return group or tuple(map(parse_tag, filter(None, parts)))
 
 
 def _cmd_build_tasks(args) -> int:

@@ -257,7 +257,8 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
 
     def attach(target: str) -> None:  # at toks[i]
         nonlocal pending
-        if pending is not None and stack and stack[-1] is not None:
+        # pending is set only while a node is open, and each ')' clears it
+        if pending is not None and stack[-1] is not None:
             source, rel = stack[-1], pending
             edge = (source, rel, target)
             if edge in edges:

@@ -36,7 +36,6 @@ class CorpusError(ValueError):
 
     def __init__(self, index: int, cause: Exception):
         self.index = index
-        self.cause = cause
         super().__init__(f"document {index}: {cause}")
 
 
@@ -103,19 +102,15 @@ def _split_metadata(text: str) -> tuple[dict[str, str], str, int]:
     metadata: dict[str, str] = {}
     lines = text.split("\n")
     body_start = 0
-    for i, line in enumerate(lines):
+    for line in lines:
         stripped = line.strip()
         if stripped.startswith("# ::"):
             payload = line.lstrip()[4:].removesuffix("\r")  # of a CRLF line
             key, _, value = payload.partition(" ")
             metadata[key] = value
-            body_start = i + 1
-        elif stripped.startswith("#"):
-            body_start = i + 1  # plain comments are skipped, not preserved
-        elif stripped == "" and body_start == i:
-            body_start = i + 1
-        else:
-            break
+        elif stripped and stripped[0] != "#":
+            break  # the graph's first line
+        body_start += 1  # metadata, a plain comment (not kept) or a blank line
     return metadata, "\n".join(lines[body_start:]), body_start + 1
 
 
@@ -216,7 +211,7 @@ def _parse_expression(text: str, first_line: int) -> AmrGraph:
             if token not in closed:  # an open or a later node, or a constant
                 unproven.add(token)
 
-    if stack or not nodes:
+    if stack:  # nodes is not empty: the first token opened the root or failed
         fail("unbalanced '(': expression ends before all nodes are closed",
              len(tokens) - 1)
 
@@ -302,26 +297,28 @@ def read_corpus(stream, strict: bool = True):
     for line in chain(lines(stream), [""]):  # a blank line ends the last block
         if line.strip():
             block.append(line)
-            continue
-        # a block of plain comments, like an LDC file's header, is no document
-        if any(s[0] != "#" or s.startswith("# ::") for s in map(str.lstrip, block)):
-            yield _parse_block(block, index, strict)
-            index += 1
-        block = []
+        elif block:
+            if (document := _parse_block("".join(block), index, strict)) is not None:
+                yield document
+                index += 1
+            block = []
 
 
-def _parse_block(block: list[str], index: int, strict: bool) -> PenmanDocument:
-    text = "".join(block)
+def _parse_block(text: str, index: int, strict: bool) -> PenmanDocument | None:
+    """The document of one corpus block, or ``None`` for a block of plain
+    comments, such as an LDC file's header: neither metadata nor a graph.
+    A malformed block raises :class:`CorpusError` in strict mode, and is
+    the fallback document in lenient mode, where only syntax errors raise."""
     try:
         return parse_penman(text, strict=strict)
-    except PenmanSyntaxError as error:
+    except (PenmanSyntaxError, InvalidGraphError) as error:
+        metadata, body, _ = _split_metadata(text)
+        if not (metadata or body):
+            return None
         if strict:
             raise CorpusError(index, error) from error
-        metadata, _, _ = _split_metadata(text)
         return PenmanDocument(
             metadata=metadata,
             graph=empty_graph(),
             diagnostics=(Diagnostic("syntax", str(error)),),
         )
-    except InvalidGraphError as error:
-        raise CorpusError(index, error) from error

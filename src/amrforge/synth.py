@@ -117,9 +117,8 @@ def random_graph(
     attributes: list[tuple[str, str, str]] = []
     for node in ids:
         if rng.random() < attribute_prob:
-            rel, value = rng.choice(ATTRIBUTES)
-            if (node, rel, value) not in attributes:
-                attributes.append((node, rel, value))
+            rel, value = rng.choice(ATTRIBUTES)  # one draw per node: no duplicate
+            attributes.append((node, rel, value))
 
     rng.shuffle(edges)
     return AmrGraph(

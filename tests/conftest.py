@@ -9,7 +9,8 @@ import pytest
 
 from amrforge import AmrGraph, amr
 from amrforge._search import _applied, _MatchContext
-from amrforge.linearize import linearize_with_layout
+from amrforge.corrupt import CorruptionConfig, corrupt_graph
+from amrforge.linearize import delinearize, linearize_with_layout, repair
 from amrforge.metrics import SmatchResult, TripleSet, to_triples
 from amrforge.synth import RELATIONS, random_graph
 from amrforge.tokens import MASK, OPEN, is_pointer, is_relation
@@ -92,6 +93,101 @@ def document_pair(rng: random.Random, min_nodes: int, max_nodes: int):
         tuple((name[s], r, name[t]) for s, r, t in edges),
         tuple((name[n], r, v) for n, r, v in gold.attributes), name[gold.root],
     ), gold
+
+
+SENTENCE_NOISE = CorruptionConfig(node_rate=0.4, edge_rate=0.0, subgraph_rate=0.0)
+QUOTED_NAMES = ('"New York"', '"Fengzhu Lake"', '"Ulan Bator"')
+
+
+def document_from_sentences(rng: random.Random, sentences: int):
+    """A ``(prediction, gold)`` pair of documents with coreference, scored
+    as ``smatch(prediction, gold)``, built the way DocAMR joins sentence
+    graphs (Naseem et al., NAACL 2022).
+
+    Each side joins ``sentences`` sentence pairs under a ``multi-sentence``
+    root by ``:snt1``, ``:snt2``, ..., each pair drawn as eval-small draws
+    it: gold is a 5-30-node :func:`random_graph` with one reentrancy per
+    six nodes, attributes at rate 0.1 and ``:name`` among the relations,
+    and the prediction is gold after node masking at rate 0.4, repaired.
+    A quarter of the sentences give a node a ``name`` whose ``:op1`` is a
+    quoted name with a space, on both sides.  Gold then merges each of its
+    nodes, with probability 0.5, into a node of its concept in an earlier
+    sentence if there is one; the prediction keeps 70% of those merges,
+    and merges each of its other nodes the same way, with probability 0.1
+    and by its own concepts.  A merge that would close a cycle is skipped.
+    The prediction's node ``n`` is named ``pn``.
+    """
+    relations = RELATIONS + (":name",)
+    gold_side: tuple[dict, list] = ({"m": "multi-sentence"}, [])
+    predicted_side: tuple[dict, list] = ({"m": "multi-sentence"}, [])
+    sentence_of: dict[str, int] = {}  # the sentence of each node but the root
+    for k in range(sentences):
+        size = rng.randint(5, 30)
+        gold = random_graph(rng, size, size, size // 6, 0.1, relations=relations)
+        predicted = delinearize(repair(corrupt_graph(gold, SENTENCE_NOISE, rng)[0]))
+        # node masking keeps the structure, so the prediction's k-th node
+        # is the gold node whose pointer is <Zk>
+        as_gold = dict(zip(predicted.nodes, linearize_with_layout(gold)[1].span))
+        named = rng.choice(list(gold.nodes)) if rng.random() < 0.25 else None
+        quoted = rng.choice(QUOTED_NAMES)
+        for graph, gold_node, (nodes, triples) in (
+            (gold, dict(zip(gold.nodes, gold.nodes)), gold_side),
+            (predicted, as_gold, predicted_side),
+        ):
+            name = {n: f"s{k}{gold_node[n]}" for n in graph.nodes}
+            nodes.update((name[n], concept) for n, concept in graph.nodes.items())
+            triples.append(("m", f":snt{k + 1}", name[graph.root]))
+            triples += [(name[s], r, name[t]) for s, r, t in graph.edges]
+            triples += [(name[s], r, value) for s, r, value in graph.attributes]
+            if named is not None:
+                nodes[f"s{k}n"] = "name"
+                triples += [(f"s{k}{named}", ":name", f"s{k}n"), (f"s{k}n", ":op1", quoted)]
+        sentence_of.update((n, k) for n in gold_side[0] if n != "m" and n not in sentence_of)
+
+    def merge_earlier(side, v: str) -> str | None:
+        """Merge ``v`` into a node of its concept in an earlier sentence,
+        drawn from ``rng``, unless that would close a cycle; that node."""
+        nodes = side[0]
+        earlier = [u for u in nodes if u != "m" and sentence_of[u] < sentence_of[v]
+                   and nodes[u] == nodes[v]]
+        return _merge(side, v, rng.choice(earlier)) if earlier else None
+
+    merges = []  # gold's, each (merged node, the node it joined)
+    for v in sentence_of:  # only a merge removes a node, and it removes v
+        if rng.random() < 0.5 and (u := merge_earlier(gold_side, v)) is not None:
+            merges.append((v, u))
+    kept = {v for v, u in merges if rng.random() < 0.7 and _merge(predicted_side, v, u)}
+    for v in sentence_of:
+        if v in predicted_side[0] and v not in kept and rng.random() < 0.1:
+            merge_earlier(predicted_side, v)
+
+    def graph(side, name) -> AmrGraph:
+        nodes, triples = side
+        return AmrGraph(
+            {name(n): concept for n, concept in nodes.items()},
+            tuple((name(s), r, name(t)) for s, r, t in triples if t in nodes),
+            tuple((name(s), r, t) for s, r, t in triples if t not in nodes),
+            name("m"),
+        )
+
+    return graph(predicted_side, lambda n: f"p{n}"), graph(gold_side, str)
+
+
+def _merge(side: tuple[dict, list], v: str, u: str) -> str | None:
+    """Merge node ``v`` of ``side``'s nodes and triples into node ``u``,
+    in place, unless one reaches the other, which would close a cycle.
+    Returns ``u``, or ``None`` for a skipped merge."""
+    nodes, triples = side
+    children = {n: [] for n in nodes}
+    for s, _, t in triples:
+        if t in nodes:
+            children[s].append(t)
+    if u in amr._closure({v}, children) or v in amr._closure({u}, children):
+        return None
+    del nodes[v]
+    triples[:] = dict.fromkeys(  # a merge can make two triples one
+        (u if s == v else s, r, u if t == v else t) for s, r, t in triples)
+    return u
 
 
 @functools.cache

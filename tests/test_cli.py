@@ -674,12 +674,29 @@ def test_a_block_of_metadata_without_a_graph_is_still_an_error(tmp_path, capsys)
 
 def test_build_tasks_accepts_explicit_task_names(corpus, tmp_path):
     out = tmp_path / "explicit.jsonl"
-    assert run(["build-tasks", str(corpus), "--tasks", "mt_g2t,t_mg2g",
-                "-o", str(out)]) == 0
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert [r["task"] for r in rows] == ["mt_g2t", "t_mg2g", "mt_g2t", "t_mg2g"]
+    for tasks in ("mt_g2t,t_mg2g", "mt_g2t,,t_mg2g"):  # an empty part is skipped
+        assert run(["build-tasks", str(corpus), "--tasks", tasks, "-o", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["task"] for r in rows] == ["mt_g2t", "t_mg2g", "mt_g2t", "t_mg2g"]
     assert run(["build-tasks", str(corpus), "--tasks", "bogus",
                 "-o", str(out)]) == 1
+
+
+def test_build_tasks_names_each_group_one_way(corpus, tmp_path, capsys):
+    out = tmp_path / "groups.jsonl"
+    assert run(["build-tasks", str(corpus), "--tasks", " EveryThing ",
+                "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 * 8
+    capsys.readouterr()
+    for spelling in ("fine-tune", "finetuning"):
+        assert run(["build-tasks", str(corpus), "--tasks", spelling, "-o", str(out)]) == 1
+        assert f"unknown task {spelling!r}" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    # argparse sets the exit code of --help, which run passes on
+    assert run(["--help"]) == 0
+    assert "build-tasks" in capsys.readouterr().out
 
 
 def test_smatch_report_key_set(corpus, capsys):

@@ -218,6 +218,15 @@ def test_mask_text_count():
                for _, pos, original in edits)
 
 
+def test_mask_text_counts_only_words_not_masked_yet():
+    toks = ["the", MASK, "boy", MASK, MASK, "goes"]
+    for seed in range(20):
+        out, edits = mask_text(toks, 0.5, random.Random(seed))
+        # half of the three words, rounded half up: a [mask] is not drawn
+        assert len(edits) == 2 and out.count(MASK) == 5
+        assert all(original != (MASK,) for _, _, original in edits)
+
+
 def test_mask_text_rejects_markers():
     with pytest.raises(ValueError, match="marker"):
         mask_text(["<s>", "x", "</s>"], 0.5, random.Random(0))
@@ -262,6 +271,18 @@ def test_compose_masks_only_remaining_elements():
             if token == "(":  # ( <Zk> concept
                 assert toks[i + 2] == MASK
         assert restore_tokens(toks, edits) == linearize(graph)
+
+
+def test_a_second_node_edge_step_draws_only_what_the_first_left(golden):
+    clean, layout = linearize_with_layout(golden)
+    concepts, relations = len(layout._concepts), len(layout._relations)
+    for seed in range(10):
+        steps = [node_edge_step(0.5, 0.5), node_edge_step(1.0, 1.0)]
+        toks, edits = compose(golden, steps, random.Random(seed))
+        # the second step masks what the first left, and no [mask] again
+        assert _kinds(edits) == {"node": concepts, "edge": relations}
+        assert all(original != (MASK,) for _, _, original in edits)
+        assert restore_tokens(toks, edits) == clean
 
 
 @pytest.mark.parametrize("subgraph_rate", [0.0, 1.0])

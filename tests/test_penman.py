@@ -15,7 +15,9 @@ from amrforge import (
     read_corpus,
     serialize_penman,
 )
-from amrforge.penman import graph_to_penman
+from amrforge._files import lines
+from amrforge.amr import Diagnostic
+from amrforge.penman import empty_graph, graph_to_penman
 from amrforge.synth import random_graph
 
 from conftest import CONTRAST_TEXT
@@ -165,6 +167,83 @@ def test_read_corpus_strict_aborts_with_index():
     with pytest.raises(CorpusError) as info:
         list(read_corpus(io.StringIO(text)))
     assert info.value.index == 1
+
+
+def _reference_read_corpus(text: str, strict: bool):
+    """read_corpus by its earlier rules: a block whose every line, less its
+    leading whitespace, is a plain ``#`` comment is no document, and any
+    other is parsed, its fallback keeping the metadata lines read up to
+    the first line that is neither metadata, a comment nor blank."""
+    index, block = 0, []
+    for line in [*lines(text), ""]:
+        if line.strip():
+            block.append(line)
+            continue
+        if any(s[0] != "#" or s.startswith("# ::") for s in map(str.lstrip, block)):
+            try:
+                yield parse_penman("".join(block), strict=strict)
+            except InvalidGraphError as error:
+                raise CorpusError(index, error) from error
+            except PenmanSyntaxError as error:
+                if strict:
+                    raise CorpusError(index, error) from error
+                metadata = {}
+                for line in "".join(block).split("\n"):
+                    if line.strip().startswith("# ::"):
+                        payload = line.lstrip()[4:].removesuffix("\r")
+                        key, _, value = payload.partition(" ")
+                        metadata[key] = value
+                    elif not line.strip().startswith("#"):
+                        break
+                yield PenmanDocument(metadata, empty_graph(),
+                                     (Diagnostic("syntax", str(error)),))
+            index += 1
+        block = []
+
+
+_CORPUS_LINES = (
+    "(a / boy)", "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))",
+    "(a / x :ARG0 (b / y :ARG1 a))",  # a cycle: invalid
+    "(b / boy", "(b / boy))", "b / boy)", ":ARG0 x", '(q / "x)', "(a / b :op1 a)",
+    "# ::snt the boy  ", "# ::id 3", "# ::tok a b", "# :: ", "#::x",
+    "# plain comment", "#", "# AMR release; corpus: LDC",
+)
+
+
+def _random_corpus(rng: random.Random) -> str:
+    """Documents, metadata-only and plain-comment blocks and broken graphs,
+    with CRLF lines, indented lines and blank lines of spaces."""
+    out = []
+    for _ in range(rng.randint(0, 6)):
+        for _ in range(rng.randint(1, 4)):
+            line = rng.choice(_CORPUS_LINES)
+            line = rng.choice(["", "", "  ", "\t"]) + line
+            out.append(line + rng.choice(["\n", "\n", "\r\n"]))
+        out.append(rng.choice(["\n", "  \n", "\r\n", "\n\n"]))
+    if out and rng.random() < 0.3:
+        out[-1] = out[-1].rstrip("\n")  # no blank line after the last block
+    return "".join(out)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_read_corpus_keeps_the_comment_block_rule(strict):
+    def read(reader, text):
+        documents = []
+        try:
+            documents.extend(reader(text, strict))
+        except CorpusError as error:
+            return documents, (str(error), error.index)
+        return documents, None
+
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(3000):
+        text = _random_corpus(rng)
+        documents, error = read(read_corpus, text)
+        assert (documents, error) == read(_reference_read_corpus, text), text
+        outcomes.add((bool(documents), error is not None,
+                      any(d.diagnostics for d in documents)))
+    assert len(outcomes) == (4 if strict else 3)  # every reachable outcome, seen
 
 
 def test_read_corpus_accepts_bytes_stream():

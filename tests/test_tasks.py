@@ -238,6 +238,14 @@ def test_build_corpus_aborts_on_invalid_pair():
         list(build_corpus(pairs, _schedule(), CorruptionConfig(), (TaskTag.ET_G2T,)))
 
 
+def test_build_corpus_takes_a_missing_graph_for_text_tasks_only():
+    pairs = [(TEXT, None)]
+    samples = list(build_corpus(pairs, _schedule(), CorruptionConfig(), [TaskTag.MT_EG2T]))
+    assert [s.output for s in samples] == [("<s>", *TEXT, "</s>")]
+    with pytest.raises(ValueError, match="^pair 0: task et_g2t requires a graph$"):
+        list(build_corpus(pairs, _schedule(), CorruptionConfig(), [TaskTag.ET_G2T]))
+
+
 def test_build_corpus_requires_tasks():
     with pytest.raises(ValueError, match="no tasks"):
         list(build_corpus([], _schedule(), CorruptionConfig(), ()))

@@ -19,7 +19,7 @@ from amrforge import (
     save_vocabulary,
 )
 
-from amrforge.tokens import strip_sense
+from amrforge.tokens import MASK, strip_sense
 
 from conftest import modal_graph
 
@@ -151,6 +151,16 @@ def test_partition_labels():
     assert vocabulary.partitions["<Z0>"] == "pointer"
     assert vocabulary.partitions[":arg0"] == "relation"
     assert vocabulary.partitions["boy"] == "base"
+
+
+def test_a_repeated_token_keeps_its_first_id_and_partition():
+    inventory = SymbolInventory(relations=Counter(), concepts=Counter({MASK: 1, "boy": 1}))
+    vocabulary = build_vocabulary(["<s>", MASK, "x"], inventory, max_pointers=2)
+    assert vocabulary.token_of[:3] == ("<s>", MASK, "x")
+    assert [vocabulary.partitions[t] for t in ("<s>", MASK, "x")] == ["base"] * 3
+    assert vocabulary.token_of[-1] == "boy"  # after three more markers and two pointers
+    assert len(vocabulary) == 3 + 3 + 2 + 1
+    assert vocabulary.id_of == {token: i for i, token in enumerate(vocabulary.token_of)}
 
 
 def test_frame_concepts_are_labeled_frame():
