@@ -82,10 +82,8 @@ class AmrGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(
-            self, "attributes", tuple(tuple(a) for a in self.attributes)
-        )
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "attributes", tuple(map(tuple, self.attributes)))
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled (smatch --jobs sends graphs to

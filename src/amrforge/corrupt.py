@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 from . import tokens as tk
 from .amr import AmrGraph
-from .linearize import LinearLayout, linearize_with_layout
+from .linearize import LinearLayout, _kept_walk
 
 # One edit replaces the slice starting at position with a single [mask].
 Edit = tuple[str, int, tuple[str, ...]]  # (kind, position, original tokens)
+
+_MARKERS_AND_MASK = frozenset((*tk.MARKERS, tk.MASK))
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ def node_edge_step(node_rate: float, edge_rate: float):
 
 
 def _unmasked(toks: list[str], positions: list[int]) -> list[int]:
+    if tk.MASK not in toks:
+        return positions  # the layout's own list, which the caller only reads
     return [pos for pos in positions if toks[pos] != tk.MASK]
 
 
@@ -149,11 +153,17 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
 
 def mask_text(toks: list[str], rate: float, rng: random.Random):
     """Replace ``round(rate * n)`` uniformly chosen word tokens by ``[mask]``,
-    counting only the n tokens that are not ``[mask]`` already."""
-    for token in toks:
-        if token in tk.MARKERS:
-            raise ValueError(f"text to corrupt must not contain marker {token}")
-    candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
+    counting only the n tokens that are not ``[mask]`` already.  ``toks``
+    is only read, and the result is a new list."""
+    if _MARKERS_AND_MASK.isdisjoint(toks):
+        # every position is a candidate: random.sample draws from an equal
+        # sequence, so the picks are those of the scan below
+        candidates = range(len(toks))
+    else:
+        for token in toks:
+            if token in tk.MARKERS:
+                raise ValueError(f"text to corrupt must not contain marker {token}")
+        candidates = [i for i, token in enumerate(toks) if token != tk.MASK]
     picks = rng.sample(candidates, _half_up(rate * len(candidates)))
     out, edits = _mask_each(toks, dict.fromkeys(picks, "text"))
     return out, edits
@@ -165,17 +175,21 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
     Each step is called as ``step(toks, layout, rng)`` with the running
     token sequence and its :class:`LinearLayout`, leaves both untouched,
     and returns ``(toks, layout, edits)`` for the next step, positions in
-    its edits referring to the sequence it was given.  Returns the tokens
-    and all edits in order: :func:`restore_tokens` undoes them whatever
-    the steps, however many remove a sub-graph.  Sub-graph masking
-    conventionally runs first, so later steps see the remaining elements.
+    its edits referring to the sequence it was given.  Steps receive the
+    graph's kept walk and layout, which every corruption and sample of the
+    graph shares, read-only, until one returns new ones.  Returns a token
+    list of the caller's own and all edits in order: :func:`restore_tokens`
+    undoes them whatever the steps, however many remove a sub-graph.
+    Sub-graph masking conventionally runs first, so later steps see the
+    remaining elements.
     """
-    toks, layout = linearize_with_layout(graph)
+    kept, layout = _kept_walk(graph)
+    toks = kept
     edits: list[Edit] = []
     for step in steps:
         toks, layout, step_edits = step(toks, layout, rng)
         edits += step_edits
-    return toks, tuple(edits)
+    return list(toks) if toks is kept else toks, tuple(edits)
 
 
 def corrupt_graph(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):

@@ -116,7 +116,10 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     The graph keeps its first walk, so a later call costs one copy: each
     call returns a fresh token list and the shared, read-only layout.  A
     graph that ``amrforge delinearize`` read from a line that is its
-    linearization keeps that line instead (:func:`_walk`).
+    linearization keeps that line instead (:func:`_walk`).  Every sample
+    that ``amrforge build-tasks`` makes of a document reads this one kept
+    walk: its corruption steps and its plain segments and graph target
+    take it through :func:`_kept_walk`, without a copy.
     """
     if graph._linear is not None:
         toks, layout = graph._linear
@@ -161,6 +164,17 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
     layout = LinearLayout(span, ref_positions)
     object.__setattr__(graph, "_linear", (toks, layout))
     return list(toks), layout
+
+
+def _kept_walk(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
+    """The graph's kept walk and layout themselves, walked on first use.
+
+    Both are shared by every later caller, so a caller only reads them;
+    one that writes tokens takes :func:`linearize_with_layout`'s copy.
+    """
+    if graph._linear is None:
+        linearize_with_layout(graph)
+    return graph._linear
 
 
 def delinearize(toks: list[str]) -> AmrGraph:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from json.encoder import encode_basestring as _string
 from typing import Iterable, Iterator
 
@@ -27,7 +28,7 @@ from .corrupt import (
     derive_rng,
     mask_text,
 )
-from .linearize import linearize
+from .linearize import _kept_walk
 
 
 class TaskTag(Enum):
@@ -122,38 +123,31 @@ def build_sample(
     dynamic_rate = schedule_rate(step, schedule) if tag in DYNAMIC_TAGS else None
 
     if text_mode == "plain":
-        text_part = list(text)
+        text_part = text
     elif text_mode == "empty":
-        text_part = [tk.MASK]
+        text_part = (tk.MASK,)
     else:
         rate = config.text_rate if dynamic_rate is None else dynamic_rate
-        text_part, _ = mask_text(list(text), rate, rng)
+        text_part, _ = mask_text(text, rate, rng)
 
     if graph_mode == "plain":
-        graph_part = linearize(graph)
+        graph_part = _kept_walk(graph)[0]  # read, never written
     elif graph_mode == "empty":
-        graph_part = [tk.MASK]
+        graph_part = (tk.MASK,)
     else:
         if dynamic_rate is not None:
             config = replace(config, node_rate=dynamic_rate, edge_rate=dynamic_rate)
         graph_part, _ = corrupt_graph(graph, config, rng)
 
-    sample_input = (
-        [tk.TEXT_START]
-        + text_part
-        + [tk.TEXT_END, tk.GRAPH_START]
-        + graph_part
-        + [tk.GRAPH_END]
-    )
     if target == "text":
-        sample_output = [tk.TEXT_START] + list(text) + [tk.TEXT_END]
+        sample_output = (tk.TEXT_START, *text, tk.TEXT_END)
     else:
-        sample_output = [tk.GRAPH_START] + linearize(graph) + [tk.GRAPH_END]
-
+        sample_output = (tk.GRAPH_START, *_kept_walk(graph)[0], tk.GRAPH_END)
     return TaskSample(
         tag=tag,
-        input=tuple(sample_input),
-        output=tuple(sample_output),
+        input=(tk.TEXT_START, *text_part, tk.TEXT_END,
+               tk.GRAPH_START, *graph_part, tk.GRAPH_END),
+        output=sample_output,
         step=step,
     )
 
@@ -170,7 +164,11 @@ def build_corpus(
     schedule's final step.  Each pair draws from its own generator
     (corpus seed XOR pair index), so distinct pairs could be built in
     parallel without changing the output.  Each graph is validated and
-    walked once: it keeps its linearization for all of its samples.
+    walked once: its samples share that kept walk, read-only, as their
+    plain graph segment and graph target and as the start of each
+    corruption, and share the pair's text as their plain text segment and
+    text target.  A sample itself costs its random draws, its masks and
+    the copies into its token tuples.
     """
     selected = sorted(set(tasks), key=ALL_TAGS.index)
     if not selected:
@@ -192,10 +190,21 @@ def sample_to_json(sample: TaskSample) -> str:
 
     The record is ``json.dumps`` of those four fields with
     ``ensure_ascii=False``, joined from the string encoder that call uses.
+    A pair's samples share two targets, its text and its graph, and
+    :func:`build_corpus` alternates between them, so the output array is
+    encoded through a memo of the last two: each target once per pair.
     """
     return (f'{{"task": {_string(sample.tag.value)}, "step": {sample.step}, '
-            f'"input": [{", ".join(map(_string, sample.input))}], '
-            f'"output": [{", ".join(map(_string, sample.output))}]}}')
+            f'"input": [{_array(sample.input)}], '
+            f'"output": [{_array_of_target(sample.output)}]}}')
+
+
+def _array(tokens: tuple[str, ...]) -> str:
+    return ", ".join(map(_string, tokens))
+
+
+# keyed by the tuple's value, so an equal target built apart hits it too
+_array_of_target = lru_cache(maxsize=2)(_array)
 
 
 def parse_tag(name: str) -> TaskTag:

@@ -18,7 +18,7 @@ from amrforge import (
 from amrforge.corrupt import _cut_span, _half_up
 from amrforge.linearize import linearize_with_layout
 from amrforge.synth import random_graph
-from amrforge.tokens import MASK, OPEN, pointer_digits, to_text
+from amrforge.tokens import MARKERS, MASK, OPEN, pointer_digits, to_text
 
 from conftest import edge_relations, replay_edits
 
@@ -411,3 +411,64 @@ def test_layout_targets_equal_their_definition_fresh_and_after_a_cut():
             cuts += 1
         assert _targets(layout) == _fresh_targets(layout)
     assert cuts > 1000
+
+
+def test_every_returned_token_list_is_the_callers_own(golden):
+    # an unwalked copy: every call below reads one kept walk of this graph
+    graph = AmrGraph(golden.nodes, golden.edges, golden.attributes, golden.root)
+    text = ["the", "boy", "wants", "to", "go"]
+    calls = {
+        "linearize": lambda: linearize(graph),
+        "linearize_with_layout": lambda: linearize_with_layout(graph)[0],
+        "compose, no step": lambda: compose(graph, [], random.Random(0))[0],
+        "compose, no cut": lambda: compose(graph, [subgraph_step(0.0)],
+                                           random.Random(0))[0],
+        "compose": lambda: compose(graph, [subgraph_step(1.0), node_edge_step(0.5, 0.5)],
+                                   random.Random(0))[0],
+        "corrupt_graph": lambda: corrupt_graph(graph, CorruptionConfig(),
+                                               random.Random(0))[0],
+        "mask_text, no pick": lambda: mask_text(text, 0.0, random.Random(0))[0],
+        "mask_text": lambda: mask_text(text, 0.4, random.Random(0))[0],
+    }
+    for name, call in calls.items():
+        first = call()
+        expected = list(first)
+        first[2] = "HACKED"
+        first.append("HACKED")
+        assert call() == expected, name
+    assert linearize(graph) == linearize(golden)
+    assert text == ["the", "boy", "wants", "to", "go"]
+
+
+def _scanning_mask_text(toks, rate, rng):
+    """mask_text as it was before it took every position as a candidate
+    where the text holds no marker and no [mask]: it scanned each token."""
+    for token in toks:
+        if token in MARKERS:
+            raise ValueError(f"text to corrupt must not contain marker {token}")
+    candidates = [i for i, token in enumerate(toks) if token != MASK]
+    picks = rng.sample(candidates, _half_up(rate * len(candidates)))
+    out = list(toks)
+    for pos in picks:
+        out[pos] = MASK
+    return out, tuple(("text", pos, (toks[pos],)) for pos in sorted(picks))
+
+
+def test_mask_text_draws_as_the_scan_did_with_and_without_masks():
+    texts = random.Random(5)
+    for seed in range(400):
+        mask_share = texts.choice([0.0, 0.0, 0.2, 0.6, 1.0])
+        toks = [MASK if texts.random() < mask_share else f"w{texts.randrange(9)}"
+                for _ in range(texts.randrange(30))]
+        rate = texts.choice([0.0, 0.15, 0.5, texts.random(), 1.0])
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert mask_text(toks, rate, ours) == _scanning_mask_text(toks, rate, theirs)
+        assert ours.random() == theirs.random()  # and consumed the same draws
+
+
+def test_mask_text_names_the_first_of_two_markers():
+    for toks in (["x", "</s>", "y", "<g>"], ["x", MASK, "<g>", "<s>"]):
+        with pytest.raises(ValueError) as error:
+            mask_text(toks, 0.5, random.Random(0))
+        first = next(token for token in toks if token in MARKERS)
+        assert str(error.value) == f"text to corrupt must not contain marker {first}"

@@ -289,3 +289,21 @@ def test_tag_partitions():
     assert len(PRETRAINING_TAGS) == 6
     assert len(FINETUNING_TAGS) == 2
     assert set(ALL_TAGS) == set(TaskTag)
+
+
+def test_sample_to_json_encodes_each_target_by_its_value():
+    # three targets of one length, which a pair's alternating targets cycle
+    # past the memo's two entries; each is built anew per sample, so a freed
+    # tuple's address is soon another target's, and equal ones differ by id
+    targets = [("<s>", "the", "boy", "</s>"),
+               ("<s>", "the", "girl", "</s>"),
+               ("<g>", "(", "<Z0>", "</g>")]
+    rng = random.Random(0)
+    order = [0, 1, 0, 1, 2, 0, 2, 1, 1, 0] + [rng.randrange(3) for _ in range(300)]
+    for i, k in enumerate(order):
+        tag = ALL_TAGS[i % len(ALL_TAGS)]
+        expected = json.dumps({"task": tag.value, "step": i, "input": ["<s>", MASK],
+                               "output": list(targets[k])}, ensure_ascii=False)
+        # the sample and its output tuple are freed as soon as it is encoded
+        assert sample_to_json(
+            TaskSample(tag, ("<s>", MASK), tuple(list(targets[k])), i)) == expected
