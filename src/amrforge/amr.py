@@ -64,7 +64,8 @@ class AmrGraph:
     ``nodes`` is a read-only view of a private copy, so a graph cannot
     change once built.  :func:`validate` keeps a passing result on the
     instance, and :func:`~amrforge.linearize.linearize_with_layout` its
-    walk, or, in ``amrforge delinearize`` alone, the token line it came from.
+    walk as a tuple, or, in ``amrforge delinearize`` alone, a tuple of the
+    token line it came from.
     :func:`~amrforge.penman.parse_penman` marks a graph whose nesting proves
     it rooted, connected and acyclic.  None is a field, so equality ignores
     them, and a graph made by ``dataclasses.replace`` or by unpickling

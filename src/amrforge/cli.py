@@ -30,7 +30,7 @@ from . import tokens as tk
 from ._files import lines, write
 from .amr import AmrGraph, compute_stats
 from .corrupt import CorruptionConfig, corrupt_graph, derive_rng
-from .linearize import _walk, linearize
+from .linearize import _walk, linearize_with_layout
 from .metrics import (
     FINE_GRAINED_KEYS,
     aggregate,
@@ -267,7 +267,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_linearize(args) -> int:
     documents = _read(args.input, args.strict)
-    write(args.output, (tk.to_text(linearize(graph)) for _, graph in documents))
+    write(args.output, (tk.to_text(linearize_with_layout(graph)[0])
+                        for _, graph in documents))
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import tokens as tk
 from .amr import AmrGraph
-from .linearize import LinearLayout, _kept_walk
+from .linearize import LinearLayout, linearize_with_layout
 
 # One edit replaces the slice starting at position with a single [mask].
 Edit = tuple[str, int, tuple[str, ...]]  # (kind, position, original tokens)
@@ -147,7 +147,7 @@ def _cut_span(toks: list[str], layout: LinearLayout, node: str):
         ref_positions=[(moved(pos), other) for pos, other in layout.ref_positions
                        if not start <= pos <= end],
     )
-    out = toks[:start] + [tk.MASK] + toks[end + 1 :]
+    out = [*toks[:start], tk.MASK, *toks[end + 1 :]]
     return out, cut, (("subgraph", start, removed),)
 
 
@@ -175,21 +175,20 @@ def compose(graph: AmrGraph, steps, rng: random.Random):
     Each step is called as ``step(toks, layout, rng)`` with the running
     token sequence and its :class:`LinearLayout`, leaves both untouched,
     and returns ``(toks, layout, edits)`` for the next step, positions in
-    its edits referring to the sequence it was given.  Steps receive the
-    graph's kept walk and layout, which every corruption and sample of the
-    graph shares, read-only, until one returns new ones.  Returns a token
-    list of the caller's own and all edits in order: :func:`restore_tokens`
+    its edits referring to the sequence it was given.  The first step
+    receives the graph's kept walk, a tuple, and its layout, which every
+    corruption and sample of the graph shares.  Returns the corrupted
+    tokens as a new list and all edits in order: :func:`restore_tokens`
     undoes them whatever the steps, however many remove a sub-graph.
     Sub-graph masking conventionally runs first, so later steps see the
     remaining elements.
     """
-    kept, layout = _kept_walk(graph)
-    toks = kept
+    toks, layout = linearize_with_layout(graph)
     edits: list[Edit] = []
     for step in steps:
         toks, layout, step_edits = step(toks, layout, rng)
         edits += step_edits
-    return list(toks) if toks is kept else toks, tuple(edits)
+    return list(toks), tuple(edits)
 
 
 def corrupt_graph(graph: AmrGraph, config: CorruptionConfig, rng: random.Random):

@@ -107,23 +107,21 @@ class LinearLayout:
 
 
 def linearize(graph: AmrGraph) -> list[str]:
-    return linearize_with_layout(graph)[0]
+    return list(linearize_with_layout(graph)[0])
 
 
-def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
+def linearize_with_layout(graph: AmrGraph) -> tuple[tuple[str, ...], LinearLayout]:
     """Depth-first linearization plus the token-position layout.
 
-    The graph keeps its first walk, so a later call costs one copy: each
-    call returns a fresh token list and the shared, read-only layout.  A
-    graph that ``amrforge delinearize`` read from a line that is its
-    linearization keeps that line instead (:func:`_walk`).  Every sample
-    that ``amrforge build-tasks`` makes of a document reads this one kept
-    walk: its corruption steps and its plain segments and graph target
-    take it through :func:`_kept_walk`, without a copy.
+    The graph keeps its first walk, as a tuple, and every later call
+    returns that tuple and the shared layout.  A graph that ``amrforge
+    delinearize`` read from a line that is its linearization keeps that
+    line instead (:func:`_walk`).  Every sample that ``amrforge
+    build-tasks`` makes of a document reads this one kept walk: its
+    corruption steps, its plain segments and its graph target.
     """
     if graph._linear is not None:
-        toks, layout = graph._linear
-        return list(toks), layout
+        return graph._linear
     require_valid(graph)
     concepts = graph.nodes
     out = _by_source(graph.edges)
@@ -162,18 +160,7 @@ def linearize_with_layout(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
                 toks.append(tk.CLOSE)
 
     layout = LinearLayout(span, ref_positions)
-    object.__setattr__(graph, "_linear", (toks, layout))
-    return list(toks), layout
-
-
-def _kept_walk(graph: AmrGraph) -> tuple[list[str], LinearLayout]:
-    """The graph's kept walk and layout themselves, walked on first use.
-
-    Both are shared by every later caller, so a caller only reads them;
-    one that writes tokens takes :func:`linearize_with_layout`'s copy.
-    """
-    if graph._linear is None:
-        linearize_with_layout(graph)
+    object.__setattr__(graph, "_linear", (tuple(toks), layout))
     return graph._linear
 
 
@@ -251,7 +238,7 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
     line sets, it notes the layout until a rule breaks, and if ``toks`` is
     its graph's linearization (well-formed, its ``k``-th defined pointer
     spelled ``<Zk>``, each reference as its definition, and no attribute
-    after an edge of its node) the graph keeps both as its ``_linear``.
+    after an edge of its node) its ``_linear`` keeps ``(tuple(toks), layout)``.
     """
     nodes: dict[str, str] = {}
     children: dict[str, list[str]] = {}
@@ -395,6 +382,6 @@ def _walk(toks: list[str], keep: bool = False) -> tuple[
     graph = _trusted(AmrGraph(
         nodes=nodes, edges=tuple(edges), attributes=tuple(attributes), root=root,
     ))
-    if keep and fault is None and linear:  # toks is kept as it is, not copied
-        object.__setattr__(graph, "_linear", (toks, LinearLayout(span, refs)))
+    if keep and fault is None and linear:
+        object.__setattr__(graph, "_linear", (tuple(toks), LinearLayout(span, refs)))
     return graph, fault

@@ -256,7 +256,8 @@ def _render(graph: AmrGraph, renumber: bool) -> str:
     """:func:`graph_to_penman`, or with ``renumber`` the same text with
     each node named after its pointer ``<Zk>``, which is what
     ``graph_to_penman(delinearize(linearize(graph)))`` writes."""
-    parts, layout = linearize_with_layout(graph)
+    kept, layout = linearize_with_layout(graph)
+    parts = list(kept)  # the kept walk is a tuple; this copy is rewritten
     prefix = renumber and name_prefix(parts)  # as delinearize names them
     # the k-th span is the one the pointer <Zk> opens
     name = {node: f"{prefix}{k}" if renumber else node

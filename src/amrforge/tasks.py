@@ -28,7 +28,7 @@ from .corrupt import (
     derive_rng,
     mask_text,
 )
-from .linearize import _kept_walk
+from .linearize import linearize_with_layout
 
 
 class TaskTag(Enum):
@@ -131,7 +131,7 @@ def build_sample(
         text_part, _ = mask_text(text, rate, rng)
 
     if graph_mode == "plain":
-        graph_part = _kept_walk(graph)[0]  # read, never written
+        graph_part = linearize_with_layout(graph)[0]
     elif graph_mode == "empty":
         graph_part = (tk.MASK,)
     else:
@@ -142,7 +142,7 @@ def build_sample(
     if target == "text":
         sample_output = (tk.TEXT_START, *text, tk.TEXT_END)
     else:
-        sample_output = (tk.GRAPH_START, *_kept_walk(graph)[0], tk.GRAPH_END)
+        sample_output = (tk.GRAPH_START, *linearize_with_layout(graph)[0], tk.GRAPH_END)
     return TaskSample(
         tag=tag,
         input=(tk.TEXT_START, *text_part, tk.TEXT_END,
@@ -164,7 +164,7 @@ def build_corpus(
     schedule's final step.  Each pair draws from its own generator
     (corpus seed XOR pair index), so distinct pairs could be built in
     parallel without changing the output.  Each graph is validated and
-    walked once: its samples share that kept walk, read-only, as their
+    walked once: its samples share that kept walk, a tuple, as their
     plain graph segment and graph target and as the start of each
     corruption, and share the pair's text as their plain text segment and
     text target.  A sample itself costs its random draws, its masks and

@@ -960,7 +960,7 @@ def test_validate_reports_every_document_despite_a_syntax_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command, module, function", [
-    ("linearize", "cli", "linearize"),
+    ("linearize", "cli", "linearize_with_layout"),
     ("build-tasks", "tasks", "build_sample"),
 ])
 def test_commands_hold_one_document_at_a_time(command, module, function, tmp_path,

@@ -282,7 +282,7 @@ def test_a_second_node_edge_step_draws_only_what_the_first_left(golden):
         # the second step masks what the first left, and no [mask] again
         assert _kinds(edits) == {"node": concepts, "edge": relations}
         assert all(original != (MASK,) for _, _, original in edits)
-        assert restore_tokens(toks, edits) == clean
+        assert restore_tokens(toks, edits) == list(clean)
 
 
 @pytest.mark.parametrize("subgraph_rate", [0.0, 1.0])
@@ -419,7 +419,6 @@ def test_every_returned_token_list_is_the_callers_own(golden):
     text = ["the", "boy", "wants", "to", "go"]
     calls = {
         "linearize": lambda: linearize(graph),
-        "linearize_with_layout": lambda: linearize_with_layout(graph)[0],
         "compose, no step": lambda: compose(graph, [], random.Random(0))[0],
         "compose, no cut": lambda: compose(graph, [subgraph_step(0.0)],
                                            random.Random(0))[0],
@@ -437,6 +436,8 @@ def test_every_returned_token_list_is_the_callers_own(golden):
         first.append("HACKED")
         assert call() == expected, name
     assert linearize(graph) == linearize(golden)
+    kept = linearize_with_layout(graph)[0]  # a tuple: no caller can write it
+    assert type(kept) is tuple and kept == tuple(linearize(golden))
     assert text == ["the", "boy", "wants", "to", "go"]
 
 

@@ -395,7 +395,7 @@ def test_each_linearization_is_a_fresh_list(contrast):
     second = linearize(contrast)
     assert first == second and first is not second
     first[:] = ["changed"]
-    assert linearize_with_layout(contrast)[0] == second
+    assert list(linearize_with_layout(contrast)[0]) == second
 
 
 def test_kept_linearization_survives_corruption_and_rendering(contrast):
@@ -406,6 +406,22 @@ def test_kept_linearization_survives_corruption_and_rendering(contrast):
     assert edits[0][0] == "subgraph"  # a span was cut from a copy
     graph_to_penman(contrast)
     assert linearize_with_layout(contrast) == fresh
+
+
+def test_a_kept_walk_is_a_tuple_that_no_caller_can_write(contrast):
+    # the command line keeps the line it walked: writing to that list
+    # afterwards leaves the graph's walk and its PENMAN as they were
+    toks = linearize(contrast)
+    graph, _ = _walk(toks, keep=True)
+    assert graph._linear is not None
+    toks[2] = "HACK"
+    toks.append(")")
+    assert linearize(graph) == linearize(replace(graph))
+    assert graph_to_penman(graph) == graph_to_penman(replace(graph))
+    for walked in (graph, contrast):  # a kept line, and a graph's own walk
+        kept = linearize_with_layout(walked)[0]
+        assert type(kept) is tuple and linearize_with_layout(walked)[0] is kept
+        assert kept == tuple(linearize(replace(walked)))
 
 
 def test_copies_of_a_graph_start_without_its_linearization(contrast):
@@ -469,7 +485,7 @@ def test_a_kept_layout_is_the_linearization_of_its_graph(monkeypatch):
         if linear is not None:
             kept += 1
             toks, layout = linear
-            assert (list(toks), layout) == linearize_with_layout(replace(graph)), line
+            assert (toks, layout) == linearize_with_layout(replace(graph)), line
     assert 300 < kept < len(lines) - 300
 
 

@@ -149,7 +149,7 @@ def test_span_table_before_and_after_a_cut(graph, seed):
         return toks, layout, ()
 
     cut, edits = compose(graph, [subgraph_step(1.0), recording], random.Random(seed))
-    assert seen[0][0] == cut
+    assert list(seen[0][0]) == cut
     # the nodes whose spans open inside the cut, if there was one
     removed = {node for _, start, original in edits
                for node, (o, _) in layout.span.items()
